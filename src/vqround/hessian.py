@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptyCalibration, NotPositiveDefinite, ShapeMismatch
+from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, ShapeMismatch
 from .quantize import QuantParams, round_half_away
 
 
@@ -29,9 +29,9 @@ class HessianConfig:
 
     def __post_init__(self):
         if not self.percdamp > 0:
-            raise ValueError(f"percdamp must be positive, got {self.percdamp}")
+            raise DomainError(f"percdamp must be positive, got {self.percdamp}")
         if self.blocksize < 1:
-            raise ValueError(f"blocksize must be >= 1, got {self.blocksize}")
+            raise DomainError(f"blocksize must be >= 1, got {self.blocksize}")
 
 
 @dataclass

@@ -5,7 +5,11 @@ The blockwise objective is the squared output reconstruction error
 ``||W X - What X||_F^2`` plus the weighted rounding regularizer; its
 gradient flows analytically through the quantizer (scale inside the
 active clip region, zero at and beyond the boundaries), the stretched
-sigmoid, and the frozen index map into the centroids.
+sigmoid, and the frozen index map into the centroids. Both are taken in
+Gram form from one soft-quantizer forward: with ``G = X X^T`` and
+``E = W - What``, the error is ``<E G, E>`` and its gradient w.r.t.
+``What`` is ``-2 E G``, so a step costs one (m, n) x (n, n) product no
+matter how many calibration columns there are.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ from .errors import DomainError, ShapeMismatch, StepOutOfRange
 from .quantize import (
     QuantParams,
     RoundingSpec,
-    adaptive_quantize,
-    rectified_sigmoid,
     regularizer_grad,
     rounding_regularizer,
 )
-from .reparam import Codebook, vq_reconstruct
+from .reparam import Codebook, unflatten_blocks, vq_reconstruct
 
 
 @dataclass
@@ -125,29 +127,73 @@ class SoftQuantForward:
     dh_da: np.ndarray  # sigmoid slope, zeroed where its clip saturates
 
 
-def soft_quant_forward(W, p: QuantParams, cb: Codebook, spec: RoundingSpec) -> SoftQuantForward:
+def soft_quant_forward(
+    W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None
+) -> SoftQuantForward:
+    """Soft-quantize W with the codebook's rounding decisions.
+
+    The stretched sigmoid and its slope depend on the latent alone, so
+    they are evaluated once per centroid value and gathered through the
+    frozen indices. ``base`` is the integer floor ``floor(W / s)``;
+    callers that run many forwards over one layer pass it in precomputed.
+    """
     W = np.asarray(W, dtype=np.float64)
-    A = vq_reconstruct(cb)
-    g = spec.gamma + (spec.zeta - spec.gamma) * expit(A)
-    H = np.clip(g, 0.0, 1.0)
+    sig = expit(np.asarray(cb.centroids, dtype=np.float64))
+    slope = (spec.zeta - spec.gamma) * sig
+    g = spec.gamma + slope
+    slope *= 1.0 - sig
+    slope *= (g > 0.0) & (g < 1.0)
+    H = unflatten_blocks(np.clip(g, 0.0, 1.0)[cb.indices], cb.shape)
     s = p.scale[:, None]
     z = p.zero[:, None]
-    v = np.floor(W / s) + H + z
+    if base is None:
+        base = np.floor(W / s)
+    v = base + H
+    v += z
     q = np.clip(v, p.q_min, p.q_max)
-    what = s * (q - z)
+    q -= z
+    what = s * q
     clip_active = (v > p.q_min) & (v < p.q_max)
-    sig = expit(A)
-    dh_da = (spec.zeta - spec.gamma) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
-    return SoftQuantForward(latent=A, rounding=H, what=what,
-                            clip_active=clip_active, dh_da=dh_da)
+    return SoftQuantForward(latent=vq_reconstruct(cb), rounding=H, what=what,
+                            clip_active=clip_active,
+                            dh_da=unflatten_blocks(slope[cb.indices], cb.shape))
 
 
 def scatter_to_centroids(dl_da: np.ndarray, cb: Codebook) -> np.ndarray:
     """Accumulate per-entry latent gradients into the shared centroids."""
-    block_grads = dl_da.reshape(-1, cb.d)
-    grad = np.zeros_like(cb.centroids)
-    np.add.at(grad, cb.indices, block_grads)
+    block_grads = dl_da.reshape(-1, cb.d).T
+    grad = np.empty_like(cb.centroids)
+    for j in range(cb.d):
+        grad[:, j] = np.bincount(cb.indices, weights=block_grads[j], minlength=cb.k)
     return grad
+
+
+def _layer_constants(W, X, p: QuantParams, cb: Codebook):
+    """What every blockwise step of one layer shares: the checked float64
+    weights, the Gram matrix ``X X^T`` and the integer floor ``floor(W / s)``."""
+    W = np.asarray(W, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if W.shape[1] != X.shape[0]:
+        raise ShapeMismatch(f"W cols {W.shape[1]} != X rows {X.shape[0]}")
+    if cb.shape != W.shape:
+        raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
+    return W, X @ X.T, np.floor(W / p.scale[:, None])
+
+
+def _blockwise_objective(W, G, base, p, cb, spec, lam, beta) -> tuple[float, np.ndarray]:
+    """Blockwise loss and its centroid gradient from one forward.
+
+    ``G = X X^T`` and ``base = floor(W / s)`` are fixed for a layer.
+    """
+    fwd = soft_quant_forward(W, p, cb, spec, base)
+    err = W - fwd.what
+    err_g = err @ G
+    loss = float(np.sum(err_g * err))
+    dl_dh = (-2.0 * p.scale[:, None]) * err_g * fwd.clip_active
+    if lam != 0.0:
+        loss += lam * rounding_regularizer(fwd.rounding, beta)
+        dl_dh = dl_dh + lam * regularizer_grad(fwd.rounding, beta)
+    return loss, scatter_to_centroids(dl_dh * fwd.dh_da, cb)
 
 
 def blockwise_loss(
@@ -160,20 +206,8 @@ def blockwise_loss(
     beta: float = 20.0,
 ) -> float:
     """||W X - What X||_F^2 + lam * regularizer, What from the codebook."""
-    W = np.asarray(W, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if W.shape[1] != X.shape[0]:
-        raise ShapeMismatch(f"W cols {W.shape[1]} != X rows {X.shape[0]}")
-    if cb.shape != W.shape:
-        raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
-    A = vq_reconstruct(cb)
-    H = rectified_sigmoid(A, spec)
-    _, what = adaptive_quantize(W, p, H)
-    resid = (W - what) @ X
-    loss = float(np.sum(resid * resid))
-    if lam != 0.0:
-        loss += lam * rounding_regularizer(H, beta)
-    return loss
+    W, G, base = _layer_constants(W, X, p, cb)
+    return _blockwise_objective(W, G, base, p, cb, spec, lam, beta)[0]
 
 
 def blockwise_grad(
@@ -186,20 +220,8 @@ def blockwise_grad(
     beta: float = 20.0,
 ) -> np.ndarray:
     """Gradient of :func:`blockwise_loss` w.r.t. the centroids (k, d)."""
-    W = np.asarray(W, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if W.shape[1] != X.shape[0]:
-        raise ShapeMismatch(f"W cols {W.shape[1]} != X rows {X.shape[0]}")
-    if cb.shape != W.shape:
-        raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
-    fwd = soft_quant_forward(W, p, cb, spec)
-    resid = (W - fwd.what) @ X
-    dl_dwhat = -2.0 * (resid @ X.T)
-    dl_dh = dl_dwhat * p.scale[:, None] * fwd.clip_active
-    if lam != 0.0:
-        dl_dh = dl_dh + lam * regularizer_grad(fwd.rounding, beta)
-    dl_da = dl_dh * fwd.dh_da
-    return scatter_to_centroids(dl_da, cb)
+    W, G, base = _layer_constants(W, X, p, cb)
+    return _blockwise_objective(W, G, base, p, cb, spec, lam, beta)[1]
 
 
 def optimize_blockwise(
@@ -216,6 +238,7 @@ def optimize_blockwise(
     change. Returns the optimized codebook and the per-step loss trace
     (evaluated at the pre-update parameters).
     """
+    W, G, base = _layer_constants(W, X, p, cb)
     centroids = cb.centroids.astype(np.float64).copy()
     work = Codebook(centroids=centroids, indices=cb.indices.copy(), shape=cb.shape)
     state = AdamState.for_params(centroids)
@@ -224,7 +247,6 @@ def optimize_blockwise(
     for t in range(1, cfg.steps + 1):
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
-        trace[t - 1] = blockwise_loss(W, X, p, work, spec, lam_t, beta)
-        grad = blockwise_grad(W, X, p, work, spec, lam_t, beta)
+        trace[t - 1], grad = _blockwise_objective(W, G, base, p, work, spec, lam_t, beta)
         work.centroids = adam_step(state, work.centroids, grad, cfg.lr)
     return work, trace

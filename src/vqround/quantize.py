@@ -171,7 +171,11 @@ def rounding_regularizer(H, beta: float) -> float:
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     H = np.asarray(H, dtype=np.float64)
-    return float(np.sum(1.0 - np.abs(2.0 * H - 1.0) ** beta))
+    # 1 - a^beta as -expm1(beta log a): the direct form cancels to 0 for a
+    # within a few ulps of 1 when beta is small, reading a non-binary H as
+    # binary. log(0) = -inf maps a = 0 to exactly 1.
+    with np.errstate(divide="ignore"):
+        return 0.0 - float(np.sum(np.expm1(beta * np.log(np.abs(2.0 * H - 1.0)))))
 
 
 def regularizer_grad(H, beta: float) -> np.ndarray:
@@ -185,7 +189,7 @@ def regularizer_grad(H, beta: float) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     t = 2.0 * H - 1.0
     a = np.abs(t)
-    grad = np.zeros_like(H)
-    mask = a > 0.0
-    grad[mask] = -2.0 * beta * np.sign(t[mask]) * a[mask] ** (beta - 1.0)
+    grad = np.power(a, beta - 1.0, out=np.zeros_like(H), where=a > 0.0)
+    np.copysign(grad, t, out=grad)
+    grad *= -2.0 * beta
     return grad

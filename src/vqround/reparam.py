@@ -22,6 +22,7 @@ from .errors import (
     RankTooLarge,
     ShapeFactorizationMismatch,
     ShapeMismatch,
+    TheoremViolation,
 )
 
 
@@ -126,8 +127,8 @@ def kmeans_fit(
     fixed point. Ties assign to the lowest centroid index; a cluster
     that empties is reseeded to the block currently farthest from its
     own centroid (clusters emptied *by* a reseed are caught on the next
-    pass). The objective is non-increasing across iterations, which the
-    loop asserts.
+    pass). The objective is non-increasing across iterations; the loop
+    raises :class:`TheoremViolation` if it ever increases.
 
     ``shape`` records the source-matrix shape for reconstruction and
     defaults to the block matrix itself.
@@ -163,7 +164,8 @@ def kmeans_fit(
             reseeded = True
 
         obj = float(own.sum())
-        assert obj <= prev_obj * (1.0 + 1e-9) + 1e-12, "objective increased"
+        if not obj <= prev_obj * (1.0 + 1e-9) + 1e-12:
+            raise TheoremViolation(f"k-means objective increased: {prev_obj!r} -> {obj!r}")
         prev_obj = obj
 
         if not reseeded and prev_assign is not None and np.array_equal(assign, prev_assign):

@@ -67,6 +67,12 @@ class TestInit:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("flag", ["--percdamp", "--blocksize"])
+    def test_nonpositive_hessian_setting_exits_4(self, tmp_path, layer_files, flag):
+        w_path, x_path = layer_files
+        code, _ = run_init(tmp_path, w_path, x_path, flag, "0")
+        assert code == 4
+
     def test_shape_mismatch_exits_3(self, tmp_path, layer_files):
         w_path, _ = layer_files
         bad = tmp_path / "bad.vqt"

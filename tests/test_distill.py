@@ -8,6 +8,7 @@ from vqround import errors
 from vqround.distill import (
     Layer,
     TinyNet,
+    _mean_hard_kl,
     build_student,
     e2e_finetune,
     e2e_step,
@@ -192,6 +193,23 @@ class TestE2EStep:
         student = build_student(teacher, bits=3, k=10**9, d=4, kmeans_iters=10, seed=0)
         _, kd, _, _ = e2e_step(teacher, student, np.ones(6), lam=0.0, beta=5.0)
         assert kd == pytest.approx(0.0, abs=1e-12)
+
+
+class TestMeanHardKl:
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    def test_batched_matches_per_column_mean(self, temperature):
+        teacher = random_net((6, 10, 4), seed=13)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
+        data = [np.random.default_rng(i).normal(size=6) for i in range(24)]
+        cfg = FinetuneConfig(temperature=temperature)
+        per_column = np.mean([
+            kl_loss(forward_logits(student, x, SPEC, mode="hard").T,
+                    forward_logits(teacher, x, SPEC, mode="fp").T, temperature)
+            for x in data
+        ])
+        assert per_column > 0.0
+        got = _mean_hard_kl(teacher, student, data, cfg, SPEC)
+        assert abs(got - per_column) <= 1e-12 * per_column
 
 
 class TestE2EFinetune:

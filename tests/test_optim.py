@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vqround import errors
+from vqround import errors, optim
 from vqround.hessian import residual_init
 from vqround.optim import (
     AdamState,
@@ -247,3 +247,73 @@ class TestOptimizeBlockwise:
         )
         w = warmup_steps(cfg)
         assert np.array_equal(trace[:w], trace_no_reg[:w])
+
+
+def clipped_saturated_layer(seed):
+    """32x48 layer, N=96, whose grid is narrower than its rows and whose
+    latents reach far past the sigmoid's clip points, so the forward has
+    entries clipped at q_min and q_max and saturated decisions."""
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(32, 48))
+    X = rng.normal(size=(48, 96))
+    p = QuantParams(bits=3, scale=0.7 * np.ptp(W, axis=1) / 7, zero=np.full(32, 4))
+    cb = Codebook(centroids=3.0 * rng.normal(size=(40, 8)),
+                  indices=rng.integers(0, 40, size=32 * 48 // 8), shape=(32, 48))
+    return W, X, p, cb
+
+
+def direct_objective(W, X, p, cb, lam, beta):
+    """Loss ||(W - What) X||^2 + lam R and its centroid gradient for
+    beta > 1, from the (m, N) residual and an element-by-element
+    backward pass."""
+    A = cb.centroids[cb.indices].reshape(W.shape)
+    sig = expit(A)
+    g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * sig
+    H = np.clip(g, 0.0, 1.0)
+    s, z = p.scale[:, None], p.zero[:, None]
+    v = np.floor(W / s) + H + z
+    what = s * (np.clip(v, p.q_min, p.q_max) - z)
+    resid = (W - what) @ X
+    t = 2.0 * H - 1.0
+    loss = np.sum(resid**2) + lam * np.sum(1.0 - np.abs(t) ** beta)
+
+    d_what = -2.0 * resid @ X.T
+    d_h = d_what * s * ((v > p.q_min) & (v < p.q_max))
+    d_h = d_h + lam * -2.0 * beta * np.sign(t) * np.abs(t) ** (beta - 1.0)
+    d_a = d_h * (SPEC.zeta - SPEC.gamma) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
+    grad = np.zeros_like(cb.centroids)
+    for block, c in enumerate(cb.indices):
+        grad[c] += d_a.reshape(-1, cb.d)[block]
+    masks = {
+        "clip_low": v <= p.q_min, "clip_high": v >= p.q_max,
+        "sat_low": g <= 0.0, "sat_high": g >= 1.0,
+    }
+    return loss, grad, masks
+
+
+class TestFusedObjective:
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_direct_oracle(self, seed, lam):
+        W, X, p, cb = clipped_saturated_layer(seed)
+        beta = 3.0
+        want_loss, want_grad, masks = direct_objective(W, X, p, cb, lam, beta)
+        for name, mask in masks.items():
+            assert mask.any(), f"no {name} entries exercised"
+        loss = blockwise_loss(W, X, p, cb, SPEC, lam, beta)
+        grad = blockwise_grad(W, X, p, cb, SPEC, lam, beta)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    def test_one_forward_per_step(self, monkeypatch):
+        W, X, p, cb = interior_codebook(seed=14)
+        calls = []
+        forward = optim.soft_quant_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "soft_quant_forward", counted)
+        optimize_blockwise(W, X, p, cb, FinetuneConfig(steps=17, seed=0))
+        assert len(calls) == 17
