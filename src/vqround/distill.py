@@ -170,13 +170,16 @@ def e2e_step(
     beta: float,
     temperature: float = 1.0,
     spec: RoundingSpec = RoundingSpec(),
+    teacher_logits=None,
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """Loss terms and per-layer codebook gradients for one batch.
 
     Returns (total, kd, reg, grads). Backpropagation runs analytically
     through the softmax/KL head, the linear layers and ReLUs, the soft
     quantizer (per-row scale inside the active clip region), the
-    stretched sigmoid, and the frozen index map.
+    stretched sigmoid, and the frozen index map. ``teacher_logits``, if
+    given, must be ``forward_logits(teacher, x)``; the teacher is not
+    run again.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -197,8 +200,9 @@ def e2e_step(
         a = np.maximum(z_l, 0.0) if i < n_layers - 1 else z_l
         acts.append(a)
 
-    y_teacher = forward_logits(teacher, x, spec, mode="fp")
-    kd, delta = _kl_and_logit_grad(acts[-1], y_teacher, temperature)
+    if teacher_logits is None:
+        teacher_logits = forward_logits(teacher, x, spec, mode="fp")
+    kd, delta = _kl_and_logit_grad(acts[-1], teacher_logits, temperature)
     reg = sum(rounding_regularizer(fwd.rounding, beta) for fwd in fwds)
     total = kd + lam * reg
 
@@ -228,7 +232,9 @@ def e2e_finetune(
     Samples are drawn round-robin, ``cfg.batch`` consecutive columns per
     step (default 1). Through warm-up the objective is the distillation
     term alone; afterwards the annealed rounding regularizer joins with
-    weight ``cfg.lam``. Codebook indices stay frozen throughout.
+    weight ``cfg.lam``. Codebook indices stay frozen throughout. The
+    teacher is frozen, so its logits are computed once per distinct
+    batch, keyed by the batch's first sample.
     """
     if teacher.dims != student.dims:
         raise ArchitectureMismatch(
@@ -249,20 +255,25 @@ def e2e_finetune(
     if w == 0:
         hard_kl_warmup_end = _mean_hard_kl(teacher, student, data, cfg, spec)
 
+    teacher_logits = {}
     cursor = 0
     for t in range(1, cfg.steps + 1):
+        first = cursor % len(data)
         cols = []
         for _ in range(cfg.batch):
             x = np.asarray(data[cursor % len(data)], dtype=np.float64)
             cols.append(x[:, None] if x.ndim == 1 else x)
             cursor += 1
         x = np.hstack(cols)
+        if first not in teacher_logits:
+            teacher_logits[first] = forward_logits(teacher, x, spec, mode="fp")
 
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
 
         total, kd, reg, grads = e2e_step(
-            teacher, student, x, lam_t, beta, cfg.temperature, spec
+            teacher, student, x, lam_t, beta, cfg.temperature, spec,
+            teacher_logits=teacher_logits[first],
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg

@@ -27,7 +27,7 @@ from .quantize import (
     regularizer_grad,
     rounding_regularizer,
 )
-from .reparam import Codebook, unflatten_blocks, vq_reconstruct
+from .reparam import Codebook, unflatten_blocks
 
 
 @dataclass
@@ -120,7 +120,6 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
 class SoftQuantForward:
     """Soft quantizer outputs plus the masks the backward pass needs."""
 
-    latent: np.ndarray  # reconstructed latent matrix
     rounding: np.ndarray  # H in [0, 1]
     what: np.ndarray  # soft-dequantized weights
     clip_active: np.ndarray  # where the integer-range clip is inactive
@@ -154,8 +153,7 @@ def soft_quant_forward(
     q -= z
     what = s * q
     clip_active = (v > p.q_min) & (v < p.q_max)
-    return SoftQuantForward(latent=vq_reconstruct(cb), rounding=H, what=what,
-                            clip_active=clip_active,
+    return SoftQuantForward(rounding=H, what=what, clip_active=clip_active,
                             dh_da=unflatten_blocks(slope[cb.indices], cb.shape))
 
 

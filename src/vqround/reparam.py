@@ -78,14 +78,70 @@ def unflatten_blocks(blocks, shape: tuple[int, int]) -> np.ndarray:
 
 def vq_assign(blocks, centroids) -> np.ndarray:
     """Nearest-centroid index per block (squared Euclidean, ties to the
-    lowest centroid index)."""
+    lowest centroid index).
+
+    Equal to ``argmin`` over ``cdist(blocks, centroids, "sqeuclidean")``
+    index for index, in O(chunk * k) memory rather than O(L * k).
+    """
     blocks = np.asarray(blocks, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     if blocks.shape[1] != centroids.shape[1]:
         raise ShapeMismatch(
             f"block dim {blocks.shape[1]} != centroid dim {centroids.shape[1]}"
         )
-    return np.argmin(cdist(blocks, centroids, "sqeuclidean"), axis=1)
+    return _nearest(blocks, centroids)[0]
+
+
+# Rows per chunk of the nearest-centroid search: the chunk's distance
+# block holds _CHUNK * k floats (8 MB at k = 4096) whatever the number
+# of blocks L.
+_CHUNK = 256
+
+
+def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every block and its squared distance.
+
+    Both equal what ``argmin`` and ``min`` over ``cdist(blocks,
+    centroids, "sqeuclidean")`` give, bit for bit. Each row chunk ranks
+    the centroids by ``|c|^2 - 2 x.c`` in one GEMM. That form rounds
+    differently from cdist, so a row whose runner-up lies within the
+    rounding bound of both forms, ``4 (d+2) eps (|x| + max|c|)^2``, is
+    re-ranked with cdist itself; ties therefore still go to the lowest
+    index. The distance is summed column by column, in cdist's order.
+    """
+    L, d = blocks.shape
+    k = centroids.shape[0]
+    sq_norms = np.sum(centroids**2, axis=1)
+    # [x, 1] @ weights == |c|^2 - 2 x.c; the |x|^2 all centroids share is left out.
+    weights = np.vstack([-2.0 * centroids.T, sq_norms])
+    c_max = np.sqrt(sq_norms.max())
+    tol = 4.0 * (d + 2) * np.finfo(np.float64).eps
+    chunk = max(1, min(_CHUNK, L))
+    aug = np.ones((chunk, d + 1))
+    scores = np.empty((chunk, k))
+    assign = np.empty(L, dtype=np.int64)
+    own = np.empty(L)
+    for start in range(0, L, chunk):
+        b = blocks[start:start + chunk]
+        n = b.shape[0]
+        aug[:n, :d] = b
+        G = scores[:n]
+        np.matmul(aug[:n], weights, out=G)
+        at = np.arange(n)
+        a = np.argmin(G, axis=1)
+        best = G[at, a]
+        G[at, a] = np.inf
+        slack = tol * (np.sqrt(np.sum(b**2, axis=1)) + c_max) ** 2
+        near = np.flatnonzero(np.min(G, axis=1) - best <= slack)
+        if near.size:
+            a[near] = np.argmin(cdist(b[near], centroids, "sqeuclidean"), axis=1)
+        c = centroids[a]
+        dist = (b[:, 0] - c[:, 0]) ** 2
+        for j in range(1, d):
+            dist += (b[:, j] - c[:, j]) ** 2
+        assign[start:start + n] = a
+        own[start:start + n] = dist
+    return assign, own
 
 
 def wcss(blocks, centroids, indices) -> float:
@@ -96,12 +152,29 @@ def wcss(blocks, centroids, indices) -> float:
     return float(np.sum(diffs * diffs))
 
 
+# Twice the distance to a block's owner, widened by a relative 1e-6 so
+# the seeding's pruning test stays exact under rounding.
+_REACH = 2.0 * (1.0 + 1e-6)
+
+
 def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted (k-means++) seeding.
+
+    ``closest`` holds each block's squared distance to its nearest
+    centre so far and ``owner`` that centre. By the triangle inequality
+    a new centre c can be nearer to block x than its owner o only when
+    ``|c - o| < 2 |x - o|`` (Raff, 2021), so only those blocks are
+    measured again. The others would keep ``closest`` unchanged anyway:
+    the margin of 1e-6 dwarfs rounding, and the rows that are measured
+    use the same expression as a full pass, so every draw is the same.
+    """
     L, d = blocks.shape
     centroids = np.empty((k, d))
     first = int(rng.integers(L))
     centroids[0] = blocks[first]
     closest = np.sum((blocks - centroids[0]) ** 2, axis=1)
+    owner = np.zeros(L, dtype=np.int64)
+    reach = _REACH * np.sqrt(closest)
     for c in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -110,7 +183,15 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             # All remaining blocks coincide with chosen centroids.
             idx = int(rng.integers(L))
         centroids[c] = blocks[idx]
-        closest = np.minimum(closest, np.sum((blocks - centroids[c]) ** 2, axis=1))
+        diff = centroids[:c] - centroids[c]
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        rows = np.flatnonzero(gap[owner] < reach)
+        dist = np.sum((blocks[rows] - centroids[c]) ** 2, axis=1)
+        nearer = dist < closest[rows]
+        rows, dist = rows[nearer], dist[nearer]
+        closest[rows] = dist
+        owner[rows] = c
+        reach[rows] = _REACH * np.sqrt(dist)
     return centroids
 
 
@@ -147,10 +228,9 @@ def kmeans_fit(
 
     prev_assign = None
     prev_obj = np.inf
+    converged = False
     for _ in range(iters):
-        dists = cdist(blocks, centroids, "sqeuclidean")
-        assign = np.argmin(dists, axis=1)
-        own = dists[np.arange(L), assign]
+        assign, own = _nearest(blocks, centroids)
 
         counts = np.bincount(assign, minlength=k)
         reseeded = False
@@ -169,6 +249,8 @@ def kmeans_fit(
         prev_obj = obj
 
         if not reseeded and prev_assign is not None and np.array_equal(assign, prev_assign):
+            # The centroids produced this assignment, so it is final.
+            converged = True
             break
         prev_assign = assign
 
@@ -180,7 +262,7 @@ def kmeans_fit(
         centroids = centroids.copy()
         centroids[occupied] = sums[occupied] / counts[occupied, None]
 
-    indices = vq_assign(blocks, centroids)
+    indices = assign if converged else vq_assign(blocks, centroids)
     if shape is None:
         shape = (L, d)
     return Codebook(centroids=centroids, indices=indices, shape=tuple(shape))

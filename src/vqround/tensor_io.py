@@ -16,7 +16,9 @@ but nothing other than float32 is ever serialized.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import struct
 
 import numpy as np
@@ -48,21 +50,39 @@ def _require_matrix(t) -> np.ndarray:
     return arr
 
 
+def _write_atomic(path, *chunks) -> None:
+    """Write ``chunks`` as the whole of ``path``, or leave it untouched.
+
+    The bytes go to a fresh temp file in the same directory, which then
+    replaces ``path`` in one ``os.replace``. A write that fails leaves an
+    existing file as it was and removes the temp file.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    finally:
+        # After a successful replace the temp name no longer exists.
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
 def save_tensor(t, path) -> None:
     """Write ``t`` so that :func:`load_tensor` restores it bit-exactly.
 
     Input of any float dtype is cast to float32 first; the round-trip
-    guarantee applies to the cast value.
+    guarantee applies to the cast value. The file is replaced whole or
+    not at all.
     """
     arr = np.ascontiguousarray(_require_matrix(t), dtype="<f4")
     rows, cols = arr.shape
     header = _HEADER.pack(MAGIC, VERSION, 2, rows, cols, _DTYPE_F32)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(arr.tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_atomic(path, header, arr.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -104,15 +124,12 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_indices_u32(indices, path) -> None:
-    """Write an index list as raw little-endian u32 values."""
+    """Write an index list as raw little-endian u32 values, replacing
+    the file whole or not at all."""
     arr = np.ascontiguousarray(indices, dtype="<u4")
     if arr.ndim != 1:
         raise ShapeMismatch(f"expected a 1-d index list, got shape {arr.shape}")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(arr.tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_atomic(path, arr.tobytes())
 
 
 def load_indices_u32(path) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vqround import errors
+from vqround import distill, errors
 from vqround.distill import (
     Layer,
     TinyNet,
@@ -18,7 +18,7 @@ from vqround.distill import (
 )
 from vqround.optim import FinetuneConfig, soft_quant_forward, warmup_steps
 from vqround.quantize import QuantParams, RoundingSpec, inverse_rectified_sigmoid
-from vqround.reparam import Codebook, fit_codebook
+from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
 
 SPEC = RoundingSpec()
 
@@ -136,7 +136,7 @@ def masks_stable_under(student, x, li, i, j, h):
         a = np.asarray(x, dtype=np.float64)[:, None]
         for idx, layer in enumerate(student.layers):
             fwd = soft_quant_forward(layer.weight, layer.params, layer.codebook, SPEC)
-            g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(fwd.latent)
+            g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(vq_reconstruct(layer.codebook))
             masks.append(((g > 0) & (g < 1)).copy())
             masks.append(fwd.clip_active.copy())
             z = fwd.what @ a
@@ -254,3 +254,33 @@ class TestE2EFinetune:
             res = e2e_finetune(teacher, student, data, FinetuneConfig(steps=15, seed=0))
             traces.append(res.loss_trace)
         assert np.array_equal(traces[0], traces[1])
+
+    def test_teacher_logits_computed_once_per_distinct_batch(self, monkeypatch):
+        teacher = random_net((6, 8, 3), seed=14)
+        data = [np.random.default_rng(i).normal(size=6) for i in range(5)]
+        cfg = FinetuneConfig(steps=3 * len(data), batch=2, seed=0)
+        real_forward, real_step = distill.forward_logits, distill.e2e_step
+        batches = []
+
+        def counting_forward(net, x, *args, **kwargs):
+            if net is teacher and np.shape(x)[-1] == cfg.batch:
+                batches.append(np.array(x))
+            return real_forward(net, x, *args, **kwargs)
+
+        def uncached_step(*args, teacher_logits=None, **kwargs):
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "forward_logits", counting_forward)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
+        cached = e2e_finetune(teacher, student, data, cfg)
+        # Batches start at samples 0, 2, 4, 1, 3 and then repeat.
+        assert len(batches) == len(data)
+        assert len({b.tobytes() for b in batches}) == len(data)
+
+        monkeypatch.setattr(distill, "e2e_step", uncached_step)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
+        uncached = e2e_finetune(teacher, student, data, cfg)
+        for name in ("loss_trace", "kd_trace", "reg_trace"):
+            assert np.array_equal(getattr(cached, name), getattr(uncached, name))
+        for a, b in zip(cached.codebooks, uncached.codebooks):
+            assert np.array_equal(a.centroids, b.centroids)

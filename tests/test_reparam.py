@@ -1,11 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from vqround import errors
+from vqround.hessian import residual_init
+from vqround.quantize import compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import (
     Codebook,
+    _nearest,
     balanced_factors,
     fit_codebook,
     flatten_blocks,
@@ -109,6 +114,71 @@ class TestKmeans:
         assert np.array_equal(a.indices, b.indices)
 
 
+def oracle_kmeans(blocks, k, iters, seed):
+    """The full-pass ++ seeding and the cdist-based Lloyd loop that the
+    pruned seeding and the chunked assignment must reproduce bit for bit."""
+    L, d = blocks.shape
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, d))
+    centroids[0] = blocks[int(rng.integers(L))]
+    closest = np.sum((blocks - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        idx = int(rng.choice(L, p=closest / total)) if total > 0.0 else int(rng.integers(L))
+        centroids[c] = blocks[idx]
+        closest = np.minimum(closest, np.sum((blocks - centroids[c]) ** 2, axis=1))
+
+    prev_assign = None
+    for _ in range(iters):
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        assign = np.argmin(dists, axis=1)
+        own = dists[np.arange(L), assign]
+        counts = np.bincount(assign, minlength=k)
+        reseeded = False
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(own))
+            centroids[c] = blocks[far]
+            counts[assign[far]] -= 1
+            assign[far] = c
+            counts[c] = 1
+            own[far] = 0.0
+            reseeded = True
+        if not reseeded and prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+        sums = np.zeros((k, d))
+        np.add.at(sums, assign, blocks)
+        occupied = counts > 0
+        centroids = centroids.copy()
+        centroids[occupied] = sums[occupied] / counts[occupied, None]
+    return centroids, np.argmin(cdist(blocks, centroids, "sqeuclidean"), axis=1)
+
+
+def residual_latent_blocks(n, d, seed):
+    W = np.random.default_rng(seed).normal(size=(n, n))
+    return flatten_blocks(inverse_rectified_sigmoid(residual_init(W, compute_quant_params(W, 3))), d)
+
+
+ORACLE_CASES = {
+    # (blocks, k, iters, seed)
+    "residual-latent": (residual_latent_blocks(128, 8, 0), 256, 3, 0),
+    "residual-latent-converged": (residual_latent_blocks(64, 8, 1), 64, 100, 1),
+    "duplicate-blocks": (np.repeat(np.random.default_rng(2).normal(size=(30, 4)), 7, axis=0), 40, 20, 2),
+    "integer-lattice": (np.random.default_rng(3).integers(-2, 3, size=(3000, 3)).astype(float), 60, 15, 3),
+    "binary-lattice": (np.random.default_rng(4).integers(0, 2, size=(2000, 8)).astype(float), 300, 10, 4),
+}
+
+
+class TestKmeansOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_codebook_byte_identical(self, case):
+        blocks, k, iters, seed = ORACLE_CASES[case]
+        want_centroids, want_indices = oracle_kmeans(blocks, k, iters, seed)
+        cb = kmeans_fit(blocks, k, iters=iters, seed=seed)
+        assert cb.centroids.tobytes() == want_centroids.tobytes()
+        assert np.array_equal(cb.indices, want_indices)
+
+
 class TestVqAssign:
     def test_exact_centroid(self):
         centroids = np.arange(12.0).reshape(4, 3)
@@ -117,6 +187,50 @@ class TestVqAssign:
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[0.0], [2.0]])
         assert vq_assign(np.array([[1.0]]), centroids)[0] == 0
+
+    def test_near_ties_resolve_as_cdist(self):
+        # Blocks within a few ulps of the bisector of centroids 0 and 1.
+        # The GEMM form misorders some of them; cdist's order must win.
+        rng = np.random.default_rng(17)
+        centroids = rng.normal(size=(6, 8))
+        centroids[2:] += 50.0
+        normal = centroids[1] - centroids[0]
+        normal /= np.linalg.norm(normal)
+        side = rng.normal(size=(4000, 8))
+        side -= np.outer(side @ normal, normal)
+        offset = rng.integers(-4, 5, size=4000) * 1e-16
+        blocks = (centroids[0] + centroids[1]) / 2 + side + offset[:, None] * normal
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        gap = dists[:, 1] - dists[:, 0]
+        assert np.any(gap == 0.0)
+        one_ulp = np.abs(gap) == np.spacing(np.minimum(dists[:, 0], dists[:, 1]))
+        assert np.any(one_ulp)
+        gemm = np.argmin(np.sum(centroids**2, axis=1) - 2.0 * blocks @ centroids.T, axis=1)
+        want = np.argmin(dists, axis=1)
+        assert np.any(gemm != want)
+        assert np.array_equal(vq_assign(blocks, centroids), want)
+
+    def test_distances_match_cdist(self):
+        rng = np.random.default_rng(19)
+        blocks = rng.normal(size=(1000, 8)) * rng.uniform(0.1, 10.0, size=(1000, 1))
+        centroids = rng.normal(size=(300, 8))
+        assign, own = _nearest(blocks, centroids)
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        assert np.array_equal(assign, np.argmin(dists, axis=1))
+        assert own.tobytes() == np.min(dists, axis=1).tobytes()
+
+    def test_memory_bounded_by_chunk(self):
+        rng = np.random.default_rng(18)
+        blocks = rng.normal(size=(32768, 8))
+        centroids = rng.normal(size=(4096, 8))
+        tracemalloc.start()
+        try:
+            vq_assign(blocks, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A full 32768 x 4096 distance matrix would take 1074 MB.
+        assert peak < 64e6
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import struct
 
 import numpy as np
@@ -136,6 +138,49 @@ class TestIndicesSidecar:
         path = tmp_path / "i.u32"
         tensor_io.save_indices_u32([258], path)
         assert path.read_bytes() == b"\x02\x01\x00\x00"
+
+
+class _DiskFullFile:
+    """File stand-in that stores half of a write and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("save, value", [
+        (tensor_io.save_tensor, np.full((4, 4), 7.0)),
+        (tensor_io.save_indices_u32, np.arange(16)),
+    ])
+    def test_failed_write_leaves_existing_file_intact(self, tmp_path, monkeypatch, save, value):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous contents")
+
+        def disk_full_open(file, mode="r", *args, **kwargs):
+            return _DiskFullFile(builtins.open(file, mode, *args, **kwargs))
+
+        monkeypatch.setattr(tensor_io, "open", disk_full_open, raising=False)
+        with pytest.raises(errors.IoFailure):
+            save(value, path)
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_overwrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "t.vqt"
+        tensor_io.save_tensor(np.zeros((8, 8)), path)
+        tensor_io.save_tensor(np.ones((1, 1)), path)
+        assert np.array_equal(tensor_io.load_tensor(path), [[1.0]])
+        assert [p.name for p in tmp_path.iterdir()] == ["t.vqt"]
 
 
 class TestWriteCsv:
