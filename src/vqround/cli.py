@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -28,6 +29,31 @@ from .hessian import HessianConfig, accumulate_hessian, damped_inverse_factor, h
 from .optim import FinetuneConfig, optimize_blockwise
 from .quantize import RoundingSpec, compute_quant_params, inverse_rectified_sigmoid, rectified_sigmoid
 from .reparam import fit_codebook, load_codebook, save_codebook, vq_reconstruct, wcss, flatten_blocks
+
+
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Every optimizer step frees and allocates again numpy temporaries the
+# size of a layer. By default glibc maps blocks of 128 KB and up one by
+# one and gives freed memory above 128 KB at the top of the heap back
+# to the kernel, so each step faults its temporaries in again page by
+# page (about 250 faults per e2e step on a 128x128 layer). glibc raises
+# both limits only once a large mapped block has been freed, so that
+# cost depended on which stage ran before. Both are pinned at the
+# ceiling of glibc's own rule: blocks under 32 MB come from the heap,
+# and up to 64 MB of freed heap is kept for reuse.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds; a no-op on other C libraries."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,6 +328,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,11 @@
+import ctypes
+import platform
+import resource
+
 import numpy as np
 import pytest
 
+from vqround import cli
 from vqround.cli import main
 from vqround.quantize import QuantParams, rectified_sigmoid
 from vqround.tensor_io import load_tensor, save_tensor
@@ -264,3 +269,24 @@ class TestUsage:
 
     def test_unknown_command_exits_1(self):
         assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+class TestAllocator:
+    @staticmethod
+    def churn_faults() -> int:
+        """Page faults taken while a 1 MB temporary is made and freed 50 times."""
+        np.ones(1 << 17)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            np.ones(1 << 17)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    def test_freed_temporaries_are_reused(self):
+        mallopt = ctypes.CDLL(None).mallopt
+        # glibc's start-up limits: every 1 MB block is mapped afresh.
+        mallopt(cli._M_MMAP_THRESHOLD, 128 << 10)
+        mallopt(cli._M_TRIM_THRESHOLD, 128 << 10)
+        assert self.churn_faults() > 50 * 128
+        cli._keep_freed_memory()
+        assert self.churn_faults() < 50
