@@ -13,14 +13,8 @@ import itertools
 import numpy as np
 
 from vqround.hessian import residual_init
-from vqround.quantize import (
-    RoundingSpec,
-    adaptive_quantize,
-    compute_quant_params,
-    hard_round,
-    inverse_rectified_sigmoid,
-    rectified_sigmoid,
-)
+from vqround.optim import soft_quant_forward
+from vqround.quantize import RoundingSpec, compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import fit_codebook, vq_reconstruct
 from vqround.tensor_io import write_csv
 
@@ -54,8 +48,7 @@ def main() -> None:
         cb = fit_codebook(latent, d, kc, iters=args.kmeans_iters, seed=args.seed)
         approx = vq_reconstruct(cb)
         err = latent - approx
-        H = hard_round(rectified_sigmoid(approx, spec), spec)
-        _, what = adaptive_quantize(W, p, H)
+        what = soft_quant_forward(W, p, cb, spec, hard=True).what
         out_err = float(np.sum(((W - what) @ X) ** 2))
         rows.append([
             kc, d, kc * d,

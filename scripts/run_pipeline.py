@@ -16,14 +16,11 @@ from vqround.hessian import (
     hessian_aware_init,
     residual_init,
 )
-from vqround.optim import FinetuneConfig, optimize_blockwise
+from vqround.optim import FinetuneConfig, optimize_blockwise, soft_quant_forward
 from vqround.quantize import (
     RoundingSpec,
-    adaptive_quantize,
     compute_quant_params,
-    hard_round,
     inverse_rectified_sigmoid,
-    rectified_sigmoid,
     rtn_quantize,
 )
 from vqround.reparam import fit_codebook, vq_reconstruct
@@ -31,8 +28,7 @@ from vqround.tensor_io import write_csv
 
 
 def hard_output_mse(W, X, p, cb, spec):
-    H = hard_round(rectified_sigmoid(vq_reconstruct(cb), spec), spec)
-    _, what = adaptive_quantize(W, p, H)
+    what = soft_quant_forward(W, p, cb, spec, hard=True).what
     return float(np.sum(((W - what) @ X) ** 2))
 
 
@@ -72,7 +68,7 @@ def main() -> None:
           f"({k * args.d} of {W.size} params, "
           f"{100.0 * k * args.d / W.size:.2f}%)")
 
-    cfg = FinetuneConfig(steps=args.steps, seed=args.seed)
+    cfg = FinetuneConfig(steps=args.steps)
     before = hard_output_mse(W, X, p, cb, spec)
     out_cb, trace = optimize_blockwise(W, X, p, cb, cfg, spec)
     after = hard_output_mse(W, X, p, out_cb, spec)

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     BudgetInfeasible,
     ShapeMismatch,
     TheoremViolation,
 )
-from .quantize import RoundingSpec, rectified_sigmoid
+from .quantize import RoundingSpec, _stretched_sigmoid, rectified_sigmoid
 from .reparam import (
     balanced_factors,
     fit_codebook,
@@ -38,10 +37,6 @@ DETERMINISTIC_TOL = 1e-9
 def lipschitz_constant(spec: RoundingSpec = RoundingSpec()) -> float:
     """Global contraction constant of the stretched sigmoid: (zeta-gamma)/4."""
     return (spec.zeta - spec.gamma) / 4.0
-
-
-def _pre_clip(A, spec: RoundingSpec) -> np.ndarray:
-    return spec.gamma + (spec.zeta - spec.gamma) * expit(np.asarray(A, dtype=np.float64))
 
 
 @dataclass
@@ -88,7 +83,7 @@ def margins(A, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
     Zero where the entry is already saturated (pre-clip value outside
     (0, 1)).
     """
-    g = _pre_clip(A, spec)
+    _, g = _stretched_sigmoid(A, spec)
     return np.maximum(np.minimum(g, 1.0 - g), 0.0)
 
 
@@ -117,14 +112,15 @@ def clipping_check(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> ClippingC
     if A.shape != At.shape:
         raise ShapeMismatch(f"shapes differ: {A.shape} vs {At.shape}")
     L = lipschitz_constant(spec)
-    g0 = _pre_clip(A, spec)
+    _, g0 = _stretched_sigmoid(A, spec)
     interior = (g0 > 0.0) & (g0 < 1.0)
     if not np.any(interior):
         return ClippingCheck(clip_rate=0.0, clip_bound=0.0)
 
     delta = margins(A, spec)[interior]
     dA = np.abs(At - A)[interior]
-    g1 = _pre_clip(At, spec)[interior]
+    _, g1 = _stretched_sigmoid(At, spec)
+    g1 = g1[interior]
     saturated = (g1 <= 0.0) | (g1 >= 1.0)
     beyond = dA > delta / L
 

@@ -72,7 +72,8 @@ def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-low", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--warmup-frac", type=float, default=0.1)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=1.0,
+                   help="KL softening (e2e mode only)")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -137,7 +138,6 @@ def _cfg_from_args(args) -> FinetuneConfig:
         steps=args.steps,
         warmup_frac=args.warmup_frac,
         temperature=args.temperature,
-        seed=args.seed,
     )
 
 

@@ -35,15 +35,12 @@ from .optim import (
 from .quantize import (
     QuantParams,
     RoundingSpec,
-    adaptive_quantize,
     compute_quant_params,
-    hard_round,
     inverse_rectified_sigmoid,
-    rectified_sigmoid,
     regularizer_grad,
     rounding_regularizer,
 )
-from .reparam import Codebook, fit_codebook, vq_reconstruct
+from .reparam import Codebook, fit_codebook
 
 
 @dataclass
@@ -85,14 +82,16 @@ def effective_weight(layer: Layer, spec: RoundingSpec, mode: str) -> np.ndarray:
     """Layer weight under a given rounding mode: fp, soft, or hard."""
     if mode == "fp" or layer.codebook is None:
         return np.asarray(layer.weight, dtype=np.float64)
-    A = vq_reconstruct(layer.codebook)
-    H = rectified_sigmoid(A, spec)
-    if mode == "hard":
-        H = hard_round(H, spec)
-    elif mode != "soft":
+    if mode not in ("soft", "hard"):
         raise DomainError(f"unknown weight mode {mode!r}")
-    _, what = adaptive_quantize(layer.weight, layer.params, H)
-    return what
+    shape = np.shape(layer.weight)
+    if layer.codebook.shape != shape or layer.params.scale.shape != shape[:1]:
+        raise ShapeMismatch(
+            f"codebook {layer.codebook.shape} or {layer.params.scale.size} row params "
+            f"do not fit weight {shape}"
+        )
+    return soft_quant_forward(layer.weight, layer.params, layer.codebook, spec,
+                              hard=mode == "hard").what
 
 
 def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: str = "fp") -> np.ndarray:
@@ -121,10 +120,7 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
     if s.ndim == 1:
         s = s[None, :]
         t = t[None, :]
-    log_ps = log_softmax(s / temperature, axis=1)
-    log_pt = log_softmax(t / temperature, axis=1)
-    ps = np.exp(log_ps)
-    return float(np.mean(np.sum(ps * (log_ps - log_pt), axis=1)))
+    return _kl_and_logit_grad(s.T, t.T, temperature)[0]
 
 
 def _kl_and_logit_grad(student_logits, teacher_logits, temperature):
@@ -308,22 +304,17 @@ def build_student(
     spec: RoundingSpec = RoundingSpec(),
     init: str = "residual",
     calib=None,
-    codebook_space: str = "latent",
 ) -> TinyNet:
     """Clone the teacher with per-layer quant params and fitted codebooks.
 
     ``init`` picks the rounding seed: plain floor residuals or the
     curvature-compensated sweep (which needs calibration inputs and
     propagates them through the teacher to reach every layer). K-means
-    runs in latent space by default; ``codebook_space="residual"``
-    clusters the seed itself and maps the centroids through the inverse
-    transform afterwards, so the forward pipeline is unchanged. The
-    centroid count clamps to the number of blocks in each layer.
+    clusters the seed's latent preimage. The centroid count clamps to
+    the number of blocks in each layer.
     """
     if init not in ("residual", "hessian"):
         raise DomainError(f"unknown init {init!r}")
-    if codebook_space not in ("latent", "residual"):
-        raise DomainError(f"unknown codebook space {codebook_space!r}")
     if init == "hessian":
         if calib is None:
             raise DomainError("hessian init requires calibration inputs")
@@ -346,13 +337,7 @@ def build_student(
 
         n_blocks = W.size // d
         kc = min(k, n_blocks)
-        if codebook_space == "latent":
-            cb = fit_codebook(inverse_rectified_sigmoid(h_seed, spec), d, kc,
-                              iters=kmeans_iters, seed=seed + li)
-        else:
-            cb = fit_codebook(h_seed, d, kc, iters=kmeans_iters, seed=seed + li)
-            cb.centroids = inverse_rectified_sigmoid(
-                np.clip(cb.centroids, 0.0, 1.0), spec
-            )
+        cb = fit_codebook(inverse_rectified_sigmoid(h_seed, spec), d, kc,
+                          iters=kmeans_iters, seed=seed + li)
         layers.append(Layer(weight=W.copy(), params=p, codebook=cb))
     return TinyNet(layers=layers)

@@ -22,10 +22,6 @@ from .quantize import QuantParams, round_half_away
 class HessianConfig:
     percdamp: float = 0.01
     blocksize: int = 128
-    # Reproduce the raw (weight-unit) residual in the rounding seed
-    # instead of the scale-normalized one. Off by default: the seed and
-    # the integer grid must live in the same units.
-    raw_error_units: bool = False
 
     def __post_init__(self):
         if not self.percdamp > 0:
@@ -95,8 +91,7 @@ def hessian_aware_init(
     ``d = upper[j, j]``, is subtracted from the remaining columns via
     the factor's row. The compensated column also seeds the rounding
     matrix: base = floor(w/s) and h_tilde = clip(frac - err/s, 0, 1),
-    with the error brought onto the integer grid by the per-row scale
-    (cfg.raw_error_units skips that normalization).
+    with the error brought onto the integer grid by the per-row scale.
 
     The result is independent of the block size up to float accumulation.
     """
@@ -140,8 +135,7 @@ def hessian_aware_init(
             u = w / s
             b = np.floor(u)
             base[:, i1 + j] = b
-            grid_err = err if cfg.raw_error_units else err / s
-            h_tilde[:, i1 + j] = np.clip(u - b - grid_err, 0.0, 1.0)
+            h_tilde[:, i1 + j] = np.clip(u - b - err / s, 0.0, 1.0)
 
         if i2 < n:
             W[:, i2:] -= err_block @ U[i1:i2, i2:]

@@ -18,12 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, ShapeMismatch, StepOutOfRange
 from .quantize import (
     QuantParams,
     RoundingSpec,
+    _quantize_grid,
+    _stretched_sigmoid,
+    hard_round,
     regularizer_grad,
     rounding_regularizer,
 )
@@ -40,8 +42,6 @@ class FinetuneConfig:
     warmup_frac: float = 0.1
     temperature: float = 1.0
     batch: int = 1
-    seed: int = 0
-    anneal_shape: str = "linear"  # or "cosine"
 
     def __post_init__(self):
         if not self.beta_high >= self.beta_low > 0:
@@ -58,8 +58,6 @@ class FinetuneConfig:
             raise DomainError(f"temperature must be positive, got {self.temperature}")
         if self.batch < 1:
             raise DomainError(f"batch must be >= 1, got {self.batch}")
-        if self.anneal_shape not in ("linear", "cosine"):
-            raise DomainError(f"unknown anneal shape {self.anneal_shape!r}")
 
 
 def warmup_steps(cfg: FinetuneConfig) -> int:
@@ -70,8 +68,8 @@ def warmup_steps(cfg: FinetuneConfig) -> int:
 def anneal_beta(t: int, cfg: FinetuneConfig) -> float:
     """Sharpening exponent at step t (1-based).
 
-    Holds beta_high through warm-up, then interpolates down to beta_low
-    at the final step.
+    Holds beta_high through warm-up, then interpolates linearly down to
+    beta_low at the final step.
     """
     if not 1 <= t <= cfg.steps:
         raise StepOutOfRange(f"step {t} outside [1, {cfg.steps}]")
@@ -80,8 +78,6 @@ def anneal_beta(t: int, cfg: FinetuneConfig) -> float:
         return cfg.beta_high
     span = cfg.steps - (w + 1)
     u = 0.0 if span <= 0 else (t - (w + 1)) / span
-    if cfg.anneal_shape == "cosine":
-        return cfg.beta_low + (cfg.beta_high - cfg.beta_low) * 0.5 * (1.0 + math.cos(math.pi * u))
     return cfg.beta_high + (cfg.beta_low - cfg.beta_high) * u
 
 
@@ -118,40 +114,40 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
 
 @dataclass
 class SoftQuantForward:
-    """Soft quantizer outputs plus the masks the backward pass needs."""
+    """Quantizer outputs plus the masks the backward pass needs."""
 
     rounding: np.ndarray  # H in [0, 1]
-    what: np.ndarray  # soft-dequantized weights
+    what: np.ndarray  # dequantized weights
     clip_active: np.ndarray  # where the integer-range clip is inactive
-    dh_da: np.ndarray  # sigmoid slope, zeroed where its clip saturates
+    dh_da: np.ndarray  # sigmoid slope, zeroed where its clip saturates or H is hard
 
 
 def soft_quant_forward(
-    W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None
+    W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None, hard: bool = False
 ) -> SoftQuantForward:
-    """Soft-quantize W with the codebook's rounding decisions.
+    """Quantize W with the codebook's rounding decisions.
 
     The stretched sigmoid and its slope depend on the latent alone, so
     they are evaluated once per centroid value and gathered through the
-    frozen indices. ``base`` is the integer floor ``floor(W / s)``;
-    callers that run many forwards over one layer pass it in precomputed.
+    frozen indices. ``hard`` binarizes those k*d decisions before the
+    gather, which gives the hard-rounded weights of evaluation; a hard
+    decision is flat in the latent, so its slope is zero. ``base`` is
+    the integer floor ``floor(W / s)``; callers that run many forwards
+    over one layer pass it in precomputed.
     """
-    W = np.asarray(W, dtype=np.float64)
-    sig = expit(np.asarray(cb.centroids, dtype=np.float64))
-    slope = (spec.zeta - spec.gamma) * sig
-    g = spec.gamma + slope
-    slope *= 1.0 - sig
-    slope *= (g > 0.0) & (g < 1.0)
-    H = unflatten_blocks(np.clip(g, 0.0, 1.0)[cb.indices], cb.shape)
-    s = p.scale[:, None]
-    z = p.zero[:, None]
+    sig, g = _stretched_sigmoid(cb.centroids, spec)
+    h = np.clip(g, 0.0, 1.0)
+    if hard:
+        h = hard_round(h, spec)
+        slope = np.zeros_like(sig)
+    else:
+        slope = (spec.zeta - spec.gamma) * sig
+        slope *= 1.0 - sig
+        slope *= (g > 0.0) & (g < 1.0)
+    H = unflatten_blocks(h[cb.indices], cb.shape)
     if base is None:
-        base = np.floor(W / s)
-    v = base + H
-    v += z
-    q = np.clip(v, p.q_min, p.q_max)
-    q -= z
-    what = s * q
+        base = np.floor(np.asarray(W, dtype=np.float64) / p.scale[:, None])
+    v, _, what = _quantize_grid(base, H, p)
     clip_active = (v > p.q_min) & (v < p.q_max)
     return SoftQuantForward(rounding=H, what=what, clip_active=clip_active,
                             dh_da=unflatten_blocks(slope[cb.indices], cb.shape))

@@ -39,6 +39,11 @@ class RoundingSpec:
             )
 
 
+def _check_bits(bits: int) -> None:
+    if not isinstance(bits, (int, np.integer)) or not 2 <= int(bits) <= 8:
+        raise BitsOutOfRange(f"bits must be an integer in [2, 8], got {bits!r}")
+
+
 @dataclass
 class QuantParams:
     """Per-row scale/zero-point for an asymmetric b-bit integer grid."""
@@ -48,8 +53,7 @@ class QuantParams:
     zero: np.ndarray  # (rows,), integers in [0, q_max]
 
     def __post_init__(self):
-        if not isinstance(self.bits, (int, np.integer)) or not 2 <= self.bits <= 8:
-            raise BitsOutOfRange(f"bits must be an integer in [2, 8], got {self.bits!r}")
+        _check_bits(self.bits)
         self.scale = np.asarray(self.scale, dtype=np.float64)
         self.zero = np.asarray(self.zero, dtype=np.int64)
         if self.scale.ndim != 1 or np.any(self.scale <= 0.0):
@@ -72,11 +76,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero."""
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def _check_bits(bits: int) -> None:
-    if not isinstance(bits, (int, np.integer)) or not 2 <= int(bits) <= 8:
-        raise BitsOutOfRange(f"bits must be an integer in [2, 8], got {bits!r}")
 
 
 def _check_rows(W: np.ndarray, p: QuantParams) -> None:
@@ -121,10 +120,16 @@ def rtn_quantize(W, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     return q.astype(np.int64), s * (q - z)
 
 
+def _stretched_sigmoid(A, spec: RoundingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(A) and the stretched ``gamma + (zeta - gamma) * sigmoid(A)``,
+    the rounding values before their clip to [0, 1]."""
+    sig = expit(np.asarray(A, dtype=np.float64))
+    return sig, spec.gamma + (spec.zeta - spec.gamma) * sig
+
+
 def rectified_sigmoid(A, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
     """H = clip(gamma + (zeta - gamma) * sigmoid(A), 0, 1), elementwise."""
-    A = np.asarray(A, dtype=np.float64)
-    return np.clip(spec.gamma + (spec.zeta - spec.gamma) * expit(A), 0.0, 1.0)
+    return np.clip(_stretched_sigmoid(A, spec)[1], 0.0, 1.0)
 
 
 def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
@@ -140,12 +145,28 @@ def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndar
     return logit((H - spec.gamma) / (spec.zeta - spec.gamma))
 
 
+def _quantize_grid(base, H, p: QuantParams):
+    """The rounding quantizer on a floor matrix ``base = floor(W/s)``.
+
+    Returns the pre-clip grid values ``base + H + z``, their clip ``Q``
+    to ``[q_min, q_max]`` and the dequantized ``s * (Q - z)``. Nothing
+    is checked, so a caller stepping the same layer pays no validation.
+    """
+    z = p.zero[:, None]
+    v = base + H
+    v += z
+    q = np.clip(v, p.q_min, p.q_max)
+    what = q - z
+    what *= p.scale[:, None]
+    return v, q, what
+
+
 def adaptive_quantize(W, p: QuantParams, H) -> tuple[np.ndarray, np.ndarray]:
     """Quantize with explicit up/down decisions.
 
     ``Q = clip(floor(W/s) + H + z, q_min, q_max)`` stays real-valued
     while H is soft so gradients can flow; it is integral exactly when
-    H is binary.
+    H is binary. Returns ``Q`` and the dequantized weights.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -154,10 +175,8 @@ def adaptive_quantize(W, p: QuantParams, H) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatch(f"H shape {H.shape} != W shape {W.shape}")
     if H.size and (H.min() < 0.0 or H.max() > 1.0):
         raise OutOfRange("rounding values must lie in [0, 1]")
-    s = p.scale[:, None]
-    z = p.zero[:, None]
-    q = np.clip(np.floor(W / s) + H + z, p.q_min, p.q_max)
-    return q, s * (q - z)
+    _, q, what = _quantize_grid(np.floor(W / p.scale[:, None]), H, p)
+    return q, what
 
 
 def hard_round(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 import struct
 
@@ -157,19 +158,16 @@ def write_csv(headers, rows, path) -> None:
     """Write an RFC-4180-style CSV with '\\n' line endings.
 
     Every row must have exactly ``len(headers)`` entries; numeric values
-    are rendered with 9 significant digits.
+    are rendered with 9 significant digits. The file is replaced whole
+    or not at all.
     """
     headers = list(headers)
-    formatted = []
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(headers)
     for i, row in enumerate(rows):
         row = list(row)
         if len(row) != len(headers):
             raise RaggedRows(f"row {i} has {len(row)} values, expected {len(headers)}")
-        formatted.append([_format_value(v) for v in row])
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(headers)
-            writer.writerows(formatted)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        writer.writerow([_format_value(v) for v in row])
+    _write_atomic(path, text.getvalue().encode())

@@ -225,7 +225,7 @@ def test_09_blockwise_run_improves_over_rtn():
     latent = inverse_rectified_sigmoid(residual_init(W, p), SPEC)
     k = min(4096, latent.size // 8)
     cb = fit_codebook(latent, d=8, k=k, iters=100, seed=0)
-    cfg = FinetuneConfig(steps=500, seed=0)  # lr, lam, beta, warm-up at defaults
+    cfg = FinetuneConfig(steps=500)  # lr, lam, beta, warm-up at defaults
     out_cb, trace = optimize_blockwise(W, X, p, cb, cfg, SPEC)
     assert trace[-1] < trace[0]
 
@@ -300,7 +300,7 @@ def test_13_e2e_toy_run():
     teacher = random_net((16, 32, 4), seed=0)
     data = [rng.normal(size=16) for _ in range(128)]
     student = build_student(teacher, bits=3, k=16, d=8, kmeans_iters=100, seed=0)
-    cfg = FinetuneConfig(steps=300, seed=0)
+    cfg = FinetuneConfig(steps=300)
     res = e2e_finetune(teacher, student, data, cfg)
     assert res.hard_kl_final <= res.hard_kl_warmup_end
     w = warmup_steps(cfg)

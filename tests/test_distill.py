@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vqround import distill, errors
+from vqround import distill, errors, optim, quantize, reparam
 from vqround.distill import (
     Layer,
     TinyNet,
@@ -12,6 +12,7 @@ from vqround.distill import (
     build_student,
     e2e_finetune,
     e2e_step,
+    effective_weight,
     forward_logits,
     kl_loss,
     random_net,
@@ -117,14 +118,56 @@ class TestBuildStudent:
         )
         assert len(student.layers) == 2
 
-    def test_residual_space_flag(self):
-        teacher = random_net((4, 6, 2), seed=6)
-        a = build_student(teacher, bits=3, k=4, d=4, kmeans_iters=10, seed=0,
-                          codebook_space="latent")
-        b = build_student(teacher, bits=3, k=4, d=4, kmeans_iters=10, seed=0,
-                          codebook_space="residual")
-        assert not np.allclose(a.layers[0].codebook.centroids,
-                               b.layers[0].codebook.centroids)
+
+def clipped_saturated_layer(seed):
+    """16x24 layer whose grid is narrower than its rows and whose latents
+    reach far past the sigmoid's clip points."""
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(16, 24))
+    p = QuantParams(bits=3, scale=0.7 * np.ptp(W, axis=1) / 7, zero=np.full(16, 4))
+    cb = Codebook(centroids=3.0 * rng.normal(size=(20, 8)),
+                  indices=rng.integers(0, 20, size=16 * 24 // 8), shape=(16, 24))
+    return Layer(weight=W, params=p, codebook=cb)
+
+
+def gathered_chain_weight(layer, mode):
+    """Weights by the element-wise chain: gather the latent matrix, apply
+    the stretched sigmoid, harden, then quantize with floor(W/s) + H."""
+    g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(vq_reconstruct(layer.codebook))
+    H = np.clip(g, 0.0, 1.0)
+    if mode == "hard":
+        H = np.where(H >= SPEC.hard_threshold, 1.0, 0.0)
+    p = layer.params
+    s, z = p.scale[:, None], p.zero[:, None]
+    v = np.floor(layer.weight / s) + H + z
+    masks = {"sat_low": g <= 0.0, "sat_high": g >= 1.0,
+             "clip_low": v < p.q_min, "clip_high": v > p.q_max}
+    return s * (np.clip(v, p.q_min, p.q_max) - z), masks
+
+
+class TestEffectiveWeight:
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_gathered_chain(self, seed, mode):
+        layer = clipped_saturated_layer(seed)
+        want, masks = gathered_chain_weight(layer, mode)
+        for name, mask in masks.items():
+            assert mask.any(), f"no {name} entries exercised"
+        assert np.array_equal(effective_weight(layer, SPEC, mode), want)
+
+    def test_fp_is_the_weight(self):
+        layer = clipped_saturated_layer(2)
+        assert np.array_equal(effective_weight(layer, SPEC, "fp"), layer.weight)
+
+    def test_unknown_mode(self):
+        with pytest.raises(errors.DomainError):
+            effective_weight(clipped_saturated_layer(3), SPEC, "soft-ish")
+
+    def test_codebook_shape_mismatch(self):
+        layer = clipped_saturated_layer(4)
+        layer.weight = layer.weight[:, :16]
+        with pytest.raises(errors.ShapeMismatch):
+            effective_weight(layer, SPEC, "hard")
 
 
 def masks_stable_under(student, x, li, i, j, h):
@@ -211,6 +254,25 @@ class TestMeanHardKl:
         got = _mean_hard_kl(teacher, student, data, cfg, SPEC)
         assert abs(got - per_column) <= 1e-12 * per_column
 
+    def test_one_hard_forward_per_layer_and_no_latent_gather(self, monkeypatch):
+        teacher = random_net((6, 10, 8, 4), seed=15)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
+        data = [np.random.default_rng(i).normal(size=6) for i in range(12)]
+        forward, hard_flags = distill.soft_quant_forward, []
+
+        def counted(*args, hard=False, **kwargs):
+            hard_flags.append(hard)
+            return forward(*args, hard=hard, **kwargs)
+
+        def no_gather(*args, **kwargs):
+            raise AssertionError("hard evaluation gathered the latent matrix")
+
+        monkeypatch.setattr(distill, "soft_quant_forward", counted)
+        for mod in (distill, optim, quantize, reparam):
+            monkeypatch.setattr(mod, "vq_reconstruct", no_gather, raising=False)
+        _mean_hard_kl(teacher, student, data, FinetuneConfig(), SPEC)
+        assert hard_flags == [True] * len(student.layers)
+
 
 class TestE2EFinetune:
     def test_architecture_mismatch(self):
@@ -229,7 +291,7 @@ class TestE2EFinetune:
         teacher = random_net((6, 8, 3), seed=10)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         data = [np.random.default_rng(i).normal(size=6) for i in range(16)]
-        cfg = FinetuneConfig(steps=40, warmup_frac=0.25, seed=0)
+        cfg = FinetuneConfig(steps=40, warmup_frac=0.25)
         res = e2e_finetune(teacher, student, data, cfg)
         w = warmup_steps(cfg)
         assert w == 10
@@ -241,7 +303,7 @@ class TestE2EFinetune:
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         before = [layer.codebook.indices.copy() for layer in student.layers]
         data = [np.random.default_rng(i).normal(size=6) for i in range(8)]
-        res = e2e_finetune(teacher, student, data, FinetuneConfig(steps=25, seed=0))
+        res = e2e_finetune(teacher, student, data, FinetuneConfig(steps=25))
         for idx, cb in zip(before, res.codebooks):
             assert np.array_equal(idx, cb.indices)
 
@@ -251,14 +313,14 @@ class TestE2EFinetune:
         traces = []
         for _ in range(2):
             student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
-            res = e2e_finetune(teacher, student, data, FinetuneConfig(steps=15, seed=0))
+            res = e2e_finetune(teacher, student, data, FinetuneConfig(steps=15))
             traces.append(res.loss_trace)
         assert np.array_equal(traces[0], traces[1])
 
     def test_teacher_logits_computed_once_per_distinct_batch(self, monkeypatch):
         teacher = random_net((6, 8, 3), seed=14)
         data = [np.random.default_rng(i).normal(size=6) for i in range(5)]
-        cfg = FinetuneConfig(steps=3 * len(data), batch=2, seed=0)
+        cfg = FinetuneConfig(steps=3 * len(data), batch=2)
         real_forward, real_step = distill.forward_logits, distill.e2e_step
         batches = []
 

@@ -148,18 +148,6 @@ class TestHessianAwareInit:
         assert np.all((0.0 <= res.h_tilde) & (res.h_tilde <= 1.0))
         assert np.array_equal(res.base, np.round(res.base))
 
-    def test_raw_error_units_flag_changes_seed_only(self):
-        rng = np.random.default_rng(9)
-        W = rng.normal(size=(4, 6))
-        X = rng.normal(size=(6, 24))
-        p = compute_quant_params(W, 4)
-        factor = damped_inverse_factor(accumulate_hessian(X))
-        a = hessian_aware_init(W, p, factor, HessianConfig(raw_error_units=False))
-        b = hessian_aware_init(W, p, factor, HessianConfig(raw_error_units=True))
-        assert np.allclose(a.w_q, b.w_q)
-        assert np.allclose(a.base, b.base)
-        assert not np.allclose(a.h_tilde, b.h_tilde)
-
     def test_shape_mismatch(self):
         W = np.zeros((2, 3))
         p = compute_quant_params(W, 4)

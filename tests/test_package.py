@@ -15,3 +15,41 @@ def test_package_has_no_bare_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _config_fields(tree):
+    """(class, field) for every annotated field of a ``*Config`` dataclass."""
+    return {
+        (node.name, stmt.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def _attribute_reads(node, in_config_class=False):
+    """Attribute names loaded anywhere under ``node``, skipping each
+    ``*Config`` class's own ``__post_init__`` (validation is not a use) and
+    attributes of ``args`` (the CLI's parsed flags, not a config)."""
+    if isinstance(node, ast.FunctionDef) and in_config_class and node.name == "__post_init__":
+        return set()
+    reads = set()
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
+        reads.add(node.attr)
+    inside = isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+    for child in ast.iter_child_nodes(node):
+        reads |= _attribute_reads(child, inside)
+    return reads
+
+
+def test_every_config_field_has_a_reader():
+    # A settable value that the package never reads is a knob without a
+    # caller: setting it changes nothing.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    fields = set().union(*(_config_fields(tree) for tree in trees))
+    reads = set().union(*(_attribute_reads(tree) for tree in trees))
+    assert {"FinetuneConfig", "HessianConfig"} <= {cls for cls, _ in fields}
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []

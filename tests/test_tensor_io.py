@@ -1,5 +1,6 @@
 import builtins
 import errno
+import functools
 import struct
 
 import numpy as np
@@ -161,6 +162,7 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("save, value", [
         (tensor_io.save_tensor, np.full((4, 4), 7.0)),
         (tensor_io.save_indices_u32, np.arange(16)),
+        (functools.partial(tensor_io.write_csv, ["step", "loss"]), [[1, 0.5], [2, 0.25]]),
     ])
     def test_failed_write_leaves_existing_file_intact(self, tmp_path, monkeypatch, save, value):
         path = tmp_path / "out.bin"
