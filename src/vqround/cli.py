@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, tensor_io
-from .distill import build_student, e2e_finetune, random_net
+from .distill import build_student, e2e_finetune
 from .errors import (
     DomainError,
     IoFailure,
@@ -28,7 +28,7 @@ from .errors import (
 from .hessian import HessianConfig, accumulate_hessian, damped_inverse_factor, hessian_aware_init
 from .optim import FinetuneConfig, optimize_blockwise
 from .quantize import RoundingSpec, compute_quant_params, inverse_rectified_sigmoid, rectified_sigmoid
-from .reparam import fit_codebook, load_codebook, save_codebook, vq_reconstruct, wcss, flatten_blocks
+from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_blocks
 
 
 # glibc's mallopt parameters (malloc.h).
@@ -72,9 +72,11 @@ def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-low", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--warmup-frac", type=float, default=0.1)
-    p.add_argument("--temperature", type=float, default=1.0,
-                   help="KL softening (e2e mode only)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--temperature", type=float,
+                   help="KL softening (e2e mode only; default 1)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="k-means seed in e2e mode; blockwise mode is "
+                        "deterministic and does not read it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--calib", required=True)
     p_opt.add_argument("--bits", type=int, default=4)
     p_opt.add_argument("--codebook", help="input codebook prefix (blockwise mode)")
-    p_opt.add_argument("--k", type=int, default=4096)
-    p_opt.add_argument("--d", type=int, default=8)
-    p_opt.add_argument("--kmeans-iters", type=int, default=100)
+    p_opt.add_argument("--k", type=int, help="codebook size (e2e mode only; default 4096)")
+    p_opt.add_argument("--d", type=int, help="block length (e2e mode only; default 8)")
+    p_opt.add_argument("--kmeans-iters", type=int,
+                       help="k-means iteration budget (e2e mode only; default 100)")
     p_opt.add_argument("--out", required=True, help="output prefix")
     p_opt.add_argument("--trace", help="loss-trace CSV path")
     _add_finetune_flags(p_opt)
@@ -129,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cfg_from_args(args) -> FinetuneConfig:
+# The optimize flags that only e2e mode reads, with their defaults there.
+_E2E_DEFAULTS = {"k": 4096, "d": 8, "kmeans_iters": 100, "temperature": 1.0}
+
+
+def _cfg_from_args(args, **e2e) -> FinetuneConfig:
     return FinetuneConfig(
         lr=args.lr,
         lam=args.lam,
@@ -137,7 +144,7 @@ def _cfg_from_args(args) -> FinetuneConfig:
         beta_low=args.beta_low,
         steps=args.steps,
         warmup_frac=args.warmup_frac,
-        temperature=args.temperature,
+        **e2e,
     )
 
 
@@ -174,6 +181,10 @@ def cmd_vq(args) -> int:
 def _cmd_optimize_blockwise(args) -> int:
     if not args.weights or not args.codebook:
         raise DomainError("blockwise mode needs --weights and --codebook")
+    given = [f"--{name.replace('_', '-')}" for name in _E2E_DEFAULTS
+             if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"blockwise mode does not read {', '.join(given)}")
     W = tensor_io.load_tensor(args.weights)
     X = tensor_io.load_tensor(args.calib)
     if X.shape[0] != W.shape[1]:
@@ -199,6 +210,9 @@ def _cmd_optimize_blockwise(args) -> int:
 def _cmd_optimize_e2e(args) -> int:
     if not args.layers:
         raise DomainError("e2e mode needs --layers")
+    for name, default in _E2E_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     from .distill import Layer, TinyNet
 
     weights = [tensor_io.load_tensor(path) for path in args.layers]
@@ -206,7 +220,7 @@ def _cmd_optimize_e2e(args) -> int:
     X = tensor_io.load_tensor(args.calib)
     if X.shape[0] != teacher.dims[0]:
         raise ShapeMismatch(f"calibration rows {X.shape[0]} != input dim {teacher.dims[0]}")
-    cfg = _cfg_from_args(args)
+    cfg = _cfg_from_args(args, temperature=args.temperature)
     student = build_student(
         teacher, args.bits, args.k, args.d, kmeans_iters=args.kmeans_iters,
         seed=args.seed,

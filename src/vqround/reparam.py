@@ -9,7 +9,7 @@ reshape, so only the k*d centroid values remain trainable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -157,6 +157,33 @@ def wcss(blocks, centroids, indices) -> float:
 _REACH = 2.0 * (1.0 + 1e-6)
 
 
+def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator,
+                   cum: np.ndarray) -> int:
+    """The index ``rng.choice(len(weights), p=weights / total)`` draws.
+
+    It is the same arithmetic and the same single ``rng.random()``
+    draw, so the generator ends in the same state. ``rng.choice``
+    returns the first i with ``cum[i] / cum[-1] > u``, where ``cum`` is
+    the running sum of ``p``. It first checks ``p`` in several O(L)
+    passes and divides all of ``cum`` by ``cum[-1]``; both are skipped
+    here. ``searchsorted`` on ``u * cum[-1]`` finds the index or one next
+    to it, since ``u * cum[-1]`` rounds apart from the quotients; the test
+    is monotone in i, so a local fix-up moves to the first i that passes.
+    ``cum`` is a scratch buffer of the weights' length. The weights must
+    be finite with a positive ``total``.
+    """
+    np.divide(weights, total, out=cum)
+    np.cumsum(cum, out=cum)
+    last = cum[-1]
+    u = rng.random()
+    i = min(int(np.searchsorted(cum, u * last, side="right")), cum.size - 1)
+    while i > 0 and cum[i - 1] / last > u:
+        i -= 1
+    while not cum[i] / last > u:
+        i += 1
+    return i
+
+
 def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted (k-means++) seeding.
 
@@ -167,26 +194,41 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     measured again. The others would keep ``closest`` unchanged anyway:
     the margin of 1e-6 dwarfs rounding, and the rows that are measured
     use the same expression as a full pass, so every draw is the same.
+    Every step works in buffers allocated once. Its O(L) work is the
+    draw's sum, quotient and running sum, then the gather of each
+    block's owner gap, its comparison with ``reach`` and the pick of the
+    blocks that pass.
     """
     L, d = blocks.shape
     centroids = np.empty((k, d))
     first = int(rng.integers(L))
     centroids[0] = blocks[first]
-    closest = np.sum((blocks - centroids[0]) ** 2, axis=1)
+    rows_buf = np.empty((L, d))  # the measured blocks, then their differences
+    diff = np.subtract(blocks, centroids[0], out=rows_buf)
+    closest = np.sum(np.square(diff, out=diff), axis=1)
     owner = np.zeros(L, dtype=np.int64)
     reach = _REACH * np.sqrt(closest)
+    cum = np.empty(L)  # the draw's running sum, then each block's owner gap
+    candidate = np.empty(L, dtype=bool)
+    dist_buf = np.empty(L)
+    gap = np.empty(k)
+    centre_diff = np.empty((k, d))
     for c in range(1, k):
         total = closest.sum()
         if total > 0.0:
-            idx = int(rng.choice(L, p=closest / total))
+            idx = _weighted_draw(closest, total, rng, cum)
         else:
             # All remaining blocks coincide with chosen centroids.
             idx = int(rng.integers(L))
-        centroids[c] = blocks[idx]
-        diff = centroids[:c] - centroids[c]
-        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        rows = np.flatnonzero(gap[owner] < reach)
-        dist = np.sum((blocks[rows] - centroids[c]) ** 2, axis=1)
+        centre = centroids[c]
+        centre[:] = blocks[idx]
+        diff = np.subtract(centroids[:c], centre, out=centre_diff[:c])
+        np.sqrt(np.einsum("ij,ij->i", diff, diff, out=gap[:c]), out=gap[:c])
+        np.less(np.take(gap, owner, out=cum, mode="clip"), reach, out=candidate)
+        rows = np.flatnonzero(candidate)
+        diff = np.take(blocks, rows, axis=0, out=rows_buf[:rows.size], mode="clip")
+        np.subtract(diff, centre, out=diff)
+        dist = np.sum(np.square(diff, out=diff), axis=1, out=dist_buf[:rows.size])
         nearer = dist < closest[rows]
         rows, dist = rows[nearer], dist[nearer]
         closest[rows] = dist
@@ -222,6 +264,8 @@ def kmeans_fit(
         raise KTooLarge(f"k must be in [1, {L}], got {k}")
     if iters < 1:
         raise DomainError(f"iters must be >= 1, got {iters}")
+    if not np.isfinite(blocks).all():
+        raise DomainError("blocks must be finite")
 
     rng = np.random.default_rng(seed)
     centroids = _plusplus_seed(blocks, k, rng)
@@ -256,8 +300,9 @@ def kmeans_fit(
 
         # A cluster emptied by a reseed donation keeps its centroid until
         # the next pass picks it up again.
-        sums = np.zeros((k, d))
-        np.add.at(sums, assign, blocks)
+        sums = np.empty((k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(assign, weights=blocks[:, j], minlength=k)
         occupied = counts > 0
         centroids = centroids.copy()
         centroids[occupied] = sums[occupied] / counts[occupied, None]

@@ -180,6 +180,62 @@ class TestOptimize:
         assert rows[0] == "step,loss"
         assert len(rows) == 61
 
+    def _blockwise(self, tmp_path, *extra):
+        w_path, x_path, cb_prefix = self._prepare(tmp_path)
+        return main([
+            "optimize", "--mode", "blockwise", "--weights", w_path,
+            "--calib", x_path, "--bits", "4", "--codebook", cb_prefix,
+            "--steps", "20", "--out", str(tmp_path / "opt"), *extra,
+        ])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "4"), ("--d", "4"), ("--kmeans-iters", "20"), ("--temperature", "1"),
+    ])
+    def test_blockwise_rejects_e2e_only_flag(self, tmp_path, capsys, flag, value):
+        # Even a flag set to its e2e default is refused: blockwise mode
+        # would ignore it.
+        assert self._blockwise(tmp_path, flag, value) == 4
+        err = capsys.readouterr().err
+        assert flag in err
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+
+    def test_blockwise_names_every_e2e_only_flag_given(self, tmp_path, capsys):
+        code = self._blockwise(tmp_path, "--temperature", "9", "--k", "3", "--d", "2",
+                               "--kmeans-iters", "1")
+        assert code == 4
+        err = capsys.readouterr().err
+        for flag in ("--k", "--d", "--kmeans-iters", "--temperature"):
+            assert flag in err
+
+    def test_blockwise_does_not_read_seed(self, tmp_path):
+        assert self._blockwise(tmp_path, "--seed", "0") == 0
+        first = (tmp_path / "opt.centroids.vqt").read_bytes()
+        assert self._blockwise(tmp_path, "--seed", "7") == 0
+        assert (tmp_path / "opt.centroids.vqt").read_bytes() == first
+
+    def test_e2e_fills_in_omitted_flags(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def build_student(teacher, bits, k, d, kmeans_iters, seed):
+            seen.update(k=k, d=d, kmeans_iters=kmeans_iters)
+
+        def e2e_finetune(teacher, student, data, cfg):
+            seen["temperature"] = cfg.temperature
+            raise Stop
+
+        monkeypatch.setattr(cli, "build_student", build_student)
+        monkeypatch.setattr(cli, "e2e_finetune", e2e_finetune)
+        l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
+        save_tensor(np.ones((4, 6)), l0)
+        save_tensor(np.ones((6, 2)), x_path)
+        with pytest.raises(Stop):
+            main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
+                  "--out", str(tmp_path / "e2e")])
+        assert seen == {"k": 4096, "d": 8, "kmeans_iters": 100, "temperature": 1.0}
+
     def test_unknown_mode_exits_1(self, tmp_path):
         code = main(["optimize", "--mode", "sideways", "--calib", "x", "--out", "o"])
         assert code == 1

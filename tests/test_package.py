@@ -53,3 +53,28 @@ def test_every_config_field_has_a_reader():
     reads = set().union(*(_attribute_reads(tree) for tree in trees))
     assert {"FinetuneConfig", "HessianConfig"} <= {cls for cls, _ in fields}
     assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []
+
+
+def _imported_names(tree):
+    """(name, line) for every name an import statement binds."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [((alias.asname or alias.name).split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    return names
+
+
+def test_no_unused_imports():
+    # ``__init__.py`` imports names to re-export them, so it is left out.
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+                   if name not in used]
+    assert unused == []

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from vqround import errors
@@ -11,6 +13,8 @@ from vqround.quantize import compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import (
     Codebook,
     _nearest,
+    _plusplus_seed,
+    _weighted_draw,
     balanced_factors,
     fit_codebook,
     flatten_blocks,
@@ -105,6 +109,12 @@ class TestKmeans:
         with pytest.raises(errors.KTooLarge):
             kmeans_fit(np.zeros((3, 2)), k=4)
 
+    def test_rejects_non_finite_blocks(self):
+        blocks = np.zeros((10, 2))
+        blocks[3, 1] = np.inf
+        with pytest.raises(errors.DomainError):
+            kmeans_fit(blocks, k=2)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         blocks = rng.normal(size=(30, 3))
@@ -177,6 +187,79 @@ class TestKmeansOracle:
         cb = kmeans_fit(blocks, k, iters=iters, seed=seed)
         assert cb.centroids.tobytes() == want_centroids.tobytes()
         assert np.array_equal(cb.indices, want_indices)
+
+
+def _one_nonzero(n, at, value):
+    w = [0.0] * n
+    w[at] = value
+    return w
+
+
+# Weight vectors for the seeding's draw: exact zeros, subnormals and a
+# range wide enough that small weights vanish once divided by the total.
+DRAW_WEIGHTS = st.one_of(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e300)),
+        min_size=1, max_size=40,
+    ).filter(lambda w: sum(w) > 0.0),
+    st.integers(1, 40).flatmap(
+        lambda n: st.builds(_one_nonzero, st.just(n), st.integers(0, n - 1),
+                            st.floats(5e-324, 1e300))
+    ),
+)
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestWeightedDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(DRAW_WEIGHTS, st.integers(0, 2**32 - 1))
+    def test_matches_rng_choice(self, weights, seed):
+        w = np.array(weights)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        cum = np.empty(w.size)
+        for _ in range(3):
+            assert _weighted_draw(w, w.sum(), ours, cum) == theirs.choice(w.size, p=w / w.sum())
+        assert ours.random() == theirs.random()
+
+    def test_fix_up_at_rounding_boundaries(self):
+        # With cum[-1] far from 1, u * cum[-1] and cum[i] / cum[-1] round
+        # differently near each boundary, so searchsorted alone is off by
+        # one; the fix-up must still give choice's index, the first i with
+        # cum[i] / cum[-1] > u.
+        w = np.random.default_rng(21).random(200)
+        total = 0.6 * w.sum()
+        cum = np.cumsum(w / total)
+        cdf = cum / cum[-1]
+        off_by_one = 0
+        for q in cdf[:-1]:
+            for u in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)):
+                want = int(np.searchsorted(cdf, u, side="right"))
+                assert _weighted_draw(w, total, _FixedUniform(u), np.empty(w.size)) == want
+                off_by_one += int(np.searchsorted(cum, u * cum[-1], side="right")) != want
+        assert off_by_one > 0
+
+
+class TestPlusPlusSeed:
+    def test_memory_bounded_by_blocks(self):
+        blocks = np.random.default_rng(22).normal(size=(32768, 8))
+        tracemalloc.start()
+        try:
+            _plusplus_seed(blocks, 256, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The seeding's buffers hold one copy of the blocks plus a few
+        # length-L vectors; per-step temporaries would add to that.
+        assert peak < 4 * blocks.nbytes
 
 
 class TestVqAssign:
