@@ -8,90 +8,4 @@ transform's contraction/saturation properties and compares worst-case
 errors against low-rank and Kronecker baselines.
 """
 
-from .analysis import (
-    ClippingCheck,
-    HistogramReport,
-    LipschitzCheck,
-    MethodNorms,
-    TheoryReport,
-    budgeted_approximations,
-    clipping_check,
-    compare_methods,
-    error_histograms,
-    inf_norm_comparison,
-    lipschitz_constant,
-    margins,
-    matrix_norms,
-    singular_spectrum,
-    tail_transfer,
-    theory_report,
-    verify_lipschitz,
-)
-from .distill import (
-    E2EResult,
-    Layer,
-    TinyNet,
-    build_student,
-    e2e_finetune,
-    e2e_step,
-    forward_logits,
-    kl_loss,
-    random_net,
-)
-from .hessian import (
-    HessianConfig,
-    HessianFactor,
-    InitResult,
-    accumulate_hessian,
-    damped_inverse_factor,
-    hessian_aware_init,
-    residual_init,
-)
-from .optim import (
-    AdamState,
-    FinetuneConfig,
-    SoftQuantForward,
-    adam_step,
-    anneal_beta,
-    blockwise_grad,
-    blockwise_loss,
-    optimize_blockwise,
-    soft_quant_forward,
-    warmup_steps,
-)
-from .quantize import (
-    QuantParams,
-    RoundingSpec,
-    adaptive_quantize,
-    compute_quant_params,
-    hard_round,
-    inverse_rectified_sigmoid,
-    rectified_sigmoid,
-    regularizer_grad,
-    round_half_away,
-    rounding_regularizer,
-    rtn_quantize,
-)
-from .reparam import (
-    Codebook,
-    KroneckerApprox,
-    LowRankApprox,
-    balanced_factors,
-    fit_codebook,
-    flatten_blocks,
-    kmeans_fit,
-    kronecker_approx,
-    load_codebook,
-    param_count,
-    rearrange,
-    rearrange_inverse,
-    save_codebook,
-    svd_lowrank,
-    unflatten_blocks,
-    vq_assign,
-    vq_reconstruct,
-    wcss,
-)
-from .tensor_io import load_tensor, save_tensor, write_csv
-
 __version__ = "0.1.0"

@@ -26,9 +26,9 @@ from .hessian import (
 from .optim import (
     AdamState,
     FinetuneConfig,
+    _codebook_backward,
     adam_step,
     anneal_beta,
-    scatter_to_centroids,
     soft_quant_forward,
     warmup_steps,
 )
@@ -37,8 +37,6 @@ from .quantize import (
     RoundingSpec,
     compute_quant_params,
     inverse_rectified_sigmoid,
-    regularizer_grad,
-    rounding_regularizer,
 )
 from .reparam import Codebook, fit_codebook
 
@@ -171,11 +169,11 @@ def e2e_step(
     """Loss terms and per-layer codebook gradients for one batch.
 
     Returns (total, kd, reg, grads). Backpropagation runs analytically
-    through the softmax/KL head, the linear layers and ReLUs, the soft
-    quantizer (per-row scale inside the active clip region), the
-    stretched sigmoid, and the frozen index map. ``teacher_logits``, if
-    given, must be ``forward_logits(teacher, x)``; the teacher is not
-    run again.
+    through the softmax/KL head and the linear layers and ReLUs to each
+    layer's weights; the codebook backward that blockwise optimization
+    uses takes it on into the centroids. ``teacher_logits``, if given,
+    must be ``forward_logits(teacher, x)``; the teacher is not run
+    again.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -199,21 +197,18 @@ def e2e_step(
     if teacher_logits is None:
         teacher_logits = forward_logits(teacher, x, spec, mode="fp")
     kd, delta = _kl_and_logit_grad(acts[-1], teacher_logits, temperature)
-    reg = sum(rounding_regularizer(fwd.rounding, beta) for fwd in fwds)
-    total = kd + lam * reg
 
+    regs: list[float] = [0.0] * n_layers
     grads: list[np.ndarray] = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         fwd = fwds[i]
         layer = student.layers[i]
-        dw = delta @ acts[i].T
-        dl_dh = dw * layer.params.scale[:, None] * fwd.clip_active
-        if lam != 0.0:
-            dl_dh = dl_dh + lam * regularizer_grad(fwd.rounding, beta)
-        grads[i] = scatter_to_centroids(dl_dh * fwd.dh_da, layer.codebook)
+        regs[i], grads[i] = _codebook_backward(fwd, delta @ acts[i].T, layer.params,
+                                               layer.codebook, lam, beta)
         if i > 0:
             delta = (fwd.what.T @ delta) * (pre[i - 1] > 0.0)
-    return total, kd, reg, grads
+    reg = sum(regs)
+    return kd + lam * reg, kd, reg, grads
 
 
 def e2e_finetune(

@@ -2,14 +2,21 @@
 reconstruction of a single linear layer.
 
 The blockwise objective is the squared output reconstruction error
-``||W X - What X||_F^2`` plus the weighted rounding regularizer; its
-gradient flows analytically through the quantizer (scale inside the
-active clip region, zero at and beyond the boundaries), the stretched
-sigmoid, and the frozen index map into the centroids. Both are taken in
-Gram form from one soft-quantizer forward: with ``G = X X^T`` and
-``E = W - What``, the error is ``<E G, E>`` and its gradient w.r.t.
-``What`` is ``-2 E G``, so a step costs one (m, n) x (n, n) product no
-matter how many calibration columns there are.
+``||W X - What X||_F^2`` plus the weighted rounding regularizer. Both
+are taken in Gram form from one soft-quantizer forward: with
+``G = X X^T`` and ``E = W - What``, the error is ``<E G, E>`` and its
+gradient w.r.t. ``What`` is ``-2 E G``, so a step costs one
+(m, n) x (n, n) product no matter how many calibration columns there
+are.
+
+One backward, shared with the end-to-end distillation, carries a
+gradient w.r.t. ``What`` into the centroids. Only the quantizer's part
+of it (scale inside the active clip region, zero at and beyond the
+boundaries) is per entry; it is scattered onto the k x d centroid
+values. Every entry that gathers one centroid value shares its rounding
+decision, so the regularizer, its derivative and the stretched
+sigmoid's slope are taken once per centroid value, the regularizer
+weighted by how many blocks use the centroid.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from .quantize import (
     QuantParams,
     RoundingSpec,
     _quantize_grid,
+    _regularizer_terms,
     _stretched_sigmoid,
     hard_round,
     regularizer_grad,
-    rounding_regularizer,
 )
 from .reparam import Codebook, unflatten_blocks
 
@@ -114,12 +121,16 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
 
 @dataclass
 class SoftQuantForward:
-    """Quantizer outputs plus the masks the backward pass needs."""
+    """Quantizer outputs plus what the backward pass needs.
 
-    rounding: np.ndarray  # H in [0, 1]
+    ``h`` and ``slope`` are per centroid value, (k, d); the layer's
+    rounding matrix is the gather of ``h`` through the codebook's indices.
+    """
+
     what: np.ndarray  # dequantized weights
     clip_active: np.ndarray  # where the integer-range clip is inactive
-    dh_da: np.ndarray  # sigmoid slope, zeroed where its clip saturates or H is hard
+    h: np.ndarray  # rounding decisions in [0, 1]
+    slope: np.ndarray  # dh/dA, zeroed where the sigmoid's clip saturates or h is hard
 
 
 def soft_quant_forward(
@@ -128,12 +139,13 @@ def soft_quant_forward(
     """Quantize W with the codebook's rounding decisions.
 
     The stretched sigmoid and its slope depend on the latent alone, so
-    they are evaluated once per centroid value and gathered through the
-    frozen indices. ``hard`` binarizes those k*d decisions before the
-    gather, which gives the hard-rounded weights of evaluation; a hard
-    decision is flat in the latent, so its slope is zero. ``base`` is
-    the integer floor ``floor(W / s)``; callers that run many forwards
-    over one layer pass it in precomputed.
+    they are evaluated once per centroid value; only the decisions are
+    gathered through the frozen indices, to quantize W. ``hard``
+    binarizes the k*d decisions before the gather, which gives the
+    hard-rounded weights of evaluation; a hard decision is flat in the
+    latent, so its slope is zero. ``base`` is the integer floor
+    ``floor(W / s)``; callers that run many forwards over one layer pass
+    it in precomputed.
     """
     sig, g = _stretched_sigmoid(cb.centroids, spec)
     h = np.clip(g, 0.0, 1.0)
@@ -149,8 +161,7 @@ def soft_quant_forward(
         base = np.floor(np.asarray(W, dtype=np.float64) / p.scale[:, None])
     v, _, what = _quantize_grid(base, H, p)
     clip_active = (v > p.q_min) & (v < p.q_max)
-    return SoftQuantForward(rounding=H, what=what, clip_active=clip_active,
-                            dh_da=unflatten_blocks(slope[cb.indices], cb.shape))
+    return SoftQuantForward(what=what, clip_active=clip_active, h=h, slope=slope)
 
 
 def scatter_to_centroids(dl_da: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -174,6 +185,25 @@ def _layer_constants(W, X, p: QuantParams, cb: Codebook):
     return W, X @ X.T, np.floor(W / p.scale[:, None])
 
 
+def _codebook_backward(fwd: SoftQuantForward, dl_dwhat, p: QuantParams, cb: Codebook,
+                       lam: float, beta: float) -> tuple[float, np.ndarray]:
+    """The rounding regularizer and the centroid gradient of
+    ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat``.
+
+    A centroid value used by c blocks enters the regularizer c times, so
+    its term and derivative are weighted by c.
+    """
+    counts = np.bincount(cb.indices, minlength=cb.k)[:, None]
+    reg = float(np.sum(counts * _regularizer_terms(fwd.h, beta)))
+    dl_dh = dl_dwhat * p.scale[:, None]
+    dl_dh *= fwd.clip_active
+    grad = scatter_to_centroids(dl_dh, cb)
+    if lam != 0.0:
+        grad += lam * counts * regularizer_grad(fwd.h, beta)
+    grad *= fwd.slope
+    return reg, grad
+
+
 def _blockwise_objective(W, G, base, p, cb, spec, lam, beta) -> tuple[float, np.ndarray]:
     """Blockwise loss and its centroid gradient from one forward.
 
@@ -183,11 +213,9 @@ def _blockwise_objective(W, G, base, p, cb, spec, lam, beta) -> tuple[float, np.
     err = W - fwd.what
     err_g = err @ G
     loss = float(np.sum(err_g * err))
-    dl_dh = (-2.0 * p.scale[:, None]) * err_g * fwd.clip_active
-    if lam != 0.0:
-        loss += lam * rounding_regularizer(fwd.rounding, beta)
-        dl_dh = dl_dh + lam * regularizer_grad(fwd.rounding, beta)
-    return loss, scatter_to_centroids(dl_dh * fwd.dh_da, cb)
+    err_g *= -2.0
+    reg, grad = _codebook_backward(fwd, err_g, p, cb, lam, beta)
+    return loss + lam * reg, grad
 
 
 def blockwise_loss(
@@ -202,20 +230,6 @@ def blockwise_loss(
     """||W X - What X||_F^2 + lam * regularizer, What from the codebook."""
     W, G, base = _layer_constants(W, X, p, cb)
     return _blockwise_objective(W, G, base, p, cb, spec, lam, beta)[0]
-
-
-def blockwise_grad(
-    W,
-    X,
-    p: QuantParams,
-    cb: Codebook,
-    spec: RoundingSpec = RoundingSpec(),
-    lam: float = 1e-2,
-    beta: float = 20.0,
-) -> np.ndarray:
-    """Gradient of :func:`blockwise_loss` w.r.t. the centroids (k, d)."""
-    W, G, base = _layer_constants(W, X, p, cb)
-    return _blockwise_objective(W, G, base, p, cb, spec, lam, beta)[1]
 
 
 def optimize_blockwise(

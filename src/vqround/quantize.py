@@ -185,8 +185,8 @@ def hard_round(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
     return np.where(H >= spec.hard_threshold, 1.0, 0.0)
 
 
-def rounding_regularizer(H, beta: float) -> float:
-    """sum(1 - |2H - 1|^beta): zero iff H is binary, maximal at H = 1/2."""
+def _regularizer_terms(H, beta: float) -> np.ndarray:
+    """The per-entry terms ``1 - |2H - 1|^beta`` of the regularizer."""
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     H = np.asarray(H, dtype=np.float64)
@@ -194,7 +194,12 @@ def rounding_regularizer(H, beta: float) -> float:
     # within a few ulps of 1 when beta is small, reading a non-binary H as
     # binary. log(0) = -inf maps a = 0 to exactly 1.
     with np.errstate(divide="ignore"):
-        return 0.0 - float(np.sum(np.expm1(beta * np.log(np.abs(2.0 * H - 1.0)))))
+        return -np.expm1(beta * np.log(np.abs(2.0 * H - 1.0)))
+
+
+def rounding_regularizer(H, beta: float) -> float:
+    """sum(1 - |2H - 1|^beta): zero iff H is binary, maximal at H = 1/2."""
+    return float(np.sum(_regularizer_terms(H, beta)))
 
 
 def regularizer_grad(H, beta: float) -> np.ndarray:

@@ -119,14 +119,14 @@ class TestBuildStudent:
         assert len(student.layers) == 2
 
 
-def clipped_saturated_layer(seed):
-    """16x24 layer whose grid is narrower than its rows and whose latents
-    reach far past the sigmoid's clip points."""
+def clipped_saturated_layer(seed, shape=(16, 24)):
+    """Layer (16x24 by default) whose grid is narrower than its rows and
+    whose latents reach far past the sigmoid's clip points."""
     rng = np.random.default_rng(seed)
-    W = rng.normal(size=(16, 24))
-    p = QuantParams(bits=3, scale=0.7 * np.ptp(W, axis=1) / 7, zero=np.full(16, 4))
+    W = rng.normal(size=shape)
+    p = QuantParams(bits=3, scale=0.7 * np.ptp(W, axis=1) / 7, zero=np.full(shape[0], 4))
     cb = Codebook(centroids=3.0 * rng.normal(size=(20, 8)),
-                  indices=rng.integers(0, 20, size=16 * 24 // 8), shape=(16, 24))
+                  indices=rng.integers(0, 20, size=shape[0] * shape[1] // 8), shape=shape)
     return Layer(weight=W, params=p, codebook=cb)
 
 
@@ -220,7 +220,72 @@ def fd_check_e2e(teacher, student, x, lam, beta, temperature=1.0, h=1e-4):
     return checked, worst
 
 
+def direct_e2e(student, teacher_logits, x, lam, beta, temperature):
+    """KL, regularizer and per-layer centroid gradients of KL + lam R for
+    beta > 1, with the quantizer's backward taken entry by entry."""
+    n_layers = len(student.layers)
+    chains, acts, pre = [], [x], []
+    for i, layer in enumerate(student.layers):
+        cb, p = layer.codebook, layer.params
+        sig = expit(cb.centroids[cb.indices].reshape(layer.weight.shape))
+        g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * sig
+        H = np.clip(g, 0.0, 1.0)
+        s, z = p.scale[:, None], p.zero[:, None]
+        v = np.floor(layer.weight / s) + H + z
+        what = s * (np.clip(v, p.q_min, p.q_max) - z)
+        chains.append((sig, g, H, v, what))
+        pre.append(what @ acts[-1])
+        acts.append(np.maximum(pre[-1], 0.0) if i < n_layers - 1 else pre[-1])
+
+    log_ps = acts[-1] / temperature
+    log_ps = log_ps - np.log(np.sum(np.exp(log_ps), axis=0))
+    log_pt = teacher_logits / temperature
+    log_pt = log_pt - np.log(np.sum(np.exp(log_pt), axis=0))
+    ps = np.exp(log_ps)
+    kl_cols = np.sum(ps * (log_ps - log_pt), axis=0)
+    delta = ps * (log_ps - log_pt - kl_cols) / (temperature * x.shape[1])
+
+    reg, grads, masks = 0.0, [None] * n_layers, []
+    for i in range(n_layers - 1, -1, -1):
+        layer = student.layers[i]
+        cb, p = layer.codebook, layer.params
+        sig, g, H, v, what = chains[i]
+        t = 2.0 * H - 1.0
+        reg += np.sum(1.0 - np.abs(t) ** beta)
+        d_h = (delta @ acts[i].T) * p.scale[:, None] * ((v > p.q_min) & (v < p.q_max))
+        d_h = d_h + lam * -2.0 * beta * np.sign(t) * np.abs(t) ** (beta - 1.0)
+        d_a = d_h * (SPEC.zeta - SPEC.gamma) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
+        grads[i] = np.zeros_like(cb.centroids)
+        for block, c in enumerate(cb.indices):
+            grads[i][c] += d_a.reshape(-1, cb.d)[block]
+        masks.append({"clip_low": v <= p.q_min, "clip_high": v >= p.q_max,
+                      "sat_low": g <= 0.0, "sat_high": g >= 1.0})
+        if i > 0:
+            delta = (what.T @ delta) * (pre[i - 1] > 0.0)
+    return float(np.mean(kl_cols)), reg, grads, masks
+
+
 class TestE2EStep:
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_matches_direct_oracle(self, lam):
+        student = TinyNet(layers=[clipped_saturated_layer(5),
+                                  clipped_saturated_layer(6, shape=(10, 16))])
+        teacher = random_net(student.dims, seed=5)
+        x = np.random.default_rng(5).normal(size=(24, 3))
+        teacher_logits = forward_logits(teacher, x)
+        beta, temperature = 3.0, 1.5
+        want_kd, want_reg, want_grads, masks = direct_e2e(
+            student, teacher_logits, x, lam, beta, temperature)
+        for layer_masks in masks:
+            for name, mask in layer_masks.items():
+                assert mask.any(), f"no {name} entries exercised"
+        total, kd, reg, grads = e2e_step(teacher, student, x, lam, beta, temperature, SPEC)
+        assert abs(kd - want_kd) <= 1e-12 * want_kd
+        assert abs(reg - want_reg) <= 1e-12 * want_reg
+        assert total == kd + lam * reg
+        for got, want in zip(grads, want_grads):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_gradient_matches_finite_differences(self):
         teacher = random_net((6, 10, 4), seed=3)
         student = build_student(teacher, bits=4, k=6, d=4, kmeans_iters=50, seed=3)

@@ -9,7 +9,6 @@ from vqround.optim import (
     FinetuneConfig,
     adam_step,
     anneal_beta,
-    blockwise_grad,
     blockwise_loss,
     optimize_blockwise,
     warmup_steps,
@@ -19,8 +18,9 @@ from vqround.quantize import (
     RoundingSpec,
     compute_quant_params,
     inverse_rectified_sigmoid,
+    rounding_regularizer,
 )
-from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
+from vqround.reparam import Codebook, fit_codebook, unflatten_blocks, vq_reconstruct
 
 SPEC = RoundingSpec()
 
@@ -79,6 +79,12 @@ class TestAdam:
         state = AdamState.for_params(np.zeros(2))
         with pytest.raises(errors.ShapeMismatch):
             adam_step(state, np.zeros(2), np.zeros(3), lr=0.1)
+
+
+def blockwise_grad(W, X, p, cb, spec, lam, beta):
+    """Gradient of :func:`blockwise_loss` w.r.t. the centroids (k, d)."""
+    return optim._blockwise_objective(*optim._layer_constants(W, X, p, cb),
+                                      p, cb, spec, lam, beta)[1]
 
 
 def grid_aligned_layer(seed=0, shape=(4, 6), bits=3):
@@ -204,6 +210,29 @@ class TestBlockwiseGrad:
         g_shared = blockwise_grad(W, X, p, shared, SPEC, lam=0.0, beta=2.0)
         g_split = blockwise_grad(W, X, p, split, SPEC, lam=0.0, beta=2.0)
         assert np.allclose(g_shared[0], g_split[0] + g_split[1], atol=1e-12)
+
+
+class TestCodebookBackward:
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
+    def test_regularizer_matches_gathered_rounding_matrix(self, beta):
+        # With zeta - gamma = 1.5 a zero latent maps to h = 1/2 exactly;
+        # latents of -20 and 20 saturate to 0 and 1. Centroids 10 and 11
+        # are used by no block.
+        spec = RoundingSpec(gamma=-0.25, zeta=1.25)
+        rng = np.random.default_rng(15)
+        W = rng.normal(size=(16, 32))
+        p = compute_quant_params(W, 3)
+        centroids = rng.normal(size=(12, 8))
+        centroids[0, :3] = [-20.0, 0.0, 20.0]
+        indices = rng.integers(0, 10, size=64)
+        indices[0] = 0
+        cb = Codebook(centroids=centroids, indices=indices, shape=W.shape)
+        fwd = optim.soft_quant_forward(W, p, cb, spec)
+        H = unflatten_blocks(fwd.h[cb.indices], cb.shape)
+        assert {0.0, 0.5, 1.0} <= set(H.ravel())
+        reg, _ = optim._codebook_backward(fwd, np.zeros(W.shape), p, cb, 1.0, beta)
+        want = rounding_regularizer(H, beta)
+        assert abs(reg - want) <= 1e-12 * want
 
 
 class TestOptimizeBlockwise:

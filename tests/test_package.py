@@ -68,11 +68,8 @@ def _imported_names(tree):
 
 
 def test_no_unused_imports():
-    # ``__init__.py`` imports names to re-export them, so it is left out.
     unused = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)

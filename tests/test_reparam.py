@@ -248,7 +248,52 @@ class TestWeightedDraw:
         assert off_by_one > 0
 
 
+class _FixedDraws:
+    """Stands in for a Generator whose ``integers`` gives ``first`` and
+    whose ``random()`` gives the entries of ``us`` in turn."""
+
+    def __init__(self, first, us):
+        self.first = first
+        self.us = iter(us)
+
+    def integers(self, n):
+        return self.first
+
+    def random(self):
+        return next(self.us)
+
+
+def boundary_seeding(blocks, k, seed):
+    """The full-pass ++ seeding of ``oracle_kmeans`` with each draw's u put
+    exactly on a boundary of choice's running sum of ``closest``; returns
+    the centroids, the first index and the u values."""
+    L, d = blocks.shape
+    picks = np.random.default_rng(seed).integers(0, L - 1, size=k)
+    centroids = np.empty((k, d))
+    centroids[0] = blocks[picks[0]]
+    closest = np.sum((blocks - centroids[0]) ** 2, axis=1)
+    us = []
+    for c in range(1, k):
+        cdf = np.cumsum(closest / closest.sum())
+        cdf /= cdf[-1]
+        us.append(cdf[picks[c]])
+        centroids[c] = blocks[int(np.searchsorted(cdf, us[-1], side="right"))]
+        closest = np.minimum(closest, np.sum((blocks - centroids[c]) ** 2, axis=1))
+    return centroids, int(picks[0]), us
+
+
 class TestPlusPlusSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_boundary_draws_pin_the_distances(self, seed):
+        # A u that lies exactly on a boundary of the running sum moves to
+        # the neighbouring block under a one-ulp change of ``closest``, so
+        # the seeding's distances must match the full pass bit for bit,
+        # summation order included.
+        blocks = np.random.default_rng(30 + seed).normal(size=(512, 8))
+        want, first, us = boundary_seeding(blocks, 24, seed)
+        got = _plusplus_seed(blocks, 24, _FixedDraws(first, us))
+        assert got.tobytes() == want.tobytes()
+
     def test_memory_bounded_by_blocks(self):
         blocks = np.random.default_rng(22).normal(size=(32768, 8))
         tracemalloc.start()
