@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, tensor_io
+from . import analysis, hessian, tensor_io
 from .distill import build_student, e2e_finetune
 from .errors import (
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     TensorFormatError,
     TheoremViolation,
 )
-from .hessian import HessianConfig, accumulate_hessian, damped_inverse_factor, hessian_aware_init
+from .hessian import HessianConfig, damped_inverse_factor, hessian_aware_init
 from .optim import FinetuneConfig, optimize_blockwise
 from .quantize import RoundingSpec, compute_quant_params, inverse_rectified_sigmoid, rectified_sigmoid
 from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_blocks
@@ -155,7 +155,11 @@ def cmd_init(args) -> int:
         raise ShapeMismatch(f"calibration rows {X.shape[0]} != weight cols {W.shape[1]}")
     cfg = HessianConfig(percdamp=args.percdamp, blocksize=args.blocksize)
     p = compute_quant_params(W, args.bits)
-    factor = damped_inverse_factor(accumulate_hessian(X), cfg)
+    # The float64 Gram serves both the Hessian and recon_err, so the
+    # calibration itself is not needed past this point.
+    G = hessian._gram(X)
+    del X
+    factor = damped_inverse_factor(hessian._hessian_from_gram(G), cfg)
     result = hessian_aware_init(W, p, factor, cfg)
     latent = inverse_rectified_sigmoid(result.h_tilde)
 
@@ -164,7 +168,10 @@ def cmd_init(args) -> int:
     tensor_io.save_tensor(result.h_tilde, f"{args.out_prefix}_h.vqt")
     tensor_io.save_tensor(latent, f"{args.out_prefix}_a.vqt")
 
-    err = float(np.linalg.norm((W.astype(np.float64) - result.w_q) @ X.astype(np.float64)))
+    # ||(W - w_q) X||_F in the Gram form sqrt(<E G, E>), which rounding
+    # can push a hair below zero when E X vanishes.
+    E = W.astype(np.float64) - result.w_q
+    err = float(np.sqrt(max(np.sum((E @ G) * E), 0.0)))
     print(f"recon_err={err:.9g}")
     return 0
 

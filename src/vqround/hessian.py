@@ -1,10 +1,13 @@
 """Curvature-aware rounding initialization.
 
-Builds the calibration Hessian ``2 X X^T`` from layer inputs, factors
-its damped inverse, and runs a column-sequential quantization sweep
-that pushes each column's quantization error into the not-yet-processed
-columns through the inverse-Hessian coupling. The curvature-normalized
-residual of every column seeds the soft rounding matrix.
+Builds the calibration Hessian ``2 X X^T`` from layer inputs and takes
+the upper Cholesky factor of its damped inverse: one Cholesky of the
+damped matrix in reversed order, ``Hd = R R^T`` with R upper
+triangular, then one triangular inverse, ``R^{-1}``. A
+column-sequential quantization sweep (GPTQ's lazy-batch sweep) then
+pushes each column's quantization error into the not-yet-processed
+columns through that factor. The curvature-normalized residual of every
+column seeds the soft rounding matrix.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
-from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, ShapeMismatch
+from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, OutOfRange, ShapeMismatch
 from .quantize import QuantParams, round_half_away
 
 
@@ -44,38 +47,60 @@ class InitResult:
     h_tilde: np.ndarray  # soft rounding seed in [0, 1]
 
 
-def accumulate_hessian(X) -> np.ndarray:
-    """2 X X^T over calibration columns, accumulated in f64, cast to f32."""
+def _gram(X) -> np.ndarray:
+    """The float64 Gram matrix ``X X^T`` of checked calibration columns."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatch(f"expected 2-d calibration, got shape {X.shape}")
     if X.shape[1] < 1:
         raise EmptyCalibration("calibration must contain at least one column")
-    return (2.0 * (X @ X.T)).astype(np.float32)
+    return X @ X.T
+
+
+def _hessian_from_gram(G: np.ndarray) -> np.ndarray:
+    """``2 G`` cast to float32, rejecting entries the cast overflows."""
+    with np.errstate(over="ignore"):
+        H = (2.0 * G).astype(np.float32)
+    if not np.isfinite(H).all():
+        raise OutOfRange("calibration Hessian 2 X X^T is not finite in float32; "
+                         "calibration values too large")
+    return H
+
+
+def accumulate_hessian(X) -> np.ndarray:
+    """2 X X^T over calibration columns, accumulated in f64, cast to f32."""
+    return _hessian_from_gram(_gram(X))
 
 
 def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> HessianFactor:
     """Upper Cholesky factor of ``(H + damp*I)^{-1}``.
 
-    Mirrors the factor-invert-refactor sequence: Cholesky of the damped
-    matrix, inverse from that factor, then the upper Cholesky of the
-    inverse. Failure after damping signals ill-conditioned calibration
-    and raises instead of silently re-damping.
+    With P the order reversal, the lower Cholesky factor L of
+    ``P Hd P`` gives ``Hd = R R^T`` with ``R = P L P`` upper triangular,
+    so ``Hd^{-1} = R^{-T} R^{-1}`` and the factor is the triangular
+    inverse ``R^{-1} = P L^{-1} P``: one ``dpotrf`` and one ``dtrtri``.
+    A non-finite matrix, or failure after damping, signals degenerate
+    calibration and raises instead of silently re-damping.
     """
     H = np.asarray(Hmat, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise NotPositiveDefinite("matrix has non-finite entries")
+    n = H.shape[0]
     damp = cfg.percdamp * float(np.mean(np.diag(H)))
-    Hd = H + damp * np.eye(H.shape[0])
-    try:
-        chol = scipy.linalg.cho_factor(Hd, lower=True)
-        Hinv = scipy.linalg.cho_solve(chol, np.eye(H.shape[0]))
-        upper = scipy.linalg.cholesky(Hinv, lower=False)
-    except scipy.linalg.LinAlgError as exc:
+    rev = H[::-1, ::-1].copy()
+    rev.flat[:: n + 1] += damp
+    # rev is symmetric, so its Fortran-ordered view is the same matrix and
+    # LAPACK can factor and invert it in place.
+    chol, info = scipy.linalg.lapack.dpotrf(rev.T, lower=1, clean=1, overwrite_a=1)
+    if info == 0:
+        chol, info = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)
+    if info != 0:
         raise NotPositiveDefinite(
             "matrix not positive definite after damping; calibration too degenerate"
-        ) from exc
-    return HessianFactor(upper=upper)
+        )
+    return HessianFactor(upper=np.ascontiguousarray(chol[::-1, ::-1]))
 
 
 def hessian_aware_init(
@@ -93,12 +118,17 @@ def hessian_aware_init(
     matrix: base = floor(w/s) and h_tilde = clip(frac - err/s, 0, 1),
     with the error brought onto the integer grid by the per-row scale.
 
-    The result is independent of the block size up to float accumulation.
+    The sweep runs on a transposed copy of W, so each column is a
+    contiguous row. Within a block a column catches up on the earlier
+    columns' errors with one product just before it is quantized; the
+    later blocks take the whole block's errors in one product after it.
+    The outputs are transposed views. The result is independent of the
+    block size up to float accumulation.
     """
-    W = np.asarray(W, dtype=np.float64).copy()
-    if W.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d weights, got shape {W.shape}")
-    m, n = W.shape
+    Wt = np.array(np.asarray(W).T, dtype=np.float64, order="C")
+    if Wt.ndim != 2:
+        raise ShapeMismatch(f"expected 2-d weights, got shape {np.shape(W)}")
+    n, m = Wt.shape
     U = np.asarray(factor.upper, dtype=np.float64)
     if U.shape != (n, n):
         raise ShapeMismatch(f"factor shape {U.shape} does not match {n} columns")
@@ -109,38 +139,36 @@ def hessian_aware_init(
     z = p.zero.astype(np.float64)
     q_max = float(p.q_max)
 
-    w_q = np.zeros((m, n))
-    base = np.zeros((m, n))
-    h_tilde = np.zeros((m, n))
+    w_q = np.empty((n, m))
+    base = np.empty((n, m))
+    h_tilde = np.empty((n, m))
 
     for i1 in range(0, n, cfg.blocksize):
         i2 = min(i1 + cfg.blocksize, n)
-        count = i2 - i1
-        W1 = W[:, i1:i2]
-        U1 = U[i1:i2, i1:i2]
-        err_block = np.zeros((m, count))
+        W1 = Wt[i1:i2]
+        # Row j of U1t holds column j of the block's factor, contiguous.
+        U1t = U[i1:i2, i1:i2].T.copy()
+        err = np.empty_like(W1)
 
-        for j in range(count):
-            w = W1[:, j].copy()
-            d = U1[j, j]
-
+        for j in range(i2 - i1):
+            w = W1[j]
+            if j:
+                w -= U1t[j, :j] @ err[:j]
             qi = np.clip(round_half_away(w / s) + z, 0.0, q_max)
             q = s * (qi - z)
-            w_q[:, i1 + j] = q
+            w_q[i1 + j] = q
+            err[j] = (w - q) / U1t[j, j]
 
-            err = (w - q) / d
-            W1[:, j:] -= np.outer(err, U1[j, j:])
-            err_block[:, j] = err
-
-            u = w / s
-            b = np.floor(u)
-            base[:, i1 + j] = b
-            h_tilde[:, i1 + j] = np.clip(u - b - err / s, 0.0, 1.0)
+        u = W1 / s
+        b = np.floor(u, out=base[i1:i2])
+        u -= b
+        u -= err / s
+        np.clip(u, 0.0, 1.0, out=h_tilde[i1:i2])
 
         if i2 < n:
-            W[:, i2:] -= err_block @ U[i1:i2, i2:]
+            Wt[i2:] -= U[i1:i2, i2:].T @ err
 
-    return InitResult(w_q=w_q, base=base, h_tilde=h_tilde)
+    return InitResult(w_q=w_q.T, base=base.T, h_tilde=h_tilde.T)
 
 
 def residual_init(W, p: QuantParams) -> np.ndarray:

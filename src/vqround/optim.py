@@ -128,7 +128,7 @@ class SoftQuantForward:
     """
 
     what: np.ndarray  # dequantized weights
-    clip_active: np.ndarray  # where the integer-range clip is inactive
+    clip_active: np.ndarray | None  # where the integer-range clip is inactive; None if hard
     h: np.ndarray  # rounding decisions in [0, 1]
     slope: np.ndarray  # dh/dA, zeroed where the sigmoid's clip saturates or h is hard
 
@@ -143,7 +143,8 @@ def soft_quant_forward(
     gathered through the frozen indices, to quantize W. ``hard``
     binarizes the k*d decisions before the gather, which gives the
     hard-rounded weights of evaluation; a hard decision is flat in the
-    latent, so its slope is zero. ``base`` is the integer floor
+    latent, so its slope is zero, and no backward reads its ``clip_active``,
+    which stays None. ``base`` is the integer floor
     ``floor(W / s)``; callers that run many forwards over one layer pass
     it in precomputed.
     """
@@ -160,7 +161,7 @@ def soft_quant_forward(
     if base is None:
         base = np.floor(np.asarray(W, dtype=np.float64) / p.scale[:, None])
     v, _, what = _quantize_grid(base, H, p)
-    clip_active = (v > p.q_min) & (v < p.q_max)
+    clip_active = None if hard else (v > p.q_min) & (v < p.q_max)
     return SoftQuantForward(what=what, clip_active=clip_active, h=h, slope=slope)
 
 

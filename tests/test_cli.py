@@ -7,7 +7,8 @@ import pytest
 
 from vqround import cli
 from vqround.cli import main
-from vqround.quantize import QuantParams, rectified_sigmoid
+from vqround.hessian import accumulate_hessian, damped_inverse_factor, hessian_aware_init
+from vqround.quantize import QuantParams, compute_quant_params, rectified_sigmoid
 from vqround.tensor_io import load_tensor, save_tensor
 
 
@@ -71,6 +72,26 @@ class TestInit:
             "--bits", "1", "--out-prefix", str(tmp_path / "o"),
         ])
         assert code == 4
+
+    def test_recon_err_is_the_product_norm(self, tmp_path, layer_files, capsys):
+        w_path, x_path = layer_files
+        code, _ = run_init(tmp_path, w_path, x_path)
+        assert code == 0
+        W = load_tensor(w_path).astype(np.float64)
+        X = load_tensor(x_path).astype(np.float64)
+        p = compute_quant_params(W, 4)
+        w_q = hessian_aware_init(W, p, damped_inverse_factor(accumulate_hessian(X))).w_q
+        printed = float(capsys.readouterr().out.strip().split("=")[1])
+        assert printed == pytest.approx(np.linalg.norm((W - w_q) @ X), rel=1e-8)
+
+    def test_overflowing_hessian_exits_4(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        w_path, x_path = tmp_path / "w.vqt", tmp_path / "x.vqt"
+        save_tensor(rng.normal(size=(8, 8)), w_path)
+        save_tensor(1e20 * rng.normal(size=(8, 16)), x_path)
+        code, _ = run_init(tmp_path, str(w_path), str(x_path))
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--percdamp", "--blocksize"])
     def test_nonpositive_hessian_setting_exits_4(self, tmp_path, layer_files, flag):

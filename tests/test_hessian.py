@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vqround import errors
 from vqround.hessian import (
@@ -19,6 +20,7 @@ from vqround.quantize import (
     hard_round,
     inverse_rectified_sigmoid,
     rectified_sigmoid,
+    round_half_away,
     rtn_quantize,
 )
 
@@ -59,6 +61,12 @@ class TestAccumulateHessian:
         assert np.allclose(H, H.T)
         assert np.all(np.linalg.eigvalsh(H.astype(np.float64)) > -1e-4)
 
+    def test_overflowing_float32_raises_domain_error(self):
+        # 2 X X^T is finite in float64 but overflows the float32 cast.
+        X = 1e20 * np.random.default_rng(2).normal(size=(8, 16))
+        with pytest.raises(errors.DomainError):
+            accumulate_hessian(X)
+
 
 class TestDampedInverseFactor:
     def test_identity_small_damp(self):
@@ -89,6 +97,24 @@ class TestDampedInverseFactor:
     def test_not_positive_definite(self):
         with pytest.raises(errors.NotPositiveDefinite):
             damped_inverse_factor(-np.eye(3))
+
+    def test_negative_definite(self):
+        with pytest.raises(errors.NotPositiveDefinite):
+            damped_inverse_factor(-random_spd(6, seed=11))
+
+    def test_nan_diagonal(self):
+        H = random_spd(5, seed=12)
+        H[2, 2] = np.nan
+        with pytest.raises(errors.NotPositiveDefinite):
+            damped_inverse_factor(H)
+
+    def test_infinite_diagonal(self):
+        # Damping by an infinite mean diagonal leaves diag(inf), which
+        # Cholesky factors without complaint; the factor must not.
+        H = random_spd(5, seed=13)
+        H[0, 0] = np.inf
+        with pytest.raises(errors.NotPositiveDefinite):
+            damped_inverse_factor(H)
 
 
 class TestHessianAwareInit:
@@ -153,6 +179,107 @@ class TestHessianAwareInit:
         p = compute_quant_params(W, 4)
         with pytest.raises(errors.ShapeMismatch):
             hessian_aware_init(W, p, HessianFactor(upper=np.eye(2)))
+
+
+def oracle_factor(H, percdamp):
+    """The factor-invert-refactor sequence: Cholesky of the damped
+    matrix, its inverse against the identity, then the upper Cholesky
+    factor of that inverse."""
+    H = np.asarray(H, dtype=np.float64)
+    n = H.shape[0]
+    Hd = H + percdamp * float(np.mean(np.diag(H))) * np.eye(n)
+    Hinv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Hd, lower=True), np.eye(n))
+    return scipy.linalg.cholesky(Hinv, lower=False)
+
+
+def oracle_sweep(W, p, U, blocksize):
+    """Column by column over W as given: each column's error updates every
+    later column of its block with a rank-one outer product, and the
+    later blocks with one product per block."""
+    W = np.asarray(W, dtype=np.float64).copy()
+    m, n = W.shape
+    s, z, q_max = p.scale, p.zero.astype(np.float64), float(p.q_max)
+    w_q, base, h_tilde = np.zeros((m, n)), np.zeros((m, n)), np.zeros((m, n))
+    for i1 in range(0, n, blocksize):
+        i2 = min(i1 + blocksize, n)
+        W1, U1 = W[:, i1:i2], U[i1:i2, i1:i2]
+        err_block = np.zeros((m, i2 - i1))
+        for j in range(i2 - i1):
+            w = W1[:, j].copy()
+            qi = np.clip(round_half_away(w / s) + z, 0.0, q_max)
+            q = s * (qi - z)
+            w_q[:, i1 + j] = q
+            err = (w - q) / U1[j, j]
+            W1[:, j:] -= np.outer(err, U1[j, j:])
+            err_block[:, j] = err
+            u = w / s
+            b = np.floor(u)
+            base[:, i1 + j] = b
+            h_tilde[:, i1 + j] = np.clip(u - b - err / s, 0.0, 1.0)
+        if i2 < n:
+            W[:, i2:] -= err_block @ U[i1:i2, i2:]
+    return w_q, base, h_tilde
+
+
+# name -> (m, n, N, x_scale). n = 300 spans three blocks of 128, and
+# neither 300 nor 45 is a multiple of 7. N < n leaves X X^T singular, so
+# only the damping makes it positive definite. x_scale = 1 gives every
+# curvature d = upper[j, j] < 1, which pins h_tilde to exactly 0 or 1;
+# x_scale = 0.05 gives d > 1 and a soft h_tilde.
+SWEEP_CASES = {
+    "wide-rank-deficient": (37, 300, 200, 1.0),
+    "tall-full-rank": (64, 45, 180, 1.0),
+    "soft-seed": (20, 45, 60, 0.05),
+}
+
+
+def sweep_inputs(case, bits):
+    m, n, N, x_scale = SWEEP_CASES[case]
+    rng = np.random.default_rng([m, n, N, bits])
+    W = rng.normal(size=(m, n))
+    H = accumulate_hessian(x_scale * rng.normal(size=(n, N)))
+    return W, compute_quant_params(W, bits), H
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_factor_matches_refactored_inverse(self, case):
+        _, _, H = sweep_inputs(case, 3)
+        want = oracle_factor(H, 0.01)
+        got = damped_inverse_factor(H, HessianConfig(percdamp=0.01)).upper
+        assert np.array_equal(got, np.triu(got))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("blocksize", [1, 7, 128])
+    @pytest.mark.parametrize("bits", [3, 4, 8])
+    @pytest.mark.parametrize("case", ["wide-rank-deficient", "tall-full-rank"])
+    def test_outputs_equal_oracle(self, case, bits, blocksize):
+        # Both sides take their own factor. The compensated weights agree
+        # to rounding, and with every d < 1 no rounding reaches the outputs.
+        W, p, H = sweep_inputs(case, bits)
+        cfg = HessianConfig(blocksize=blocksize)
+        factor = damped_inverse_factor(H, cfg)
+        assert np.all(np.diag(factor.upper) < 1.0)
+        want = oracle_sweep(W, p, oracle_factor(H, cfg.percdamp), blocksize)
+        got = hessian_aware_init(W, p, factor, cfg)
+        assert np.array_equal(got.w_q, want[0])
+        assert np.array_equal(got.base, want[1])
+        assert np.array_equal(got.h_tilde, want[2])
+        assert set(np.unique(got.h_tilde)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("blocksize", [1, 7, 128])
+    @pytest.mark.parametrize("bits", [3, 8])
+    def test_soft_seed_within_rounding_of_oracle(self, bits, blocksize):
+        W, p, H = sweep_inputs("soft-seed", bits)
+        cfg = HessianConfig(blocksize=blocksize)
+        factor = damped_inverse_factor(H, cfg)
+        w_q, base, h_tilde = oracle_sweep(W, p, oracle_factor(H, cfg.percdamp), blocksize)
+        got = hessian_aware_init(W, p, factor, cfg)
+        live = (h_tilde > 0.0) & (h_tilde < 1.0)
+        assert live.mean() > 0.1
+        assert np.array_equal(got.w_q, w_q)
+        assert np.array_equal(got.base, base)
+        assert np.max(np.abs(got.h_tilde - h_tilde)) <= 1e-12
 
 
 class TestResidualInit:

@@ -235,6 +235,16 @@ class TestCodebookBackward:
         assert abs(reg - want) <= 1e-12 * want
 
 
+class TestSoftQuantForward:
+    def test_hard_mode_builds_no_clip_mask(self):
+        W, _, p, cb = interior_codebook(seed=3)
+        hard = optim.soft_quant_forward(W, p, cb, SPEC, hard=True)
+        soft = optim.soft_quant_forward(W, p, cb, SPEC)
+        assert hard.clip_active is None
+        assert soft.clip_active.shape == W.shape
+        assert not hard.slope.any()
+
+
 class TestOptimizeBlockwise:
     def test_zero_steps_keeps_codebook(self):
         W, X, p, cb = interior_codebook(seed=10)
