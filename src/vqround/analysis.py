@@ -169,20 +169,17 @@ class TheoryReport:
     clip_bound: float
 
 
-def theory_report(
-    A,
-    A_tilde,
-    spec: RoundingSpec = RoundingSpec(),
-    eps_grid=None,
-) -> TheoryReport:
+#: Thresholds of the tail-transfer check in :func:`theory_report`.
+_EPS_GRID = np.linspace(0.01, 1.0, 20)
+
+
+def theory_report(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> TheoryReport:
     """Run all checks on one latent pair and collect the measurements."""
-    if eps_grid is None:
-        eps_grid = np.linspace(0.01, 1.0, 20)
     lip = verify_lipschitz(A, A_tilde, spec)
     clip = clipping_check(A, A_tilde, spec)
     dA = np.asarray(A_tilde, dtype=np.float64) - np.asarray(A, dtype=np.float64)
     dH = rectified_sigmoid(A_tilde, spec) - rectified_sigmoid(A, spec)
-    tail = tail_transfer(dA, dH, eps_grid, lip.constant)
+    tail = tail_transfer(dA, dH, _EPS_GRID, lip.constant)
     return TheoryReport(
         lipschitz_L=lip.constant,
         max_observed_ratio=lip.max_elementwise_ratio,

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hessian import HessianConfig, damped_inverse_factor, hessian_aware_init
 from .optim import FinetuneConfig, optimize_blockwise
-from .quantize import RoundingSpec, compute_quant_params, inverse_rectified_sigmoid, rectified_sigmoid
+from .quantize import compute_quant_params, inverse_rectified_sigmoid
 from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_blocks
 
 
@@ -118,17 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--latent", required=True)
     p_an.add_argument("--approx", required=True)
     p_an.add_argument("--report-dir", required=True)
-    p_an.add_argument("--bins", type=int, default=64)
-    p_an.add_argument("--eps-points", type=int, default=20)
     p_an.add_argument("--budget", type=int,
                       help="also emit a budget-matched method comparison")
     p_an.add_argument("--methods", nargs="+",
                       default=["vq", "lowrank", "kronecker"])
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--rounding",
-                      help="override: use this rounding matrix instead of the latent's")
-    p_an.add_argument("--rounding-approx",
-                      help="override: rounding matrix of the approximation (fault injection)")
     return parser
 
 
@@ -265,42 +259,17 @@ def cmd_analyze(args) -> int:
     if A.shape != At.shape:
         raise ShapeMismatch(f"latent {A.shape} != approx {At.shape}")
     os.makedirs(args.report_dir, exist_ok=True)
-    spec = RoundingSpec()
-    L = analysis.lipschitz_constant(spec)
-
-    H = tensor_io.load_tensor(args.rounding) if args.rounding else rectified_sigmoid(A, spec)
-    Ht = (
-        tensor_io.load_tensor(args.rounding_approx)
-        if args.rounding_approx
-        else rectified_sigmoid(At, spec)
-    )
-    if H.shape != A.shape or Ht.shape != A.shape:
-        raise ShapeMismatch("rounding overrides must match the latent shape")
-
-    dA = At.astype(np.float64) - A.astype(np.float64)
-    dH = Ht.astype(np.float64) - H.astype(np.float64)
-
-    # With overrides in play, check the contraction bound on the raw
-    # deltas directly; otherwise this equals verify_lipschitz.
-    sup_da = float(np.max(np.abs(dA))) if dA.size else 0.0
-    sup_dh = float(np.max(np.abs(dH))) if dH.size else 0.0
-    if sup_dh > L * sup_da + analysis.DETERMINISTIC_TOL:
-        raise TheoremViolation(f"sup-norm {sup_dh} exceeds {L} * {sup_da}")
-    lip = analysis.verify_lipschitz(A, At, spec)
-    clip = analysis.clipping_check(A, At, spec)
-    eps_grid = np.linspace(0.01, 1.0, args.eps_points)
-    tail = analysis.tail_transfer(dA, dH, eps_grid, L)
-
+    rep = analysis.theory_report(A, At)
     tensor_io.write_csv(
         ["epsilon", "tail_lhs", "tail_rhs", "lipschitz_L", "max_ratio", "clip_rate", "clip_bound"],
         [
-            [eps, lhs, rhs, L, lip.max_elementwise_ratio, clip.clip_rate, clip.clip_bound]
-            for eps, lhs, rhs in tail
+            [eps, lhs, rhs, rep.lipschitz_L, rep.max_observed_ratio, rep.clip_rate, rep.clip_bound]
+            for eps, lhs, rhs in zip(rep.epsilon_grid, rep.tail_lhs, rep.tail_rhs)
         ],
         os.path.join(args.report_dir, "theory.csv"),
     )
 
-    hist = analysis.error_histograms(A, {"approx": At}, spec, bins=args.bins)
+    hist = analysis.error_histograms(A, {"approx": At})
     centers_a = 0.5 * (hist.edges_delta_a[:-1] + hist.edges_delta_a[1:])
     centers_h = 0.5 * (hist.edges_delta_h[:-1] + hist.edges_delta_h[1:])
     tensor_io.write_csv(
@@ -336,7 +305,7 @@ def cmd_analyze(args) -> int:
         for r in rows:
             print(f"{r.method}: params={r.params} inf={r.norm_inf:.9g}")
 
-    print(f"clip_rate={clip.clip_rate:.9g}")
+    print(f"clip_rate={rep.clip_rate:.9g}")
     return 0
 
 

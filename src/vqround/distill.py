@@ -220,12 +220,11 @@ def e2e_finetune(
 ) -> E2EResult:
     """Distill the student's codebooks against the frozen teacher.
 
-    Samples are drawn round-robin, ``cfg.batch`` consecutive columns per
-    step (default 1). Through warm-up the objective is the distillation
-    term alone; afterwards the annealed rounding regularizer joins with
-    weight ``cfg.lam``. Codebook indices stay frozen throughout. The
-    teacher is frozen, so its logits are computed once per distinct
-    batch, keyed by the batch's first sample.
+    Samples are drawn round-robin, one per step. Through warm-up the
+    objective is the distillation term alone; afterwards the annealed
+    rounding regularizer joins with weight ``cfg.lam``. Codebook indices
+    stay frozen throughout. The teacher is frozen, so its logits are
+    computed once per sample.
     """
     if teacher.dims != student.dims:
         raise ArchitectureMismatch(
@@ -247,24 +246,17 @@ def e2e_finetune(
         hard_kl_warmup_end = _mean_hard_kl(teacher, student, data, cfg, spec)
 
     teacher_logits = {}
-    cursor = 0
     for t in range(1, cfg.steps + 1):
-        first = cursor % len(data)
-        cols = []
-        for _ in range(cfg.batch):
-            x = np.asarray(data[cursor % len(data)], dtype=np.float64)
-            cols.append(x[:, None] if x.ndim == 1 else x)
-            cursor += 1
-        x = np.hstack(cols)
-        if first not in teacher_logits:
-            teacher_logits[first] = forward_logits(teacher, x, spec, mode="fp")
+        sample = (t - 1) % len(data)
+        if sample not in teacher_logits:
+            teacher_logits[sample] = forward_logits(teacher, data[sample], spec, mode="fp")
 
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
 
         total, kd, reg, grads = e2e_step(
-            teacher, student, x, lam_t, beta, cfg.temperature, spec,
-            teacher_logits=teacher_logits[first],
+            teacher, student, data[sample], lam_t, beta, cfg.temperature, spec,
+            teacher_logits=teacher_logits[sample],
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg

@@ -27,8 +27,8 @@ class HessianConfig:
     blocksize: int = 128
 
     def __post_init__(self):
-        if not self.percdamp > 0:
-            raise DomainError(f"percdamp must be positive, got {self.percdamp}")
+        if not 0 < self.percdamp < np.inf:
+            raise DomainError(f"percdamp must be positive and finite, got {self.percdamp}")
         if self.blocksize < 1:
             raise DomainError(f"blocksize must be >= 1, got {self.blocksize}")
 
@@ -80,7 +80,8 @@ def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> Hessian
     so ``Hd^{-1} = R^{-T} R^{-1}`` and the factor is the triangular
     inverse ``R^{-1} = P L^{-1} P``: one ``dpotrf`` and one ``dtrtri``.
     A non-finite matrix, or failure after damping, signals degenerate
-    calibration and raises instead of silently re-damping.
+    calibration and raises instead of silently re-damping; so does a
+    damping term that overflows.
     """
     H = np.asarray(Hmat, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -89,6 +90,8 @@ def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> Hessian
         raise NotPositiveDefinite("matrix has non-finite entries")
     n = H.shape[0]
     damp = cfg.percdamp * float(np.mean(np.diag(H)))
+    if not np.isfinite(damp):
+        raise OutOfRange(f"damping {cfg.percdamp} * mean(diag) is not finite")
     rev = H[::-1, ::-1].copy()
     rev.flat[:: n + 1] += damp
     # rev is symmetric, so its Fortran-ordered view is the same matrix and

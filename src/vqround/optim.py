@@ -48,9 +48,14 @@ class FinetuneConfig:
     steps: int = 5000
     warmup_frac: float = 0.1
     temperature: float = 1.0
-    batch: int = 1
 
     def __post_init__(self):
+        for name in ("lr", "lam", "beta_high", "beta_low", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not self.lam >= 0:
+            raise DomainError(f"lam must be >= 0, got {self.lam}")
         if not self.beta_high >= self.beta_low > 0:
             raise DomainError(
                 f"need beta_high >= beta_low > 0, got {self.beta_high}, {self.beta_low}"
@@ -63,8 +68,6 @@ class FinetuneConfig:
             raise DomainError(f"lr must be positive, got {self.lr}")
         if not self.temperature > 0:
             raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if self.batch < 1:
-            raise DomainError(f"batch must be >= 1, got {self.batch}")
 
 
 def warmup_steps(cfg: FinetuneConfig) -> int:
@@ -88,14 +91,15 @@ def anneal_beta(t: int, cfg: FinetuneConfig) -> float:
     return cfg.beta_high + (cfg.beta_low - cfg.beta_high) * u
 
 
+# Adam's moment decay rates and denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -112,11 +116,11 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
+    m_hat = state.m / (1.0 - _BETA1**state.step)
+    v_hat = state.v / (1.0 - _BETA2**state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import platform
 import resource
@@ -5,10 +6,10 @@ import resource
 import numpy as np
 import pytest
 
-from vqround import cli
+from vqround import analysis, cli
 from vqround.cli import main
 from vqround.hessian import accumulate_hessian, damped_inverse_factor, hessian_aware_init
-from vqround.quantize import QuantParams, compute_quant_params, rectified_sigmoid
+from vqround.quantize import QuantParams, compute_quant_params
 from vqround.tensor_io import load_tensor, save_tensor
 
 
@@ -98,6 +99,14 @@ class TestInit:
         w_path, x_path = layer_files
         code, _ = run_init(tmp_path, w_path, x_path, flag, "0")
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_non_finite_damping_exits_4(self, tmp_path, layer_files, capsys, value):
+        w_path, x_path = layer_files
+        code, _ = run_init(tmp_path, w_path, x_path, "--percdamp", value)
+        assert code == 4
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "init_wq.vqt").exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path, layer_files):
         w_path, _ = layer_files
@@ -228,6 +237,26 @@ class TestOptimize:
         for flag in ("--k", "--d", "--kmeans-iters", "--temperature"):
             assert flag in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lam", "nan"), ("--lr", "inf"), ("--beta-high", "inf"), ("--beta-low", "nan"),
+        ("--lam", "-5"),
+    ])
+    def test_blockwise_rejects_bad_setting_before_running(self, tmp_path, capsys, flag, value):
+        assert self._blockwise(tmp_path, flag, value) == 4
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+
+    def test_e2e_rejects_infinite_temperature(self, tmp_path, capsys):
+        l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
+        save_tensor(np.ones((4, 8)), l0)
+        save_tensor(np.ones((8, 2)), x_path)
+        code = main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
+                     "--k", "4", "--d", "4", "--temperature", "inf",
+                     "--out", str(tmp_path / "e2e")])
+        assert code == 4
+        assert "temperature must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "e2e_layer0.centroids.vqt").exists()
+
     def test_blockwise_does_not_read_seed(self, tmp_path):
         assert self._blockwise(tmp_path, "--seed", "0") == 0
         first = (tmp_path / "opt.centroids.vqt").read_bytes()
@@ -310,22 +339,49 @@ class TestAnalyze:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(line.split("=")[1]) == 0.0
 
-    def test_injected_rounding_violation_exits_5(self, tmp_path):
-        # Hand-edit the approximation's rounding matrix far beyond what
-        # the contraction allows for the latent displacement.
-        A = np.random.default_rng(8).normal(size=(4, 4))
-        At = A + 0.01
-        a_path, t_path, h_path = tmp_path / "a.vqt", tmp_path / "at.vqt", tmp_path / "h.vqt"
+    def test_theory_csv_matches_report(self, tmp_path):
+        rng = np.random.default_rng(10)
+        A = 2.0 * rng.normal(size=(16, 16))
+        a_path, t_path = tmp_path / "a.vqt", tmp_path / "at.vqt"
         save_tensor(A, a_path)
-        save_tensor(At, t_path)
-        bad = np.clip(rectified_sigmoid(A) + 0.9, 0.0, 1.0)
-        bad[0, 0] = 1.0 if rectified_sigmoid(A)[0, 0] < 0.5 else 0.0
-        save_tensor(bad, h_path)
+        save_tensor(A + 0.5 * rng.normal(size=A.shape), t_path)
         code = main([
             "analyze", "--latent", str(a_path), "--approx", str(t_path),
-            "--report-dir", str(tmp_path / "r"), "--rounding-approx", str(h_path),
+            "--report-dir", str(tmp_path / "r"),
+        ])
+        assert code == 0
+        with open(tmp_path / "r" / "theory.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        rep = analysis.theory_report(load_tensor(a_path), load_tensor(t_path))
+        assert 0.0 < rep.clip_rate and 0.0 < rep.tail_lhs[0]
+        want = {
+            "epsilon": rep.epsilon_grid,
+            "tail_lhs": rep.tail_lhs,
+            "tail_rhs": rep.tail_rhs,
+            "lipschitz_L": [rep.lipschitz_L] * len(rows),
+            "max_ratio": [rep.max_observed_ratio] * len(rows),
+            "clip_rate": [rep.clip_rate] * len(rows),
+            "clip_bound": [rep.clip_bound] * len(rows),
+        }
+        assert list(rows[0]) == list(want)
+        for column, values in want.items():
+            assert [row[column] for row in rows] == [format(v, "#.9g") for v in values]
+
+    def test_injected_rounding_violation_exits_5(self, tmp_path, monkeypatch, capsys):
+        # A faulty transform with slope 10 everywhere breaks the
+        # contraction bound that the checks assert for the latent shift.
+        A = np.random.default_rng(8).normal(size=(4, 4))
+        a_path, t_path = tmp_path / "a.vqt", tmp_path / "at.vqt"
+        save_tensor(A, a_path)
+        save_tensor(A + 0.01, t_path)
+        monkeypatch.setattr(analysis, "rectified_sigmoid",
+                            lambda A, spec=None: 10.0 * np.asarray(A, dtype=np.float64))
+        code = main([
+            "analyze", "--latent", str(a_path), "--approx", str(t_path),
+            "--report-dir", str(tmp_path / "r"),
         ])
         assert code == 5
+        assert "exceeds contraction constant" in capsys.readouterr().err
 
     def test_budget_comparison_emits_norms(self, tmp_path, capsys):
         A = np.random.default_rng(9).normal(size=(16, 16))

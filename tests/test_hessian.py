@@ -68,6 +68,13 @@ class TestAccumulateHessian:
             accumulate_hessian(X)
 
 
+class TestHessianConfig:
+    @pytest.mark.parametrize("percdamp", [np.nan, np.inf])
+    def test_non_finite_percdamp_raises(self, percdamp):
+        with pytest.raises(errors.DomainError):
+            HessianConfig(percdamp=percdamp)
+
+
 class TestDampedInverseFactor:
     def test_identity_small_damp(self):
         f = damped_inverse_factor(np.eye(3), HessianConfig(percdamp=1e-9))
@@ -115,6 +122,12 @@ class TestDampedInverseFactor:
         H[0, 0] = np.inf
         with pytest.raises(errors.NotPositiveDefinite):
             damped_inverse_factor(H)
+
+    def test_overflowing_damping_raises_domain_error(self):
+        # 1e308 * mean(diag) overflows to inf; LAPACK would factor the
+        # infinite diagonal without complaint.
+        with pytest.raises(errors.DomainError, match="not finite"):
+            damped_inverse_factor(random_spd(4, seed=14), HessianConfig(percdamp=1e308))
 
 
 class TestHessianAwareInit:

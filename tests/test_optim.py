@@ -51,6 +51,18 @@ class TestAnnealBeta:
             anneal_beta(t, FinetuneConfig(steps=5000))
 
 
+class TestFinetuneConfig:
+    @pytest.mark.parametrize("field", ["lr", "lam", "beta_high", "beta_low", "temperature"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_setting_raises(self, field, value):
+        with pytest.raises(errors.DomainError, match=f"{field} must be finite"):
+            FinetuneConfig(**{field: value})
+
+    def test_negative_lam_raises(self):
+        with pytest.raises(errors.DomainError, match="lam must be >= 0"):
+            FinetuneConfig(lam=-5.0)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = np.array([1.0, -2.0])
@@ -74,6 +86,22 @@ class TestAdam:
             losses.append(float(x[0] ** 2))
             x = adam_step(state, x, 2.0 * x, lr=0.1)
         assert losses[-1] < losses[0]
+
+    def test_steps_match_the_textbook_update(self):
+        # Kingma & Ba's update with beta1 = 0.9, beta2 = 0.999, eps = 1e-8,
+        # written out term by term.
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=5)
+        state = AdamState.for_params(params)
+        m = v = np.zeros(5)
+        want = params
+        for t in range(1, 4):
+            g = rng.normal(size=5)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g**2
+            want = want - 0.05 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            params = adam_step(state, params, g, lr=0.05)
+            assert np.array_equal(params, want)
 
     def test_shape_mismatch(self):
         state = AdamState.for_params(np.zeros(2))
