@@ -248,6 +248,10 @@ def _cmd_optimize_e2e(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    # The trace is written after every step has run; a missing directory
+    # must stop the run before then.
+    if args.trace and not os.path.isdir(os.path.dirname(os.path.abspath(args.trace))):
+        raise IoFailure(f"trace directory does not exist: {args.trace}")
     if args.mode == "blockwise":
         return _cmd_optimize_blockwise(args)
     return _cmd_optimize_e2e(args)

@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     IndivisibleShape,
     KTooLarge,
+    OutOfRange,
     RankTooLarge,
     ShapeFactorizationMismatch,
     ShapeMismatch,
@@ -63,7 +64,9 @@ def flatten_blocks(A, d: int) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d matrix, got shape {A.shape}")
-    if d < 1 or A.size % d != 0:
+    if d < 1:
+        raise DomainError(f"block length must be >= 1, got {d}")
+    if A.size % d != 0:
         raise IndivisibleShape(f"matrix of {A.size} entries not divisible into blocks of {d}")
     return A.reshape(-1, d)
 
@@ -152,11 +155,6 @@ def wcss(blocks, centroids, indices) -> float:
     return float(np.sum(diffs * diffs))
 
 
-# Twice the distance to a block's owner, widened by a relative 1e-6 so
-# the seeding's pruning test stays exact under rounding.
-_REACH = 2.0 * (1.0 + 1e-6)
-
-
 def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator,
                    cum: np.ndarray) -> int:
     """The index ``rng.choice(len(weights), p=weights / total)`` draws.
@@ -187,32 +185,35 @@ def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator,
 def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted (k-means++) seeding.
 
-    ``closest`` holds each block's squared distance to its nearest
-    centre so far and ``owner`` that centre. By the triangle inequality
-    a new centre c can be nearer to block x than its owner o only when
-    ``|c - o| < 2 |x - o|`` (Raff, 2021), so only those blocks are
-    measured again. The others would keep ``closest`` unchanged anyway:
-    the margin of 1e-6 dwarfs rounding, and the rows that are measured
-    use the same expression as a full pass, so every draw is the same.
-    Every step works in buffers allocated once. Its O(L) work is the
-    draw's sum, quotient and running sum, then the gather of each
-    block's owner gap, its comparison with ``reach`` and the pick of the
-    blocks that pass.
+    ``closest`` holds each block's squared distance to its nearest centre.
+    After each draw a float32 screen over all L blocks, one GEMV for
+    ``|x|^2 - 2 x.c + |c|^2``, picks the blocks the new centre may bring
+    nearer; only those are measured again, by the full pass's float64
+    expression, so every draw is the same. The screen's copy of the blocks
+    is centred on their mean and scaled by 2^-e to norms of at most 1, which
+    moves distances by rounding only. In eps32 units of scaled squares the
+    screen errs by at most 4 for the copy, d/2 per float32 norm, d for the
+    doubled dot, 3.5 for the two sums and 2.5 for rounding the threshold
+    ``closest + slack`` to float32 (above 5 every block passes): 2d + 10 in
+    all. Float64 adds far less, bar ``d 2^-1074`` unscaled where subnormal
+    squares round (capped at 8d). The slack, 8 (d + 4) plus that term,
+    covers both, so no block the screen drops is nearer than ``closest``. A
+    step costs the draw's three O(L) passes, a GEMV and three more.
     """
     L, d = blocks.shape
     centroids = np.empty((k, d))
-    first = int(rng.integers(L))
-    centroids[0] = blocks[first]
-    rows_buf = np.empty((L, d))  # the measured blocks, then their differences
-    diff = np.subtract(blocks, centroids[0], out=rows_buf)
+    centroids[0] = blocks[int(rng.integers(L))]
+    diff = blocks - centroids[0]
     closest = np.sum(np.square(diff, out=diff), axis=1)
-    owner = np.zeros(L, dtype=np.int64)
-    reach = _REACH * np.sqrt(closest)
-    cum = np.empty(L)  # the draw's running sum, then each block's owner gap
-    candidate = np.empty(L, dtype=bool)
-    dist_buf = np.empty(L)
-    gap = np.empty(k)
-    centre_diff = np.empty((k, d))
+    scaled = np.subtract(blocks, blocks.mean(axis=0), out=diff)
+    e = int(np.frexp(np.sqrt(np.max(np.einsum("ij,ij->i", scaled, scaled))))[1])
+    scaled_t = np.ldexp(scaled, -e, out=scaled).T.astype(np.float32, order="C")  # (d, L)
+    del diff, scaled
+    sq_norms = np.einsum("ij,ij->j", scaled_t, scaled_t)
+    slack = 8 * (d + 4) * np.finfo(np.float32).eps + np.ldexp(float(d), min(-2 * e - 1074, 3))
+    thr = (np.ldexp(closest, -2 * e) + slack).astype(np.float32)
+    cum = np.empty(L)
+    score = np.empty(L, dtype=np.float32)
     for c in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -220,20 +221,16 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             # All remaining blocks coincide with chosen centroids.
             idx = int(rng.integers(L))
-        centre = centroids[c]
-        centre[:] = blocks[idx]
-        diff = np.subtract(centroids[:c], centre, out=centre_diff[:c])
-        np.sqrt(np.einsum("ij,ij->i", diff, diff, out=gap[:c]), out=gap[:c])
-        np.less(np.take(gap, owner, out=cum, mode="clip"), reach, out=candidate)
-        rows = np.flatnonzero(candidate)
-        diff = np.take(blocks, rows, axis=0, out=rows_buf[:rows.size], mode="clip")
-        np.subtract(diff, centre, out=diff)
-        dist = np.sum(np.square(diff, out=diff), axis=1, out=dist_buf[:rows.size])
+        centre = centroids[c] = blocks[idx]
+        np.matmul(-2.0 * scaled_t[:, idx], scaled_t, out=score)
+        np.add(score, sq_norms, out=score)
+        np.add(score, sq_norms[idx], out=score)
+        rows = np.flatnonzero(score < thr)
+        dist = np.sum(np.square(blocks[rows] - centre), axis=1)
         nearer = dist < closest[rows]
         rows, dist = rows[nearer], dist[nearer]
         closest[rows] = dist
-        owner[rows] = c
-        reach[rows] = _REACH * np.sqrt(dist)
+        thr[rows] = np.ldexp(dist, -2 * e) + slack
     return centroids
 
 
@@ -266,6 +263,12 @@ def kmeans_fit(
         raise DomainError(f"iters must be >= 1, got {iters}")
     if not np.isfinite(blocks).all():
         raise DomainError("blocks must be finite")
+    # Squared distances, and the assignment's |c|^2 - 2 x.c, stay below
+    # 4 max |x|^2; the factor 8 leaves room for rounding.
+    max_sq = np.max(np.einsum("ij,ij->i", blocks, blocks))
+    if not np.isfinite(8.0 * max_sq):
+        raise OutOfRange(f"blocks too large: a squared norm of {max_sq:.3g} overflows "
+                         "the k-means distances")
 
     rng = np.random.default_rng(seed)
     centroids = _plusplus_seed(blocks, k, rng)

@@ -143,6 +143,29 @@ class TestVq:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("d", ["0", "-4"])
+    def test_non_positive_block_length_exits_4(self, tmp_path, d):
+        a_path = tmp_path / "a.vqt"
+        save_tensor(np.zeros((16, 16)), a_path)
+        code = main([
+            "vq", "--latent", str(a_path), "--k", "2", "--d", d,
+            "--out", str(tmp_path / "cb"),
+        ])
+        assert code == 4
+
+    def test_overflowing_distances_exit_4(self, tmp_path, monkeypatch, capsys):
+        # A .vqt latent is float32, whose squares cannot overflow float64;
+        # a float64 latent reaches the same check through the library.
+        latent = np.random.default_rng(0).normal(size=(64, 4)) * 1e200
+        monkeypatch.setattr(cli.tensor_io, "load_tensor", lambda path: latent)
+        code = main([
+            "vq", "--latent", "a.vqt", "--k", "4", "--d", "4",
+            "--out", str(tmp_path / "cb"),
+        ])
+        assert code == 4
+        assert "too large" in capsys.readouterr().err
+        assert not (tmp_path / "cb.centroids.vqt").exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         a_path = tmp_path / "a.vqt"
         save_tensor(np.random.default_rng(3).normal(size=(8, 8)), a_path)
@@ -285,6 +308,27 @@ class TestOptimize:
             main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
                   "--out", str(tmp_path / "e2e")])
         assert seen == {"k": 4096, "d": 8, "kmeans_iters": 100, "temperature": 1.0}
+
+    def test_blockwise_trace_into_missing_directory_exits_2_before_running(self, tmp_path):
+        code = self._blockwise(tmp_path, "--trace", str(tmp_path / "missing" / "t.csv"))
+        assert code == 2
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+        assert not (tmp_path / "opt.indices.u32").exists()
+
+    def test_e2e_trace_into_missing_directory_exits_2_before_running(self, tmp_path,
+                                                                     monkeypatch):
+        def build_student(*args, **kwargs):
+            raise AssertionError("e2e mode ran before checking the trace path")
+
+        monkeypatch.setattr(cli, "build_student", build_student)
+        l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
+        save_tensor(np.ones((4, 8)), l0)
+        save_tensor(np.ones((8, 2)), x_path)
+        code = main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
+                     "--k", "4", "--d", "4", "--out", str(tmp_path / "e2e"),
+                     "--trace", str(tmp_path / "missing" / "t.csv")])
+        assert code == 2
+        assert not (tmp_path / "e2e_layer0.centroids.vqt").exists()
 
     def test_unknown_mode_exits_1(self, tmp_path):
         code = main(["optimize", "--mode", "sideways", "--calib", "x", "--out", "o"])

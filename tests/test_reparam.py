@@ -43,6 +43,11 @@ class TestFlattenBlocks:
         with pytest.raises(errors.IndivisibleShape):
             flatten_blocks(np.zeros((2, 3)), 4)
 
+    @pytest.mark.parametrize("d", [0, -4])
+    def test_non_positive_block_length(self, d):
+        with pytest.raises(errors.DomainError):
+            flatten_blocks(np.zeros((4, 4)), d)
+
     def test_row_major_order(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         blocks = flatten_blocks(A, 2)
@@ -115,6 +120,13 @@ class TestKmeans:
         with pytest.raises(errors.DomainError):
             kmeans_fit(blocks, k=2)
 
+    def test_rejects_overflowing_distances(self):
+        # Finite blocks whose squared distances overflow float64 used to
+        # reach the seeding's draw and fail there with an IndexError.
+        blocks = np.random.default_rng(0).normal(size=(64, 4)) * 1e200
+        with pytest.raises(errors.DomainError, match="too large"):
+            kmeans_fit(blocks, k=4)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         blocks = rng.normal(size=(30, 3))
@@ -124,11 +136,10 @@ class TestKmeans:
         assert np.array_equal(a.indices, b.indices)
 
 
-def oracle_kmeans(blocks, k, iters, seed):
-    """The full-pass ++ seeding and the cdist-based Lloyd loop that the
-    pruned seeding and the chunked assignment must reproduce bit for bit."""
+def oracle_seeding(blocks, k, rng):
+    """The full-pass ++ seeding that the screened seeding must reproduce
+    bit for bit."""
     L, d = blocks.shape
-    rng = np.random.default_rng(seed)
     centroids = np.empty((k, d))
     centroids[0] = blocks[int(rng.integers(L))]
     closest = np.sum((blocks - centroids[0]) ** 2, axis=1)
@@ -137,6 +148,14 @@ def oracle_kmeans(blocks, k, iters, seed):
         idx = int(rng.choice(L, p=closest / total)) if total > 0.0 else int(rng.integers(L))
         centroids[c] = blocks[idx]
         closest = np.minimum(closest, np.sum((blocks - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
+def oracle_kmeans(blocks, k, iters, seed):
+    """The full-pass ++ seeding and the cdist-based Lloyd loop that the
+    screened seeding and the chunked assignment must reproduce bit for bit."""
+    L, d = blocks.shape
+    centroids = oracle_seeding(blocks, k, np.random.default_rng(seed))
 
     prev_assign = None
     for _ in range(iters):
@@ -169,13 +188,29 @@ def residual_latent_blocks(n, d, seed):
     return flatten_blocks(inverse_rectified_sigmoid(residual_init(W, compute_quant_params(W, 3))), d)
 
 
+RESIDUAL_BLOCKS = residual_latent_blocks(128, 8, 0)
+
 ORACLE_CASES = {
     # (blocks, k, iters, seed)
-    "residual-latent": (residual_latent_blocks(128, 8, 0), 256, 3, 0),
+    "residual-latent": (RESIDUAL_BLOCKS, 256, 3, 0),
+    # The seeding's float32 screen must hold far from the origin and at
+    # scales whose squares leave float32's range.
+    "residual-latent-offset": (RESIDUAL_BLOCKS + 1e3, 256, 3, 0),
+    "residual-latent-tiny": (RESIDUAL_BLOCKS * 1e-30, 256, 3, 0),
+    "residual-latent-huge": (RESIDUAL_BLOCKS * 1e30, 256, 3, 0),
+    # Two copies 2e3 apart: about the mean, every block's norm is ~1e3, so
+    # the screen's float32 rounding is as large as the distances within a copy.
+    "residual-latent-split": (
+        RESIDUAL_BLOCKS + np.where(np.arange(len(RESIDUAL_BLOCKS)) % 2 == 0, 1e3, -1e3)[:, None],
+        256, 3, 0),
     "residual-latent-converged": (residual_latent_blocks(64, 8, 1), 64, 100, 1),
     "duplicate-blocks": (np.repeat(np.random.default_rng(2).normal(size=(30, 4)), 7, axis=0), 40, 20, 2),
     "integer-lattice": (np.random.default_rng(3).integers(-2, 3, size=(3000, 3)).astype(float), 60, 15, 3),
     "binary-lattice": (np.random.default_rng(4).integers(0, 2, size=(2000, 8)).astype(float), 300, 10, 4),
+    # Every point of a 32x32 grid three times over: integer distances, so
+    # a new centre is often exactly as near as the old one.
+    "dense-lattice": (np.random.default_rng(5).permutation(
+        np.repeat(np.indices((32, 32)).reshape(2, -1).T.astype(float), 3, axis=0)), 500, 10, 5),
 }
 
 
@@ -292,6 +327,22 @@ class TestPlusPlusSeed:
         blocks = np.random.default_rng(30 + seed).normal(size=(512, 8))
         want, first, us = boundary_seeding(blocks, 24, seed)
         got = _plusplus_seed(blocks, 24, _FixedDraws(first, us))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 8), st.sampled_from([-60, 0, 60]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_full_pass(self, L, d, exp, lattice, seed):
+        # Small block sets at scales 2^-60, 1 and 2^60, off the origin; on
+        # a lattice, with duplicates and tied distances.
+        rng = np.random.default_rng(seed)
+        blocks = rng.normal(size=(L, d)) * 2 + 100 * rng.normal(size=d)
+        if lattice:
+            blocks = np.round(blocks)
+        blocks = np.ldexp(blocks, exp)
+        k = int(rng.integers(1, L + 1))
+        want = oracle_seeding(blocks, k, np.random.default_rng(seed))
+        got = _plusplus_seed(blocks, k, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
     def test_memory_bounded_by_blocks(self):
