@@ -10,12 +10,7 @@ import os
 import numpy as np
 
 from vqround.analysis import inf_norm_comparison, theory_report
-from vqround.hessian import (
-    accumulate_hessian,
-    damped_inverse_factor,
-    hessian_aware_init,
-    residual_init,
-)
+from vqround.hessian import curvature_init, residual_init
 from vqround.optim import FinetuneConfig, optimize_blockwise, soft_quant_forward
 from vqround.quantize import (
     RoundingSpec,
@@ -56,9 +51,7 @@ def main() -> None:
     rtn_err = float(np.linalg.norm((W - w_rtn) @ X))
     print(f"rtn calibration error          : {rtn_err:.3f}")
 
-    factor = damped_inverse_factor(accumulate_hessian(X))
-    init = hessian_aware_init(W, p, factor)
-    gptq_err = float(np.linalg.norm((W - init.w_q) @ X))
+    _, gptq_err = curvature_init(W, X, p)
     print(f"curvature-init calibration err : {gptq_err:.3f}")
 
     latent = inverse_rectified_sigmoid(residual_init(W, p), spec)

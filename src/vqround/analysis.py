@@ -301,10 +301,6 @@ def budgeted_approximations(
                 )
             kr = kronecker_approx(A, *factors)
             out[method] = (params, kr.reconstruct())
-        elif method == "elementwise":
-            if m * n > param_budget:
-                raise BudgetInfeasible(f"elementwise needs {m * n} params")
-            out[method] = (m * n, A.copy())
         else:
             raise BudgetInfeasible(f"unknown method {method!r}")
     return out

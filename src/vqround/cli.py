@@ -13,9 +13,7 @@ import ctypes
 import os
 import sys
 
-import numpy as np
-
-from . import analysis, hessian, tensor_io
+from . import analysis, tensor_io
 from .distill import build_student, e2e_finetune
 from .errors import (
     DomainError,
@@ -25,7 +23,7 @@ from .errors import (
     TensorFormatError,
     TheoremViolation,
 )
-from .hessian import HessianConfig, damped_inverse_factor, hessian_aware_init
+from .hessian import curvature_init
 from .optim import FinetuneConfig, optimize_blockwise
 from .quantize import compute_quant_params, inverse_rectified_sigmoid
 from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_blocks
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--calib", required=True)
     p_init.add_argument("--bits", type=int, default=4)
     p_init.add_argument("--percdamp", type=float, default=0.01)
-    p_init.add_argument("--blocksize", type=int, default=128)
     p_init.add_argument("--out-prefix", required=True)
 
     p_vq = sub.add_parser("vq", help="fit a codebook on a latent matrix")
@@ -144,28 +141,16 @@ def _cfg_from_args(args, **e2e) -> FinetuneConfig:
 
 def cmd_init(args) -> int:
     W = tensor_io.load_tensor(args.weights)
-    X = tensor_io.load_tensor(args.calib)
-    if X.shape[0] != W.shape[1]:
-        raise ShapeMismatch(f"calibration rows {X.shape[0]} != weight cols {W.shape[1]}")
-    cfg = HessianConfig(percdamp=args.percdamp, blocksize=args.blocksize)
-    p = compute_quant_params(W, args.bits)
-    # The float64 Gram serves both the Hessian and recon_err, so the
-    # calibration itself is not needed past this point.
-    G = hessian._gram(X)
-    del X
-    factor = damped_inverse_factor(hessian._hessian_from_gram(G), cfg)
-    result = hessian_aware_init(W, p, factor, cfg)
+    # The calibration goes straight in, so curvature_init can free it
+    # once the Hessian exists.
+    result, err = curvature_init(W, tensor_io.load_tensor(args.calib),
+                                 compute_quant_params(W, args.bits), args.percdamp)
     latent = inverse_rectified_sigmoid(result.h_tilde)
 
     tensor_io.save_tensor(result.w_q, f"{args.out_prefix}_wq.vqt")
     tensor_io.save_tensor(result.base, f"{args.out_prefix}_b.vqt")
     tensor_io.save_tensor(result.h_tilde, f"{args.out_prefix}_h.vqt")
     tensor_io.save_tensor(latent, f"{args.out_prefix}_a.vqt")
-
-    # ||(W - w_q) X||_F in the Gram form sqrt(<E G, E>), which rounding
-    # can push a hair below zero when E X vanishes.
-    E = W.astype(np.float64) - result.w_q
-    err = float(np.sqrt(max(np.sum((E @ G) * E), 0.0)))
     print(f"recon_err={err:.9g}")
     return 0
 
@@ -248,10 +233,6 @@ def _cmd_optimize_e2e(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    # The trace is written after every step has run; a missing directory
-    # must stop the run before then.
-    if args.trace and not os.path.isdir(os.path.dirname(os.path.abspath(args.trace))):
-        raise IoFailure(f"trace directory does not exist: {args.trace}")
     if args.mode == "blockwise":
         return _cmd_optimize_blockwise(args)
     return _cmd_optimize_e2e(args)
@@ -321,6 +302,17 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output that could not be written: a
+    prefix or trace in a missing directory, or a trace that is one."""
+    trace = getattr(args, "trace", None)
+    for path in (getattr(args, "out_prefix", None), getattr(args, "out", None), trace):
+        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise IoFailure(f"output directory does not exist: {path}")
+    if trace and os.path.isdir(trace):
+        raise IoFailure(f"trace path is a directory: {trace}")
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
     parser = build_parser()
@@ -329,6 +321,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except (IoFailure, TensorFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,13 +16,7 @@ import numpy as np
 from scipy.special import log_softmax
 
 from .errors import ArchitectureMismatch, DomainError, ShapeMismatch
-from .hessian import (
-    HessianConfig,
-    accumulate_hessian,
-    damped_inverse_factor,
-    hessian_aware_init,
-    residual_init,
-)
+from .hessian import curvature_init, residual_init
 from .optim import (
     AdamState,
     FinetuneConfig,
@@ -38,7 +32,7 @@ from .quantize import (
     compute_quant_params,
     inverse_rectified_sigmoid,
 )
-from .reparam import Codebook, fit_codebook
+from .reparam import Codebook, flatten_blocks, kmeans_fit
 
 
 @dataclass
@@ -316,15 +310,13 @@ def build_student(
         W = np.asarray(t_layer.weight, dtype=np.float64)
         p = compute_quant_params(W, bits)
         if init == "hessian":
-            factor = damped_inverse_factor(accumulate_hessian(x_l), HessianConfig())
-            h_seed = hessian_aware_init(W, p, factor).h_tilde
+            h_seed = curvature_init(W, x_l, p)[0].h_tilde
             x_l = np.maximum(W @ x_l, 0.0) if li < len(teacher.layers) - 1 else x_l
         else:
             h_seed = residual_init(W, p)
 
-        n_blocks = W.size // d
-        kc = min(k, n_blocks)
-        cb = fit_codebook(inverse_rectified_sigmoid(h_seed, spec), d, kc,
-                          iters=kmeans_iters, seed=seed + li)
+        blocks = flatten_blocks(inverse_rectified_sigmoid(h_seed, spec), d)
+        cb = kmeans_fit(blocks, min(k, len(blocks)), iters=kmeans_iters, seed=seed + li,
+                        shape=W.shape)
         layers.append(Layer(weight=W.copy(), params=p, codebook=cb))
     return TinyNet(layers=layers)

@@ -7,7 +7,8 @@ triangular, then one triangular inverse, ``R^{-1}``. A
 column-sequential quantization sweep (GPTQ's lazy-batch sweep) then
 pushes each column's quantization error into the not-yet-processed
 columns through that factor. The curvature-normalized residual of every
-column seeds the soft rounding matrix.
+column seeds the soft rounding matrix. ``curvature_init`` runs the whole
+chain for one layer.
 """
 
 from __future__ import annotations
@@ -20,24 +21,9 @@ import scipy.linalg.lapack
 from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, OutOfRange, ShapeMismatch
 from .quantize import QuantParams, round_half_away
 
-
-@dataclass
-class HessianConfig:
-    percdamp: float = 0.01
-    blocksize: int = 128
-
-    def __post_init__(self):
-        if not 0 < self.percdamp < np.inf:
-            raise DomainError(f"percdamp must be positive and finite, got {self.percdamp}")
-        if self.blocksize < 1:
-            raise DomainError(f"blocksize must be >= 1, got {self.blocksize}")
-
-
-@dataclass
-class HessianFactor:
-    """Upper Cholesky factor of the damped inverse Hessian."""
-
-    upper: np.ndarray  # (n, n), upper triangular, positive diagonal
+# Columns per block of the sweep. Only speed depends on it; the outputs
+# do not, beyond float accumulation.
+_BLOCKSIZE = 128
 
 
 @dataclass
@@ -47,32 +33,25 @@ class InitResult:
     h_tilde: np.ndarray  # soft rounding seed in [0, 1]
 
 
-def _gram(X) -> np.ndarray:
-    """The float64 Gram matrix ``X X^T`` of checked calibration columns."""
+def _check_percdamp(percdamp: float) -> None:
+    if not 0 < percdamp < np.inf:
+        raise DomainError(f"percdamp must be positive and finite, got {percdamp}")
+
+
+def accumulate_hessian(X) -> np.ndarray:
+    """``2 X X^T`` over checked calibration columns, in float64."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatch(f"expected 2-d calibration, got shape {X.shape}")
     if X.shape[1] < 1:
         raise EmptyCalibration("calibration must contain at least one column")
-    return X @ X.T
-
-
-def _hessian_from_gram(G: np.ndarray) -> np.ndarray:
-    """``2 G`` cast to float32, rejecting entries the cast overflows."""
+    H = X @ X.T
     with np.errstate(over="ignore"):
-        H = (2.0 * G).astype(np.float32)
-    if not np.isfinite(H).all():
-        raise OutOfRange("calibration Hessian 2 X X^T is not finite in float32; "
-                         "calibration values too large")
+        H *= 2.0
     return H
 
 
-def accumulate_hessian(X) -> np.ndarray:
-    """2 X X^T over calibration columns, accumulated in f64, cast to f32."""
-    return _hessian_from_gram(_gram(X))
-
-
-def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> HessianFactor:
+def damped_inverse_factor(Hmat, percdamp: float = 0.01) -> np.ndarray:
     """Upper Cholesky factor of ``(H + damp*I)^{-1}``.
 
     With P the order reversal, the lower Cholesky factor L of
@@ -83,15 +62,16 @@ def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> Hessian
     calibration and raises instead of silently re-damping; so does a
     damping term that overflows.
     """
+    _check_percdamp(percdamp)
     H = np.asarray(Hmat, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
     n = H.shape[0]
-    damp = cfg.percdamp * float(np.mean(np.diag(H)))
+    damp = percdamp * float(np.mean(np.diag(H)))
     if not np.isfinite(damp):
-        raise OutOfRange(f"damping {cfg.percdamp} * mean(diag) is not finite")
+        raise OutOfRange(f"damping {percdamp} * mean(diag) is not finite")
     rev = H[::-1, ::-1].copy()
     rev.flat[:: n + 1] += damp
     # rev is symmetric, so its Fortran-ordered view is the same matrix and
@@ -103,15 +83,38 @@ def damped_inverse_factor(Hmat, cfg: HessianConfig = HessianConfig()) -> Hessian
         raise NotPositiveDefinite(
             "matrix not positive definite after damping; calibration too degenerate"
         )
-    return HessianFactor(upper=np.ascontiguousarray(chol[::-1, ::-1]))
+    return np.ascontiguousarray(chol[::-1, ::-1])
 
 
-def hessian_aware_init(
-    W,
-    p: QuantParams,
-    factor: HessianFactor,
-    cfg: HessianConfig = HessianConfig(),
-) -> InitResult:
+def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitResult, float]:
+    """The whole curvature init of one layer: Hessian, factor, sweep.
+
+    Returns the sweep's result and ``recon_err = ||(W - w_q) X||_F``,
+    taken in the Hessian form ``sqrt(<E H, E> / 2)``. The calibration is
+    released as soon as the Hessian exists, so a caller that passes it
+    without keeping a reference of its own frees it there. The factor
+    is taken from the Hessian rounded to float32, which must be finite.
+    """
+    _check_percdamp(percdamp)
+    if np.shape(X)[:1] != np.shape(W)[1:]:
+        raise ShapeMismatch(f"calibration {np.shape(X)} does not feed weights {np.shape(W)}")
+    H = accumulate_hessian(X)
+    del X
+    with np.errstate(over="ignore"):
+        H32 = H.astype(np.float32)
+    if not np.isfinite(H32).all():
+        raise OutOfRange("calibration Hessian 2 X X^T is not finite in float32; "
+                         "calibration values too large")
+    upper = damped_inverse_factor(H32, percdamp)
+    del H32
+    result = hessian_aware_init(W, p, upper)
+    # Rounding can push <E H, E> a hair below zero when E X vanishes.
+    E = np.asarray(W, dtype=np.float64) - result.w_q
+    err = float(np.sqrt(max(np.sum((E @ H) * E) / 2, 0.0)))
+    return result, err
+
+
+def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     """Column-sequential quantization with error compensation.
 
     Columns are processed left to right in blocks. For each column the
@@ -132,7 +135,7 @@ def hessian_aware_init(
     if Wt.ndim != 2:
         raise ShapeMismatch(f"expected 2-d weights, got shape {np.shape(W)}")
     n, m = Wt.shape
-    U = np.asarray(factor.upper, dtype=np.float64)
+    U = np.asarray(upper, dtype=np.float64)
     if U.shape != (n, n):
         raise ShapeMismatch(f"factor shape {U.shape} does not match {n} columns")
     if p.scale.shape != (m,):
@@ -146,8 +149,8 @@ def hessian_aware_init(
     base = np.empty((n, m))
     h_tilde = np.empty((n, m))
 
-    for i1 in range(0, n, cfg.blocksize):
-        i2 = min(i1 + cfg.blocksize, n)
+    for i1 in range(0, n, _BLOCKSIZE):
+        i2 = min(i1 + _BLOCKSIZE, n)
         W1 = Wt[i1:i2]
         # Row j of U1t holds column j of the block's factor, contiguous.
         U1t = U[i1:i2, i1:i2].T.copy()

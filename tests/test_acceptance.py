@@ -15,12 +15,7 @@ from test_optim import fd_check_blockwise
 
 from vqround.analysis import clipping_check, compare_methods, margins, tail_transfer
 from vqround.distill import build_student, e2e_finetune, random_net
-from vqround.hessian import (
-    accumulate_hessian,
-    damped_inverse_factor,
-    hessian_aware_init,
-    residual_init,
-)
+from vqround.hessian import curvature_init, residual_init
 from vqround.optim import FinetuneConfig, optimize_blockwise, warmup_steps
 from vqround.quantize import (
     RoundingSpec,
@@ -265,8 +260,7 @@ def test_10_curvature_init_beats_rtn_on_median():
         W = rng.normal(size=(64, 64))
         X = rng.normal(size=(64, 256))
         p = compute_quant_params(W, 3)
-        factor = damped_inverse_factor(accumulate_hessian(X))
-        res = hessian_aware_init(W, p, factor)
+        res, _ = curvature_init(W, X, p)
         _, w_rtn = rtn_quantize(W, p)
         h_errs.append(float(np.linalg.norm((W - res.w_q) @ X)))
         r_errs.append(float(np.linalg.norm((W - w_rtn) @ X)))

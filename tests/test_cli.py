@@ -8,7 +8,7 @@ import pytest
 
 from vqround import analysis, cli
 from vqround.cli import main
-from vqround.hessian import accumulate_hessian, damped_inverse_factor, hessian_aware_init
+from vqround.hessian import curvature_init
 from vqround.quantize import QuantParams, compute_quant_params
 from vqround.tensor_io import load_tensor, save_tensor
 
@@ -81,7 +81,7 @@ class TestInit:
         W = load_tensor(w_path).astype(np.float64)
         X = load_tensor(x_path).astype(np.float64)
         p = compute_quant_params(W, 4)
-        w_q = hessian_aware_init(W, p, damped_inverse_factor(accumulate_hessian(X))).w_q
+        w_q = curvature_init(W, X, p)[0].w_q
         printed = float(capsys.readouterr().out.strip().split("=")[1])
         assert printed == pytest.approx(np.linalg.norm((W - w_q) @ X), rel=1e-8)
 
@@ -94,7 +94,7 @@ class TestInit:
         assert code == 4
         assert "not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--percdamp", "--blocksize"])
+    @pytest.mark.parametrize("flag", ["--percdamp"])
     def test_nonpositive_hessian_setting_exits_4(self, tmp_path, layer_files, flag):
         w_path, x_path = layer_files
         code, _ = run_init(tmp_path, w_path, x_path, flag, "0")
@@ -118,6 +118,17 @@ class TestInit:
         ])
         assert code == 3
 
+    def test_out_prefix_in_missing_directory_exits_2_before_running(self, tmp_path, layer_files,
+                                                                    monkeypatch):
+        def load_tensor(path):
+            raise AssertionError("init read its inputs before checking the output prefix")
+
+        monkeypatch.setattr(cli.tensor_io, "load_tensor", load_tensor)
+        w_path, x_path = layer_files
+        code = main(["init", "--weights", w_path, "--calib", x_path,
+                     "--out-prefix", str(tmp_path / "missing" / "init")])
+        assert code == 2
+
 
 class TestVq:
     def test_exact_codebook_zero_wcss(self, tmp_path, capsys):
@@ -133,6 +144,17 @@ class TestVq:
         assert float(line.split("=")[1]) == pytest.approx(0.0, abs=1e-10)
         assert (tmp_path / "cb.centroids.vqt").exists()
         assert (tmp_path / "cb.indices.u32").exists()
+
+    def test_out_in_missing_directory_exits_2_before_running(self, tmp_path, monkeypatch):
+        def fit_codebook(*args, **kwargs):
+            raise AssertionError("k-means ran before checking the output prefix")
+
+        monkeypatch.setattr(cli, "fit_codebook", fit_codebook)
+        a_path = tmp_path / "a.vqt"
+        save_tensor(np.zeros((4, 8)), a_path)
+        code = main(["vq", "--latent", str(a_path), "--k", "2", "--d", "4",
+                     "--out", str(tmp_path / "missing" / "cb")])
+        assert code == 2
 
     def test_indivisible_dimension_exits_3(self, tmp_path):
         a_path = tmp_path / "a.vqt"
@@ -329,6 +351,36 @@ class TestOptimize:
                      "--trace", str(tmp_path / "missing" / "t.csv")])
         assert code == 2
         assert not (tmp_path / "e2e_layer0.centroids.vqt").exists()
+
+    def test_blockwise_out_in_missing_directory_exits_2_before_running(self, tmp_path,
+                                                                       monkeypatch):
+        def optimize_blockwise(*args, **kwargs):
+            raise AssertionError("blockwise mode ran before checking the output prefix")
+
+        w_path, x_path, cb_prefix = self._prepare(tmp_path)
+        monkeypatch.setattr(cli, "optimize_blockwise", optimize_blockwise)
+        code = main(["optimize", "--mode", "blockwise", "--weights", w_path,
+                     "--calib", x_path, "--bits", "4", "--codebook", cb_prefix,
+                     "--steps", "20", "--out", str(tmp_path / "missing" / "opt")])
+        assert code == 2
+
+    def test_trace_naming_a_directory_exits_2_before_running(self, tmp_path):
+        (tmp_path / "t").mkdir()
+        assert self._blockwise(tmp_path, "--trace", str(tmp_path / "t")) == 2
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+        assert not (tmp_path / "opt.indices.u32").exists()
+
+    @pytest.mark.parametrize("d", ["0", "-4"])
+    def test_e2e_non_positive_block_length_exits_4(self, tmp_path, d):
+        rng = np.random.default_rng(12)
+        l0, l1, x_path = tmp_path / "l0.vqt", tmp_path / "l1.vqt", tmp_path / "x.vqt"
+        save_tensor(rng.normal(size=(16, 16)), l0)
+        save_tensor(rng.normal(size=(8, 16)), l1)
+        save_tensor(rng.normal(size=(16, 4)), x_path)
+        code = main(["optimize", "--mode", "e2e", "--layers", str(l0), str(l1),
+                     "--calib", str(x_path), "--k", "4", "--d", d, "--steps", "2",
+                     "--out", str(tmp_path / "e2e")])
+        assert code == 4
 
     def test_unknown_mode_exits_1(self, tmp_path):
         code = main(["optimize", "--mode", "sideways", "--calib", "x", "--out", "o"])

@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from vqround import errors
+from vqround import errors, hessian
 from vqround.hessian import (
-    HessianConfig,
-    HessianFactor,
     accumulate_hessian,
+    curvature_init,
     damped_inverse_factor,
     hessian_aware_init,
     residual_init,
@@ -58,48 +58,35 @@ class TestAccumulateHessian:
 
     def test_symmetric_psd(self):
         H = accumulate_hessian(np.random.default_rng(1).normal(size=(6, 30)))
-        assert np.allclose(H, H.T)
-        assert np.all(np.linalg.eigvalsh(H.astype(np.float64)) > -1e-4)
-
-    def test_overflowing_float32_raises_domain_error(self):
-        # 2 X X^T is finite in float64 but overflows the float32 cast.
-        X = 1e20 * np.random.default_rng(2).normal(size=(8, 16))
-        with pytest.raises(errors.DomainError):
-            accumulate_hessian(X)
-
-
-class TestHessianConfig:
-    @pytest.mark.parametrize("percdamp", [np.nan, np.inf])
-    def test_non_finite_percdamp_raises(self, percdamp):
-        with pytest.raises(errors.DomainError):
-            HessianConfig(percdamp=percdamp)
+        assert H.dtype == np.float64
+        assert np.array_equal(H, H.T)
+        assert np.all(np.linalg.eigvalsh(H) > -1e-4)
 
 
 class TestDampedInverseFactor:
     def test_identity_small_damp(self):
-        f = damped_inverse_factor(np.eye(3), HessianConfig(percdamp=1e-9))
-        assert np.allclose(f.upper, np.eye(3), atol=1e-6)
+        f = damped_inverse_factor(np.eye(3), percdamp=1e-9)
+        assert np.allclose(f, np.eye(3), atol=1e-6)
 
     def test_scalar_case(self):
         # diag(4), damp = 0.01 * 4: factor = sqrt(1 / 4.04) ~ 0.49752
-        f = damped_inverse_factor(np.array([[4.0]]), HessianConfig(percdamp=0.01))
-        assert f.upper[0, 0] == pytest.approx(math.sqrt(1.0 / 4.04), rel=1e-9)
-        assert f.upper[0, 0] == pytest.approx(0.49752, abs=1e-5)
+        f = damped_inverse_factor(np.array([[4.0]]), percdamp=0.01)
+        assert f[0, 0] == pytest.approx(math.sqrt(1.0 / 4.04), rel=1e-9)
+        assert f[0, 0] == pytest.approx(0.49752, abs=1e-5)
 
     def test_multiply_back_identity(self):
         H = random_spd(8, seed=2)
-        cfg = HessianConfig(percdamp=0.01)
-        f = damped_inverse_factor(H, cfg)
-        damp = cfg.percdamp * np.mean(np.diag(H))
+        f = damped_inverse_factor(H, percdamp=0.01)
+        damp = 0.01 * np.mean(np.diag(H))
         target = np.linalg.inv(H + damp * np.eye(8))
-        rebuilt = f.upper.T @ f.upper
+        rebuilt = f.T @ f
         rel = np.linalg.norm(rebuilt - target) / np.linalg.norm(target)
         assert rel < 1e-4
 
     def test_upper_triangular_positive_diagonal(self):
         f = damped_inverse_factor(random_spd(5, seed=3))
-        assert np.allclose(f.upper, np.triu(f.upper))
-        assert np.all(np.diag(f.upper) > 0)
+        assert np.allclose(f, np.triu(f))
+        assert np.all(np.diag(f) > 0)
 
     def test_not_positive_definite(self):
         with pytest.raises(errors.NotPositiveDefinite):
@@ -127,7 +114,75 @@ class TestDampedInverseFactor:
         # 1e308 * mean(diag) overflows to inf; LAPACK would factor the
         # infinite diagonal without complaint.
         with pytest.raises(errors.DomainError, match="not finite"):
-            damped_inverse_factor(random_spd(4, seed=14), HessianConfig(percdamp=1e308))
+            damped_inverse_factor(random_spd(4, seed=14), percdamp=1e308)
+
+    @pytest.mark.parametrize("percdamp", [0.0, -0.01, np.nan, np.inf])
+    def test_percdamp_outside_positive_finite_raises(self, percdamp):
+        with pytest.raises(errors.DomainError, match="percdamp"):
+            damped_inverse_factor(random_spd(4, seed=15), percdamp=percdamp)
+
+
+def layer(m, n, N, seed, bits=3):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(m, n))
+    return W, rng.normal(size=(n, N)), compute_quant_params(W, bits)
+
+
+class TestCurvatureInit:
+    @pytest.mark.parametrize("m, n, N", [(16, 40, 64), (12, 130, 90)])
+    def test_equals_stages_composed_by_hand(self, m, n, N):
+        W, X, p = layer(m, n, N, seed=n)
+        got, err = curvature_init(W, X, p, percdamp=0.02)
+        G = X @ X.T
+        want = hessian_aware_init(W, p, damped_inverse_factor((2.0 * G).astype(np.float32), 0.02))
+        for name in ("w_q", "base", "h_tilde"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # The Gram form of ||E X||_F: doubling G and halving the sum are exact.
+        E = W - want.w_q
+        assert err == float(np.sqrt(max(np.sum((E @ G) * E), 0.0)))
+        assert err == pytest.approx(np.linalg.norm(E @ X), rel=1e-8)
+
+    def test_overflowing_float32_raises_domain_error(self):
+        # 2 X X^T is finite in float64 but overflows the float32 cast.
+        W, X, p = layer(4, 8, 16, seed=2)
+        with pytest.raises(errors.DomainError, match="float32"):
+            curvature_init(W, 1e20 * X, p)
+
+    @pytest.mark.parametrize("percdamp", [np.nan, np.inf])
+    def test_non_finite_percdamp_raises_before_the_hessian(self, monkeypatch, percdamp):
+        def accumulate(X):
+            raise AssertionError("the Hessian was formed before percdamp was checked")
+
+        monkeypatch.setattr(hessian, "accumulate_hessian", accumulate)
+        W, X, p = layer(4, 8, 16, seed=3)
+        with pytest.raises(errors.DomainError, match="percdamp"):
+            curvature_init(W, X, p, percdamp=percdamp)
+
+    def test_calibration_rows_must_match_weight_columns(self):
+        W, X, p = layer(4, 8, 16, seed=4)
+        with pytest.raises(errors.ShapeMismatch):
+            curvature_init(W, X[:5], p)
+
+    def test_calibration_is_not_held_past_the_hessian(self, monkeypatch):
+        # A 12.8 MB calibration against a 32x32 Hessian: once the Hessian
+        # exists, nothing the sweep starts with comes near the calibration.
+        W, _, p = layer(8, 32, 1, seed=5)
+        N = 50_000
+        in_use = []
+        sweep = hessian.hessian_aware_init
+
+        def traced_sweep(*args):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return sweep(*args)
+
+        monkeypatch.setattr(hessian, "hessian_aware_init", traced_sweep)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curvature_init(W, np.random.default_rng(6).normal(size=(32, N)), p)
+        finally:
+            tracemalloc.stop()
+        assert in_use[0] - before < 32 * N * 8 / 10
 
 
 class TestHessianAwareInit:
@@ -135,7 +190,7 @@ class TestHessianAwareInit:
         rng = np.random.default_rng(4)
         W = rng.normal(size=(5, 1))
         p = compute_quant_params(W, 4)
-        res = hessian_aware_init(W, p, HessianFactor(upper=np.eye(1)))
+        res = hessian_aware_init(W, p, np.eye(1))
         _, w_rtn = rtn_quantize(W, p)
         assert np.allclose(res.w_q, w_rtn)
         # Hardening the seed reproduces the same rounding decisions.
@@ -150,31 +205,29 @@ class TestHessianAwareInit:
         from vqround.quantize import QuantParams
 
         p = QuantParams(bits=3, scale=p_scale, zero=np.array([0, 0]))
-        res = hessian_aware_init(W, p, HessianFactor(upper=np.eye(3)))
+        res = hessian_aware_init(W, p, np.eye(3))
         assert np.allclose(res.w_q, W)
         assert np.allclose(res.h_tilde, 0.0)
         assert np.array_equal(res.base, np.floor(W / p_scale[:, None]))
 
     @pytest.mark.parametrize("pair", [(2, 4), (1, 4), (3, 4)])
-    def test_blocksize_invariance(self, pair):
+    def test_blocksize_invariance(self, monkeypatch, pair):
         rng = np.random.default_rng(5)
         W = rng.normal(size=(4, 4))
         p = compute_quant_params(W, 4)
         factor = damped_inverse_factor(random_spd(4, seed=6))
-        a = hessian_aware_init(W, p, factor, HessianConfig(blocksize=pair[0]))
-        b = hessian_aware_init(W, p, factor, HessianConfig(blocksize=pair[1]))
+        a, b = (sweep_with_blocksize(monkeypatch, size, W, p, factor) for size in pair)
         assert np.allclose(a.w_q, b.w_q, atol=1e-5)
         assert np.allclose(a.base, b.base, atol=1e-5)
         assert np.allclose(a.h_tilde, b.h_tilde, atol=1e-5)
 
-    def test_blocksize_invariance_wide(self):
+    def test_blocksize_invariance_wide(self, monkeypatch):
         rng = np.random.default_rng(7)
         W = rng.normal(size=(8, 33))
         X = rng.normal(size=(33, 64))
         p = compute_quant_params(W, 4)
         factor = damped_inverse_factor(accumulate_hessian(X))
-        a = hessian_aware_init(W, p, factor, HessianConfig(blocksize=7))
-        b = hessian_aware_init(W, p, factor, HessianConfig(blocksize=33))
+        a, b = (sweep_with_blocksize(monkeypatch, size, W, p, factor) for size in (7, 33))
         assert np.allclose(a.w_q, b.w_q, atol=1e-5)
         assert np.allclose(a.h_tilde, b.h_tilde, atol=1e-5)
 
@@ -191,7 +244,12 @@ class TestHessianAwareInit:
         W = np.zeros((2, 3))
         p = compute_quant_params(W, 4)
         with pytest.raises(errors.ShapeMismatch):
-            hessian_aware_init(W, p, HessianFactor(upper=np.eye(2)))
+            hessian_aware_init(W, p, np.eye(2))
+
+
+def sweep_with_blocksize(monkeypatch, blocksize, W, p, upper):
+    monkeypatch.setattr(hessian, "_BLOCKSIZE", blocksize)
+    return hessian_aware_init(W, p, upper)
 
 
 def oracle_factor(H, percdamp):
@@ -259,22 +317,21 @@ class TestSweepOracle:
     def test_factor_matches_refactored_inverse(self, case):
         _, _, H = sweep_inputs(case, 3)
         want = oracle_factor(H, 0.01)
-        got = damped_inverse_factor(H, HessianConfig(percdamp=0.01)).upper
+        got = damped_inverse_factor(H, percdamp=0.01)
         assert np.array_equal(got, np.triu(got))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("blocksize", [1, 7, 128])
     @pytest.mark.parametrize("bits", [3, 4, 8])
     @pytest.mark.parametrize("case", ["wide-rank-deficient", "tall-full-rank"])
-    def test_outputs_equal_oracle(self, case, bits, blocksize):
+    def test_outputs_equal_oracle(self, monkeypatch, case, bits, blocksize):
         # Both sides take their own factor. The compensated weights agree
         # to rounding, and with every d < 1 no rounding reaches the outputs.
         W, p, H = sweep_inputs(case, bits)
-        cfg = HessianConfig(blocksize=blocksize)
-        factor = damped_inverse_factor(H, cfg)
-        assert np.all(np.diag(factor.upper) < 1.0)
-        want = oracle_sweep(W, p, oracle_factor(H, cfg.percdamp), blocksize)
-        got = hessian_aware_init(W, p, factor, cfg)
+        factor = damped_inverse_factor(H)
+        assert np.all(np.diag(factor) < 1.0)
+        want = oracle_sweep(W, p, oracle_factor(H, 0.01), blocksize)
+        got = sweep_with_blocksize(monkeypatch, blocksize, W, p, factor)
         assert np.array_equal(got.w_q, want[0])
         assert np.array_equal(got.base, want[1])
         assert np.array_equal(got.h_tilde, want[2])
@@ -282,12 +339,10 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("blocksize", [1, 7, 128])
     @pytest.mark.parametrize("bits", [3, 8])
-    def test_soft_seed_within_rounding_of_oracle(self, bits, blocksize):
+    def test_soft_seed_within_rounding_of_oracle(self, monkeypatch, bits, blocksize):
         W, p, H = sweep_inputs("soft-seed", bits)
-        cfg = HessianConfig(blocksize=blocksize)
-        factor = damped_inverse_factor(H, cfg)
-        w_q, base, h_tilde = oracle_sweep(W, p, oracle_factor(H, cfg.percdamp), blocksize)
-        got = hessian_aware_init(W, p, factor, cfg)
+        w_q, base, h_tilde = oracle_sweep(W, p, oracle_factor(H, 0.01), blocksize)
+        got = sweep_with_blocksize(monkeypatch, blocksize, W, p, damped_inverse_factor(H))
         live = (h_tilde > 0.0) & (h_tilde < 1.0)
         assert live.mean() > 0.1
         assert np.array_equal(got.w_q, w_q)
@@ -318,7 +373,7 @@ class TestResidualInit:
         rng = np.random.default_rng(10)
         W = rng.normal(size=(4, 1))
         p = compute_quant_params(W, 4)
-        res = hessian_aware_init(W, p, HessianFactor(upper=np.eye(1)))
+        res = hessian_aware_init(W, p, np.eye(1))
         # With d = 1 and one column: seed = clip(resid - (w - q)/s, 0, 1),
         # which hardens to the same decisions as the plain residual.
         plain = residual_init(W, p)

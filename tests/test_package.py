@@ -51,7 +51,7 @@ def test_every_config_field_has_a_reader():
              for path in sorted(PACKAGE_DIR.glob("*.py"))]
     fields = set().union(*(_config_fields(tree) for tree in trees))
     reads = set().union(*(_attribute_reads(tree) for tree in trees))
-    assert {"FinetuneConfig", "HessianConfig"} <= {cls for cls, _ in fields}
+    assert "FinetuneConfig" in {cls for cls, _ in fields}
     assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []
 
 
@@ -75,3 +75,18 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    # The front end goes through each module's public functions, which
+    # are the ones the benchmark's tracer can see.
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in relative if node.module is None
+               for alias in node.names}
+    found = [f"{node.module}.{alias.name}" for node in relative if node.module
+             for alias in node.names if alias.name.startswith("_")]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []
