@@ -95,10 +95,11 @@ def vq_assign(blocks, centroids) -> np.ndarray:
     return _nearest(blocks, centroids)[0]
 
 
-# Rows per chunk of the nearest-centroid search: the chunk's distance
-# block holds _CHUNK * k floats (8 MB at k = 4096) whatever the number
-# of blocks L.
-_CHUNK = 256
+# Float32 scores per chunk of the nearest-centroid search (4 MB whatever
+# the number of blocks L) and the most rows a chunk takes; 256 rows at
+# k = 4096.
+_CHUNK_SCORES = 2**20
+_CHUNK_ROWS = 512
 
 
 def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,36 +107,57 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
 
     Both equal what ``argmin`` and ``min`` over ``cdist(blocks,
     centroids, "sqeuclidean")`` give, bit for bit. Each row chunk ranks
-    the centroids by ``|c|^2 - 2 x.c`` in one GEMM. That form rounds
-    differently from cdist, so a row whose runner-up lies within the
-    rounding bound of both forms, ``4 (d+2) eps (|x| + max|c|)^2``, is
-    re-ranked with cdist itself; ties therefore still go to the lowest
-    index. The distance is summed column by column, in cdist's order.
+    the centroids by ``|c|^2 - 2 x.c`` in one float32 GEMM, on the chunk
+    and the centroids centred on the blocks' mean and scaled by 2^-e, so
+    that every centred norm is at most 1 and no input scale leaves
+    float32's range. In eps32 units of scaled squares a score errs by at
+    most ``(d + 4) / 2 (|x| + max|c|)^2``: (d + 1) / 2 for the GEMM's d + 1
+    terms and 3/2 for rounding x, c and ``|c|^2`` to float32. Two scores plus
+    cdist's float64 rounding and the gap's own stay under ``(d + 5)``
+    such units; the slack doubles that and adds the subnormal terms
+    ``d 2^-145`` of float32 and ``d 2^-1074`` (unscaled) of cdist. A row
+    whose runner-up lies within the slack is re-ranked by cdist itself,
+    so ties still go to the lowest index; on any other row the float32
+    winner is cdist's strict minimum. The distance is summed column by
+    column, in cdist's order. Extra memory is O(_CHUNK_SCORES), plus the
+    two length-L results.
     """
     L, d = blocks.shape
     k = centroids.shape[0]
-    sq_norms = np.sum(centroids**2, axis=1)
+    if L == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    mean = np.einsum("ij->j", blocks) / L
+    reach = max(blocks.max() - mean.min(), mean.max() - blocks.min())
+    centred = centroids - mean
+    e = int(np.frexp(np.sqrt(d) * max(reach, np.abs(centred).max()))[1])
+    scaled_c = np.ldexp(centred, -e).astype(np.float32)
+    sq_norms = np.einsum("ij,ij->i", scaled_c, scaled_c, dtype=np.float64)
     # [x, 1] @ weights == |c|^2 - 2 x.c; the |x|^2 all centroids share is left out.
-    weights = np.vstack([-2.0 * centroids.T, sq_norms])
+    weights = np.vstack([-2.0 * scaled_c.T, sq_norms.astype(np.float32)])
     c_max = np.sqrt(sq_norms.max())
-    tol = 4.0 * (d + 2) * np.finfo(np.float64).eps
-    chunk = max(1, min(_CHUNK, L))
-    aug = np.ones((chunk, d + 1))
-    scores = np.empty((chunk, k))
+    tol = 2 * (d + 5) * float(np.finfo(np.float32).eps)
+    floor = d * 2.0**-145 + np.ldexp(float(d), min(-2 * e - 1074, 3))
+    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // k, L))
+    x = np.empty((chunk, d))
+    aug = np.ones((chunk, d + 1), dtype=np.float32)
+    scores = np.empty((chunk, k), dtype=np.float32)
     assign = np.empty(L, dtype=np.int64)
     own = np.empty(L)
     for start in range(0, L, chunk):
         b = blocks[start:start + chunk]
         n = b.shape[0]
-        aug[:n, :d] = b
+        xs = np.ldexp(np.subtract(b, mean, out=x[:n]), -e, out=x[:n])
+        aug[:n, :d] = xs
         G = scores[:n]
         np.matmul(aug[:n], weights, out=G)
         at = np.arange(n)
         a = np.argmin(G, axis=1)
         best = G[at, a]
         G[at, a] = np.inf
-        slack = tol * (np.sqrt(np.sum(b**2, axis=1)) + c_max) ** 2
-        near = np.flatnonzero(np.min(G, axis=1) - best <= slack)
+        # A second argmin reads short rows faster than min does.
+        second = G[at, np.argmin(G, axis=1)]
+        slack = tol * (np.sqrt(np.einsum("ij,ij->i", xs, xs)) + c_max) ** 2 + floor
+        near = np.flatnonzero(second - best <= slack)
         if near.size:
             a[near] = np.argmin(cdist(b[near], centroids, "sqeuclidean"), axis=1)
         c = centroids[a]
@@ -155,15 +177,13 @@ def wcss(blocks, centroids, indices) -> float:
     return float(np.sum(diffs * diffs))
 
 
-def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator,
-                   cum: np.ndarray) -> int:
-    """The index ``rng.choice(len(weights), p=weights / total)`` draws.
+def _weighted_draw(weights: np.ndarray, total: float, u: float, cum: np.ndarray) -> int:
+    """The index ``rng.choice(len(weights), p=weights / total)`` draws when
+    its ``rng.random()`` gives ``u``.
 
-    It is the same arithmetic and the same single ``rng.random()``
-    draw, so the generator ends in the same state. ``rng.choice``
-    returns the first i with ``cum[i] / cum[-1] > u``, where ``cum`` is
-    the running sum of ``p``. It first checks ``p`` in several O(L)
-    passes and divides all of ``cum`` by ``cum[-1]``; both are skipped
+    ``rng.choice`` returns the first i with ``cum[i] / cum[-1] > u``, where
+    ``cum`` is the running sum of ``p``. It first checks ``p`` in several
+    O(L) passes and divides all of ``cum`` by ``cum[-1]``; both are skipped
     here. ``searchsorted`` on ``u * cum[-1]`` finds the index or one next
     to it, since ``u * cum[-1]`` rounds apart from the quotients; the test
     is monotone in i, so a local fix-up moves to the first i that passes.
@@ -171,15 +191,78 @@ def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator,
     be finite with a positive ``total``.
     """
     np.divide(weights, total, out=cum)
-    np.cumsum(cum, out=cum)
+    cum.cumsum(out=cum)
     last = cum[-1]
-    u = rng.random()
-    i = min(int(np.searchsorted(cum, u * last, side="right")), cum.size - 1)
+    i = min(int(cum.searchsorted(u * last, "right")), cum.size - 1)
     while i > 0 and cum[i - 1] / last > u:
         i -= 1
     while not cum[i] / last > u:
         i += 1
     return i
+
+
+# Weights per chunk of the seeding draw's locator, and the shortest weight
+# vector it runs on: below 4 chunks its fixed ~15 us cost is more than the
+# single running sum takes (measured with 1 BLAS thread on x86_64).
+_DRAW_CHUNK = 256
+_DRAW_MIN = 4 * _DRAW_CHUNK
+
+
+def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray) -> int:
+    """The ++ seeding's draw: ``rng.choice(L, p=weights / weights.sum())``,
+    or ``rng.integers(L)`` when every weight is 0, index and generator
+    state alike. The weights must be finite and non-negative, with a
+    finite sum; ``cum`` is a scratch buffer of their length.
+
+    From ``_DRAW_MIN`` weights on, choice's index is located without its
+    O(L) quotient and running sum: chunk sums of ``_DRAW_CHUNK`` weights
+    (one vectorised reduction), their running sum, then one running sum
+    inside the chunk where ``u`` falls. That gives prefix sums ``P_i`` and
+    a total ``P`` that differ from the exact ``S_i`` and ``S`` by at most
+    ``(2C + n) eps`` and ``(C + n) eps`` relative, for C weights per chunk,
+    n chunks and eps = 2^-53 (any order of summing m non-negative terms
+    errs by at most ``(m-1) eps`` relative).
+
+    Choice's ``x_i = cum[i] / cum[-1]`` sits near ``r_i = S_i / S``: the
+    quotients ``w_j / total`` err by ``eps`` relative plus 2^-1075 where
+    they are subnormal, the sequential sum of non-negative terms by ``i
+    eps``, its last entry by ``L eps`` and the division by ``eps``. So
+    ``|x_i - r_i| <= (2L + 2) eps r_i + (L + 1) 2^-1074`` to first order,
+    as ``total`` is itself a sum of the weights. Adding both sides and the
+    few roundings of the test below gives ``(2L + 3C + 2n + 6) eps``; the
+    relative slack ``4 (L + C + n + 8) eps`` and absolute slack ``2 (L +
+    4) 2^-1074`` more than cover it. The located i is returned only when
+    the slack settles both neighbours: ``x_{i-1} <= u < x_i`` for every
+    rounding within the bound. Otherwise, with a chance of about ``8 (L +
+    C + n) eps`` per draw (3e-11 at L = 32768) and whenever ``u`` sits on
+    a boundary, it falls back to the exact :func:`_weighted_draw` with the
+    same ``u``, the only case that needs the total ``weights.sum()``.
+    """
+    L = weights.size
+    if L < _DRAW_MIN:
+        total = weights.sum()
+        if not total > 0.0:
+            return int(rng.integers(L))
+        return _weighted_draw(weights, total, rng.random(), cum)
+    run = np.add.reduceat(weights, np.arange(0, L, _DRAW_CHUNK))
+    run.cumsum(out=run)
+    whole = float(run[-1])
+    if not whole > 0.0:
+        return int(rng.integers(L))
+    u = rng.random()
+    target = u * whole
+    b = min(int(run.searchsorted(target, "right")), run.size - 1)
+    before = float(run[b - 1]) if b else 0.0
+    lo = b * _DRAW_CHUNK
+    part = weights[lo:lo + _DRAW_CHUNK].cumsum()
+    part += before
+    j = min(int(part.searchsorted(target, "right")), part.size - 1)
+    below = float(part[j - 1]) if j else before
+    rel = 4.0 * (L + _DRAW_CHUNK + run.size + 8) * 2.0**-53
+    tiny = 2.0 * (L + 4) * 2.0**-1074
+    if below / whole * (1.0 + rel) + tiny <= u and float(part[j]) / whole * (1.0 - rel) - tiny > u:
+        return lo + j
+    return _weighted_draw(weights, weights.sum(), u, cum)
 
 
 def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,8 +280,11 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     ``closest + slack`` to float32 (above 5 every block passes): 2d + 10 in
     all. Float64 adds far less, bar ``d 2^-1074`` unscaled where subnormal
     squares round (capped at 8d). The slack, 8 (d + 4) plus that term,
-    covers both, so no block the screen drops is nearer than ``closest``. A
-    step costs the draw's three O(L) passes, a GEMV and three more.
+    covers both, so no block the screen drops is nearer than ``closest``.
+    The draw is :func:`_seeding_draw`, whose only O(L) pass from
+    ``_DRAW_MIN`` blocks on is one chunked sum of ``closest``. A step costs
+    that pass, the GEMV and three float32 passes, plus O(d) per block
+    measured again.
     """
     L, d = blocks.shape
     centroids = np.empty((k, d))
@@ -215,12 +301,7 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     cum = np.empty(L)
     score = np.empty(L, dtype=np.float32)
     for c in range(1, k):
-        total = closest.sum()
-        if total > 0.0:
-            idx = _weighted_draw(closest, total, rng, cum)
-        else:
-            # All remaining blocks coincide with chosen centroids.
-            idx = int(rng.integers(L))
+        idx = _seeding_draw(closest, rng, cum)
         centre = centroids[c] = blocks[idx]
         np.matmul(-2.0 * scaled_t[:, idx], scaled_t, out=score)
         np.add(score, sq_norms, out=score)
@@ -263,12 +344,13 @@ def kmeans_fit(
         raise DomainError(f"iters must be >= 1, got {iters}")
     if not np.isfinite(blocks).all():
         raise DomainError("blocks must be finite")
-    # Squared distances, and the assignment's |c|^2 - 2 x.c, stay below
-    # 4 max |x|^2; the factor 8 leaves room for rounding.
-    max_sq = np.max(np.einsum("ij,ij->i", blocks, blocks))
-    if not np.isfinite(8.0 * max_sq):
-        raise OutOfRange(f"blocks too large: a squared norm of {max_sq:.3g} overflows "
-                         "the k-means distances")
+    # Every squared distance stays below 4 max |x|^2, so the seeding's sum
+    # of L of them stays below 4 L max |x|^2; the factor 8 leaves room for
+    # rounding.
+    max_sq = float(np.max(np.einsum("ij,ij->i", blocks, blocks)))
+    if not np.isfinite(8.0 * L * max_sq):
+        raise OutOfRange(f"blocks too large: {L} squared norms of up to {max_sq:.3g} "
+                         "overflow the k-means distance sum")
 
     rng = np.random.default_rng(seed)
     centroids = _plusplus_seed(blocks, k, rng)

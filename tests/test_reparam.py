@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from vqround import errors
+from vqround import errors, reparam
 from vqround.hessian import residual_init
 from vqround.quantize import compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import (
+    _DRAW_CHUNK,
+    _DRAW_MIN,
     Codebook,
     _nearest,
     _plusplus_seed,
+    _seeding_draw,
     _weighted_draw,
     balanced_factors,
     fit_codebook,
@@ -127,6 +130,14 @@ class TestKmeans:
         with pytest.raises(errors.DomainError, match="too large"):
             kmeans_fit(blocks, k=4)
 
+    def test_rejects_overflowing_distance_sum(self):
+        # Each squared distance is finite but their sum over the 2000 blocks
+        # is not; the seeding's draw used to fail on it with an IndexError.
+        blocks = np.random.default_rng(0).normal(size=(2000, 4)) * 3e152
+        assert np.isfinite(8.0 * np.max(np.sum(blocks**2, axis=1)))
+        with pytest.raises(errors.OutOfRange, match="too large"):
+            kmeans_fit(blocks, k=8)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         blocks = rng.normal(size=(30, 3))
@@ -204,6 +215,8 @@ ORACLE_CASES = {
         RESIDUAL_BLOCKS + np.where(np.arange(len(RESIDUAL_BLOCKS)) % 2 == 0, 1e3, -1e3)[:, None],
         256, 3, 0),
     "residual-latent-converged": (residual_latent_blocks(64, 8, 1), 64, 100, 1),
+    # 16 row chunks of the assignment and 32 of the seeding draw's locator.
+    "residual-latent-256-k1024": (residual_latent_blocks(256, 8, 6), 1024, 2, 6),
     "duplicate-blocks": (np.repeat(np.random.default_rng(2).normal(size=(30, 4)), 7, axis=0), 40, 20, 2),
     "integer-lattice": (np.random.default_rng(3).integers(-2, 3, size=(3000, 3)).astype(float), 60, 15, 3),
     "binary-lattice": (np.random.default_rng(4).integers(0, 2, size=(2000, 8)).astype(float), 300, 10, 4),
@@ -262,7 +275,7 @@ class TestWeightedDraw:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         cum = np.empty(w.size)
         for _ in range(3):
-            assert _weighted_draw(w, w.sum(), ours, cum) == theirs.choice(w.size, p=w / w.sum())
+            assert _weighted_draw(w, w.sum(), ours.random(), cum) == theirs.choice(w.size, p=w / w.sum())
         assert ours.random() == theirs.random()
 
     def test_fix_up_at_rounding_boundaries(self):
@@ -278,9 +291,73 @@ class TestWeightedDraw:
         for q in cdf[:-1]:
             for u in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)):
                 want = int(np.searchsorted(cdf, u, side="right"))
-                assert _weighted_draw(w, total, _FixedUniform(u), np.empty(w.size)) == want
+                assert _weighted_draw(w, total, u, np.empty(w.size)) == want
                 off_by_one += int(np.searchsorted(cum, u * cum[-1], side="right")) != want
         assert off_by_one > 0
+
+
+# Lengths below, at and above the shortest the draw's locator runs on, most
+# not a multiple of its chunk.
+DRAW_LENGTHS = [1, 37, _DRAW_MIN - 1, _DRAW_MIN, _DRAW_MIN + 1, 2 * _DRAW_MIN + _DRAW_CHUNK // 2 + 3]
+
+
+@st.composite
+def seeding_weights(draw):
+    """Weights of a seeding draw: exact zeros, subnormals and magnitudes
+    from 1e-300 to 1e300 mixed at random, a single nonzero weight, or all
+    zeros."""
+    L = draw(st.sampled_from(DRAW_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "uniform", "one", "zeros"]))
+    if kind == "mixed":
+        share = rng.dirichlet(np.ones(4))
+        pick = rng.choice(4, size=L, p=share)
+        return np.choose(pick, [np.zeros(L), rng.uniform(5e-324, 2.2e-308, L),
+                                10.0 ** rng.uniform(-300, 300, L), rng.random(L)])
+    if kind == "uniform":
+        return rng.random(L) * (rng.random(L) < rng.random())
+    w = np.zeros(L)
+    if kind == "one":
+        w[rng.integers(L)] = 10.0 ** rng.uniform(-323, 300)
+    return w
+
+
+class TestSeedingDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(seeding_weights(), st.integers(0, 2**32 - 1))
+    def test_matches_rng_choice(self, w, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        cum = np.empty(w.size)
+        for _ in range(3):
+            total = w.sum()
+            want = int(theirs.choice(w.size, p=w / total)) if total > 0.0 else int(theirs.integers(w.size))
+            assert _seeding_draw(w, ours, cum) == want
+        assert ours.random() == theirs.random()
+
+    def test_boundary_u_takes_the_exact_fallback(self, monkeypatch):
+        # A u on or one ulp beside a boundary of choice's running sum lies
+        # within the locator's slack, so the exact draw must settle it and
+        # still give choice's index; a u between boundaries never needs it.
+        w = np.random.default_rng(23).random(3 * _DRAW_MIN + 5)
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _weighted_draw(*args)
+
+        monkeypatch.setattr(reparam, "_weighted_draw", counted)
+        cum = np.empty(w.size)
+        edges = cdf[:-1:29]
+        boundary = [u for q in edges for u in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0))]
+        for u in boundary:
+            want = int(np.searchsorted(cdf, u, side="right"))
+            assert _seeding_draw(w, _FixedUniform(u), cum) == want
+        assert calls == boundary
+        for u in (edges[1:] + edges[:-1]) / 2:
+            assert _seeding_draw(w, _FixedUniform(u), cum) == int(np.searchsorted(cdf, u, side="right"))
+        assert calls == boundary
 
 
 class _FixedDraws:
@@ -363,6 +440,10 @@ class TestVqAssign:
         centroids = np.arange(12.0).reshape(4, 3)
         assert vq_assign(centroids[[3]], centroids)[0] == 3
 
+    def test_no_blocks(self):
+        assign = vq_assign(np.empty((0, 8)), np.ones((3, 8)))
+        assert assign.shape == (0,) and assign.dtype == np.int64
+
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[0.0], [2.0]])
         assert vq_assign(np.array([[1.0]]), centroids)[0] == 0
@@ -410,6 +491,21 @@ class TestVqAssign:
             tracemalloc.stop()
         # A full 32768 x 4096 distance matrix would take 1074 MB.
         assert peak < 64e6
+
+    def test_memory_bounded_by_chunk_and_outputs(self):
+        # Beyond the two length-L results, only O(chunk * k) buffers (about
+        # 0.3 MB here): a centred copy of all blocks would take
+        # blocks.nbytes, and even a float32 one half of it.
+        rng = np.random.default_rng(24)
+        blocks = rng.normal(size=(2**18, 8)) + 5.0
+        centroids = rng.normal(size=(64, 8)) + 5.0
+        tracemalloc.start()
+        try:
+            assign, own = _nearest(blocks, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < assign.nbytes + own.nbytes + blocks.nbytes / 4
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
