@@ -31,11 +31,11 @@ from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_b
 
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-# Every optimizer step frees and allocates again numpy temporaries the
-# size of a layer. By default glibc maps blocks of 128 KB and up one by
-# one and gives freed memory above 128 KB at the top of the heap back
-# to the kernel, so each step faults its temporaries in again page by
-# page (about 250 faults per e2e step on a 128x128 layer). glibc raises
+# Every optimizer step frees and allocates again its dequantized weights,
+# an array the size of a layer, and other stages their temporaries. By
+# default glibc maps blocks of 128 KB and up one by one and gives freed
+# memory above 128 KB at the top of the heap back to the kernel, so each
+# step would fault such arrays in again page by page. glibc raises
 # both limits only once a large mapped block has been freed, so that
 # cost depended on which stage ran before. Both are pinned at the
 # ceiling of glibc's own rule: blocks under 32 MB come from the heap,
@@ -103,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--calib", required=True)
     p_opt.add_argument("--bits", type=int, default=4)
     p_opt.add_argument("--codebook", help="input codebook prefix (blockwise mode)")
+    p_opt.add_argument("--base", help="integer base of the rounding seed, e.g. init's _b.vqt "
+                                      "(blockwise mode; default floor(W/s))")
     p_opt.add_argument("--k", type=int, help="codebook size (e2e mode only; default 4096)")
     p_opt.add_argument("--d", type=int, help="block length (e2e mode only; default 8)")
     p_opt.add_argument("--kmeans-iters", type=int,
@@ -177,8 +179,9 @@ def _cmd_optimize_blockwise(args) -> int:
         raise ShapeMismatch(f"calibration rows {X.shape[0]} != weight cols {W.shape[1]}")
     p = compute_quant_params(W, args.bits)
     cb = load_codebook(args.codebook, W.shape)
+    base = tensor_io.load_tensor(args.base) if args.base else None
     cfg = _cfg_from_args(args)
-    out_cb, trace = optimize_blockwise(W, X, p, cb, cfg)
+    out_cb, trace = optimize_blockwise(W, X, p, cb, cfg, base=base)
     save_codebook(out_cb, args.out)
     if args.trace:
         tensor_io.write_csv(
@@ -196,6 +199,8 @@ def _cmd_optimize_blockwise(args) -> int:
 def _cmd_optimize_e2e(args) -> int:
     if not args.layers:
         raise DomainError("e2e mode needs --layers")
+    if args.base:
+        raise DomainError("e2e mode does not read --base")
     for name, default in _E2E_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)

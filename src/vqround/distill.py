@@ -16,11 +16,11 @@ import numpy as np
 from scipy.special import log_softmax
 
 from .errors import ArchitectureMismatch, DomainError, ShapeMismatch
-from .hessian import curvature_init, residual_init
+from .hessian import curvature_seed, residual_init
 from .optim import (
     AdamState,
     FinetuneConfig,
-    _codebook_backward,
+    LayerQuantizer,
     adam_step,
     anneal_beta,
     soft_quant_forward,
@@ -40,6 +40,10 @@ class Layer:
     weight: np.ndarray  # (out, in)
     params: QuantParams | None = None
     codebook: Codebook | None = None
+    base: np.ndarray | None = None  # integer base of the rounding seed; floor(W/s) if None
+
+    def quantizer(self) -> LayerQuantizer:
+        return LayerQuantizer(self.weight, self.params, self.codebook, self.base)
 
 
 @dataclass
@@ -76,13 +80,7 @@ def effective_weight(layer: Layer, spec: RoundingSpec, mode: str) -> np.ndarray:
         return np.asarray(layer.weight, dtype=np.float64)
     if mode not in ("soft", "hard"):
         raise DomainError(f"unknown weight mode {mode!r}")
-    shape = np.shape(layer.weight)
-    if layer.codebook.shape != shape or layer.params.scale.shape != shape[:1]:
-        raise ShapeMismatch(
-            f"codebook {layer.codebook.shape} or {layer.params.scale.size} row params "
-            f"do not fit weight {shape}"
-        )
-    return soft_quant_forward(layer.weight, layer.params, layer.codebook, spec,
+    return soft_quant_forward(layer.weight, layer.params, layer.codebook, spec, layer.base,
                               hard=mode == "hard").what
 
 
@@ -159,6 +157,7 @@ def e2e_step(
     temperature: float = 1.0,
     spec: RoundingSpec = RoundingSpec(),
     teacher_logits=None,
+    quantizers: list[LayerQuantizer] | None = None,
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """Loss terms and per-layer codebook gradients for one batch.
 
@@ -167,16 +166,19 @@ def e2e_step(
     layer's weights; the codebook backward that blockwise optimization
     uses takes it on into the centroids. ``teacher_logits``, if given,
     must be ``forward_logits(teacher, x)``; the teacher is not run
-    again.
+    again. ``quantizers``, if given, are the student layers' own, built
+    once per run; otherwise the step builds them.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     n_layers = len(student.layers)
 
+    if quantizers is None:
+        quantizers = [layer.quantizer() for layer in student.layers]
     fwds = [
-        soft_quant_forward(l.weight, l.params, l.codebook, spec)
-        for l in student.layers
+        quant.forward(layer.codebook.centroids, spec)
+        for quant, layer in zip(quantizers, student.layers)
     ]
 
     acts = [x]
@@ -195,10 +197,9 @@ def e2e_step(
     regs: list[float] = [0.0] * n_layers
     grads: list[np.ndarray] = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
-        fwd = fwds[i]
-        layer = student.layers[i]
-        regs[i], grads[i] = _codebook_backward(fwd, delta @ acts[i].T, layer.params,
-                                               layer.codebook, lam, beta)
+        fwd, quant = fwds[i], quantizers[i]
+        regs[i], grads[i] = quant.backward(
+            fwd, np.matmul(delta, acts[i].T, out=quant.dwhat), lam, beta)
         if i > 0:
             delta = (fwd.what.T @ delta) * (pre[i - 1] > 0.0)
     reg = sum(regs)
@@ -230,6 +231,7 @@ def e2e_finetune(
     if not data:
         raise DomainError("empty calibration data")
 
+    quantizers = [layer.quantizer() for layer in student.layers]
     states = [AdamState.for_params(l.codebook.centroids) for l in student.layers]
     w = warmup_steps(cfg)
     loss_trace = np.zeros(cfg.steps)
@@ -250,7 +252,7 @@ def e2e_finetune(
 
         total, kd, reg, grads = e2e_step(
             teacher, student, data[sample], lam_t, beta, cfg.temperature, spec,
-            teacher_logits=teacher_logits[sample],
+            teacher_logits=teacher_logits[sample], quantizers=quantizers,
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg
@@ -290,9 +292,10 @@ def build_student(
 
     ``init`` picks the rounding seed: plain floor residuals or the
     curvature-compensated sweep (which needs calibration inputs and
-    propagates them through the teacher to reach every layer). K-means
-    clusters the seed's latent preimage. The centroid count clamps to
-    the number of blocks in each layer.
+    propagates them through the teacher to reach every layer; each layer
+    keeps the sweep's integer base). K-means clusters the seed's latent
+    preimage. The centroid count clamps to the number of blocks in each
+    layer.
     """
     if init not in ("residual", "hessian"):
         raise DomainError(f"unknown init {init!r}")
@@ -309,8 +312,10 @@ def build_student(
     for li, t_layer in enumerate(teacher.layers):
         W = np.asarray(t_layer.weight, dtype=np.float64)
         p = compute_quant_params(W, bits)
+        base = None
         if init == "hessian":
-            h_seed = curvature_init(W, x_l, p)[0].h_tilde
+            seed_result = curvature_seed(W, x_l, p)
+            h_seed, base = seed_result.h_tilde, seed_result.base
             x_l = np.maximum(W @ x_l, 0.0) if li < len(teacher.layers) - 1 else x_l
         else:
             h_seed = residual_init(W, p)
@@ -318,5 +323,5 @@ def build_student(
         blocks = flatten_blocks(inverse_rectified_sigmoid(h_seed, spec), d)
         cb = kmeans_fit(blocks, min(k, len(blocks)), iters=kmeans_iters, seed=seed + li,
                         shape=W.shape)
-        layers.append(Layer(weight=W.copy(), params=p, codebook=cb))
+        layers.append(Layer(weight=W.copy(), params=p, codebook=cb, base=base))
     return TinyNet(layers=layers)

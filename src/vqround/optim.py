@@ -16,7 +16,9 @@ boundaries) is per entry; it is scattered onto the k x d centroid
 values. Every entry that gathers one centroid value shares its rounding
 decision, so the regularizer, its derivative and the stretched
 sigmoid's slope are taken once per centroid value, the regularizer
-weighted by how many blocks use the centroid.
+weighted by how many blocks use the centroid. The forward and this
+backward are the methods of ``LayerQuantizer``, which a run builds once
+per layer.
 """
 
 from __future__ import annotations
@@ -27,16 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch, StepOutOfRange
+from scipy.sparse import csr_array
+
 from .quantize import (
     QuantParams,
     RoundingSpec,
+    _check_base,
     _quantize_grid,
     _regularizer_terms,
     _stretched_sigmoid,
     hard_round,
     regularizer_grad,
 )
-from .reparam import Codebook, unflatten_blocks
+from .reparam import Codebook
 
 
 @dataclass
@@ -131,95 +136,146 @@ class SoftQuantForward:
     rounding matrix is the gather of ``h`` through the codebook's indices.
     """
 
-    what: np.ndarray  # dequantized weights
+    what: np.ndarray  # dequantized weights, a new array on every forward
     clip_active: np.ndarray | None  # where the integer-range clip is inactive; None if hard
     h: np.ndarray  # rounding decisions in [0, 1]
     slope: np.ndarray  # dh/dA, zeroed where the sigmoid's clip saturates or h is hard
 
 
+# Rows at most this long take their zero-points and scales broadcast to
+# W's full shape. Against a per-row column numpy runs an elementwise
+# operation 20-70% slower on rows of 64 to 1024 entries, and 12% faster on
+# rows of 2048, which also spare the two extra arrays (1 BLAS thread,
+# 2-core x86_64).
+_FULL_ROW_PARAMS = 1024
+
+
+class LayerQuantizer:
+    """The soft quantizer of one layer, built once per run.
+
+    It holds what every step over the layer shares: the checked float64
+    weights, the integer base (``floor(W / s)`` unless given), the
+    per-row zero-points and scales, each centroid's block count, the
+    k x L scatter operator of the frozen indices, and the buffers a step
+    writes into. The centroids are passed to every forward, so one
+    quantizer serves a run whose optimizer rebinds them.
+
+    The scatter is a CSR matrix whose row c holds a 1 at every block
+    that uses centroid c, with the blocks in ascending order; its
+    product with the per-block gradients therefore sums each centroid's
+    blocks one after another in block order, from zero, exactly as
+    ``np.bincount`` does.
+    """
+
+    def __init__(self, W, p: QuantParams, cb: Codebook, base=None):
+        W = np.ascontiguousarray(W, dtype=np.float64)
+        if cb.shape != W.shape:
+            raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
+        if p.scale.shape != W.shape[:1]:
+            raise ShapeMismatch(f"{p.scale.size} row params do not fit weight {W.shape}")
+        self.W = W
+        self.q_min, self.q_max = p.q_min, p.q_max
+        self.base = np.floor(W / p.scale[:, None]) if base is None else _check_base(base, W.shape)
+        self.zero, self.scale = p.zero[:, None].astype(np.float64), p.scale[:, None]
+        if W.shape[1] <= _FULL_ROW_PARAMS:
+            self.zero = np.broadcast_to(self.zero, W.shape).copy()
+            self.scale = np.broadcast_to(self.scale, W.shape).copy()
+        self.indices = cb.indices
+        self.d = cb.d
+        counts = np.bincount(cb.indices, minlength=cb.k)
+        self.counts = counts.astype(np.float64)[:, None]
+        order = np.argsort(cb.indices, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.scatter = csr_array((np.ones(order.size), order, indptr), shape=(cb.k, order.size))
+        # Step buffers. The gathered rounding matrix becomes the clipped
+        # grid values in place; dwhat takes dloss/dWhat, which the backward
+        # consumes.
+        self._v = np.empty(W.shape)
+        self._active = np.empty(W.shape, dtype=bool)
+        self._below = np.empty(W.shape, dtype=bool)
+        self.dwhat = np.empty(W.shape)
+
+    def forward(self, centroids, spec: RoundingSpec, hard: bool = False) -> SoftQuantForward:
+        """Quantize W with the rounding decisions of ``centroids``.
+
+        The stretched sigmoid and its slope depend on the latent alone,
+        so they are evaluated once per centroid value; only the decisions
+        are gathered through the frozen indices, to quantize W. ``hard``
+        binarizes the k*d decisions before the gather, which gives the
+        hard-rounded weights of evaluation; a hard decision is flat in
+        the latent, so its slope is zero, and no backward reads its
+        ``clip_active``, which stays None. ``clip_active`` is a buffer
+        that the next forward overwrites.
+        """
+        sig, g = _stretched_sigmoid(centroids, spec)
+        h = np.clip(g, 0.0, 1.0)
+        if hard:
+            h = hard_round(h, spec)
+            slope = np.zeros_like(sig)
+        else:
+            slope = (spec.zeta - spec.gamma) * sig
+            slope *= 1.0 - sig
+            slope *= (g > 0.0) & (g < 1.0)
+        H = np.take(h, self.indices, axis=0, out=self._v.reshape(-1, self.d), mode="clip")
+        q, what = _quantize_grid(self.base, H.reshape(self.W.shape), self.zero, self.scale,
+                                 self.q_max, out=self._v)
+        clip_active = None
+        if not hard:
+            # The clip maps a value inside (q_min, q_max) exactly when it
+            # lies inside, so the mask can be read off the clipped values.
+            clip_active = np.greater(q, self.q_min, out=self._active)
+            clip_active &= np.less(q, self.q_max, out=self._below)
+        return SoftQuantForward(what=what, clip_active=clip_active, h=h, slope=slope)
+
+    def backward(self, fwd: SoftQuantForward, dl_dwhat: np.ndarray, lam: float,
+                 beta: float) -> tuple[float, np.ndarray]:
+        """The rounding regularizer and the centroid gradient of
+        ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat``,
+        which is overwritten.
+
+        A centroid value used by c blocks enters the regularizer c times,
+        so its term and derivative are weighted by c.
+        """
+        reg = float(np.sum(self.counts * _regularizer_terms(fwd.h, beta)))
+        dl_dh = dl_dwhat
+        dl_dh *= self.scale
+        dl_dh *= fwd.clip_active
+        grad = self.scatter @ dl_dh.reshape(-1, self.d)
+        if lam != 0.0:
+            grad += lam * self.counts * regularizer_grad(fwd.h, beta)
+        grad *= fwd.slope
+        return reg, grad
+
+
 def soft_quant_forward(
     W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None, hard: bool = False
 ) -> SoftQuantForward:
-    """Quantize W with the codebook's rounding decisions.
-
-    The stretched sigmoid and its slope depend on the latent alone, so
-    they are evaluated once per centroid value; only the decisions are
-    gathered through the frozen indices, to quantize W. ``hard``
-    binarizes the k*d decisions before the gather, which gives the
-    hard-rounded weights of evaluation; a hard decision is flat in the
-    latent, so its slope is zero, and no backward reads its ``clip_active``,
-    which stays None. ``base`` is the integer floor
-    ``floor(W / s)``; callers that run many forwards over one layer pass
-    it in precomputed.
-    """
-    sig, g = _stretched_sigmoid(cb.centroids, spec)
-    h = np.clip(g, 0.0, 1.0)
-    if hard:
-        h = hard_round(h, spec)
-        slope = np.zeros_like(sig)
-    else:
-        slope = (spec.zeta - spec.gamma) * sig
-        slope *= 1.0 - sig
-        slope *= (g > 0.0) & (g < 1.0)
-    H = unflatten_blocks(h[cb.indices], cb.shape)
-    if base is None:
-        base = np.floor(np.asarray(W, dtype=np.float64) / p.scale[:, None])
-    v, _, what = _quantize_grid(base, H, p)
-    clip_active = None if hard else (v > p.q_min) & (v < p.q_max)
-    return SoftQuantForward(what=what, clip_active=clip_active, h=h, slope=slope)
+    """One forward of a quantizer built for it alone; see
+    :meth:`LayerQuantizer.forward`."""
+    return LayerQuantizer(W, p, cb, base).forward(cb.centroids, spec, hard)
 
 
-def scatter_to_centroids(dl_da: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Accumulate per-entry latent gradients into the shared centroids."""
-    block_grads = dl_da.reshape(-1, cb.d).T
-    grad = np.empty_like(cb.centroids)
-    for j in range(cb.d):
-        grad[:, j] = np.bincount(cb.indices, weights=block_grads[j], minlength=cb.k)
-    return grad
-
-
-def _layer_constants(W, X, p: QuantParams, cb: Codebook):
-    """What every blockwise step of one layer shares: the checked float64
-    weights, the Gram matrix ``X X^T`` and the integer floor ``floor(W / s)``."""
-    W = np.asarray(W, dtype=np.float64)
+def _layer_setup(W, X, p: QuantParams, cb: Codebook, base=None):
+    """The layer's quantizer and the Gram matrix ``X X^T``, checked."""
     X = np.asarray(X, dtype=np.float64)
-    if W.shape[1] != X.shape[0]:
-        raise ShapeMismatch(f"W cols {W.shape[1]} != X rows {X.shape[0]}")
-    if cb.shape != W.shape:
-        raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
-    return W, X @ X.T, np.floor(W / p.scale[:, None])
+    if np.shape(W)[1:] != X.shape[:1]:
+        raise ShapeMismatch(f"W shape {np.shape(W)} does not take X rows {X.shape[0]}")
+    return LayerQuantizer(W, p, cb, base), X @ X.T
 
 
-def _codebook_backward(fwd: SoftQuantForward, dl_dwhat, p: QuantParams, cb: Codebook,
-                       lam: float, beta: float) -> tuple[float, np.ndarray]:
-    """The rounding regularizer and the centroid gradient of
-    ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat``.
-
-    A centroid value used by c blocks enters the regularizer c times, so
-    its term and derivative are weighted by c.
-    """
-    counts = np.bincount(cb.indices, minlength=cb.k)[:, None]
-    reg = float(np.sum(counts * _regularizer_terms(fwd.h, beta)))
-    dl_dh = dl_dwhat * p.scale[:, None]
-    dl_dh *= fwd.clip_active
-    grad = scatter_to_centroids(dl_dh, cb)
-    if lam != 0.0:
-        grad += lam * counts * regularizer_grad(fwd.h, beta)
-    grad *= fwd.slope
-    return reg, grad
-
-
-def _blockwise_objective(W, G, base, p, cb, spec, lam, beta) -> tuple[float, np.ndarray]:
+def _blockwise_objective(quant: LayerQuantizer, G, centroids, spec, lam,
+                         beta) -> tuple[float, np.ndarray]:
     """Blockwise loss and its centroid gradient from one forward.
 
-    ``G = X X^T`` and ``base = floor(W / s)`` are fixed for a layer.
+    ``G = X X^T`` is fixed for a layer. The forward's ``what`` becomes
+    the error and then the product the loss sums, in place.
     """
-    fwd = soft_quant_forward(W, p, cb, spec, base)
-    err = W - fwd.what
-    err_g = err @ G
-    loss = float(np.sum(err_g * err))
+    fwd = quant.forward(centroids, spec)
+    err = np.subtract(quant.W, fwd.what, out=fwd.what)
+    err_g = np.matmul(err, G, out=quant.dwhat)
+    loss = float(np.sum(np.multiply(err_g, err, out=err)))
     err_g *= -2.0
-    reg, grad = _codebook_backward(fwd, err_g, p, cb, lam, beta)
+    reg, grad = quant.backward(fwd, err_g, lam, beta)
     return loss + lam * reg, grad
 
 
@@ -233,8 +289,8 @@ def blockwise_loss(
     beta: float = 20.0,
 ) -> float:
     """||W X - What X||_F^2 + lam * regularizer, What from the codebook."""
-    W, G, base = _layer_constants(W, X, p, cb)
-    return _blockwise_objective(W, G, base, p, cb, spec, lam, beta)[0]
+    quant, G = _layer_setup(W, X, p, cb)
+    return _blockwise_objective(quant, G, cb.centroids, spec, lam, beta)[0]
 
 
 def optimize_blockwise(
@@ -244,22 +300,23 @@ def optimize_blockwise(
     cb: Codebook,
     cfg: FinetuneConfig,
     spec: RoundingSpec = RoundingSpec(),
+    base=None,
 ) -> tuple[Codebook, np.ndarray]:
     """Run Adam on the centroids against the blockwise objective.
 
-    The regularizer carries zero weight through warm-up; indices never
-    change. Returns the optimized codebook and the per-step loss trace
-    (evaluated at the pre-update parameters).
+    ``base`` is the integer base of the rounding seed, ``floor(W / s)``
+    unless given. The regularizer carries zero weight through warm-up;
+    indices never change. Returns the optimized codebook and the per-step
+    loss trace (evaluated at the pre-update parameters).
     """
-    W, G, base = _layer_constants(W, X, p, cb)
-    centroids = cb.centroids.astype(np.float64).copy()
-    work = Codebook(centroids=centroids, indices=cb.indices.copy(), shape=cb.shape)
+    quant, G = _layer_setup(W, X, p, cb, base)
+    centroids = cb.centroids.astype(np.float64)
     state = AdamState.for_params(centroids)
     w = warmup_steps(cfg)
     trace = np.zeros(cfg.steps)
     for t in range(1, cfg.steps + 1):
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
-        trace[t - 1], grad = _blockwise_objective(W, G, base, p, work, spec, lam_t, beta)
-        work.centroids = adam_step(state, work.centroids, grad, cfg.lr)
-    return work, trace
+        trace[t - 1], grad = _blockwise_objective(quant, G, centroids, spec, lam_t, beta)
+        centroids = adam_step(state, centroids, grad, cfg.lr)
+    return Codebook(centroids=centroids, indices=cb.indices.copy(), shape=cb.shape), trace

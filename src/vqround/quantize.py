@@ -145,28 +145,32 @@ def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndar
     return logit((H - spec.gamma) / (spec.zeta - spec.gamma))
 
 
-def _quantize_grid(base, H, p: QuantParams):
-    """The rounding quantizer on a floor matrix ``base = floor(W/s)``.
+def _quantize_grid(base, H, z, s, q_max, out=None):
+    """The rounding quantizer on an integer base, ``floor(W/s)`` by default.
 
-    Returns the pre-clip grid values ``base + H + z``, their clip ``Q``
-    to ``[q_min, q_max]`` and the dequantized ``s * (Q - z)``. Nothing
-    is checked, so a caller stepping the same layer pays no validation.
+    ``z`` and ``s`` are the per-row zero-points and scales, as columns or
+    broadcast to W's shape. Returns the grid values
+    ``Q = clip(base + H + z, 0, q_max)`` and the dequantized
+    ``s * (Q - z)``. ``out``, an array of W's shape that may be ``H``
+    itself, takes ``Q``; the dequantized weights are always a new array.
+    Nothing is checked, so a caller stepping the same layer pays no
+    validation.
     """
-    z = p.zero[:, None]
-    v = base + H
-    v += z
-    q = np.clip(v, p.q_min, p.q_max)
+    q = np.add(base, H, out=out)
+    q += z
+    np.clip(q, 0, q_max, out=q)
     what = q - z
-    what *= p.scale[:, None]
-    return v, q, what
+    what *= s
+    return q, what
 
 
-def adaptive_quantize(W, p: QuantParams, H) -> tuple[np.ndarray, np.ndarray]:
+def adaptive_quantize(W, p: QuantParams, H, base=None) -> tuple[np.ndarray, np.ndarray]:
     """Quantize with explicit up/down decisions.
 
-    ``Q = clip(floor(W/s) + H + z, q_min, q_max)`` stays real-valued
-    while H is soft so gradients can flow; it is integral exactly when
-    H is binary. Returns ``Q`` and the dequantized weights.
+    ``Q = clip(base + H + z, q_min, q_max)``, with ``base = floor(W/s)``
+    unless given, stays real-valued while H is soft so gradients can
+    flow; it is integral exactly when H is binary. Returns ``Q`` and the
+    dequantized weights.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -175,8 +179,18 @@ def adaptive_quantize(W, p: QuantParams, H) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatch(f"H shape {H.shape} != W shape {W.shape}")
     if H.size and (H.min() < 0.0 or H.max() > 1.0):
         raise OutOfRange("rounding values must lie in [0, 1]")
-    _, q, what = _quantize_grid(np.floor(W / p.scale[:, None]), H, p)
-    return q, what
+    base = np.floor(W / p.scale[:, None]) if base is None else _check_base(base, W.shape)
+    return _quantize_grid(base, H, p.zero[:, None], p.scale[:, None], p.q_max)
+
+
+def _check_base(base, shape) -> np.ndarray:
+    """A given integer base as float64: W's shape, finite and integral."""
+    base = np.asarray(base, dtype=np.float64)
+    if base.shape != shape:
+        raise ShapeMismatch(f"base shape {base.shape} != W shape {shape}")
+    if not (np.isfinite(base).all() and np.array_equal(base, np.floor(base))):
+        raise DomainError("base must hold finite integers")
+    return base
 
 
 def hard_round(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:

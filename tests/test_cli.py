@@ -6,10 +6,12 @@ import resource
 import numpy as np
 import pytest
 
-from vqround import analysis, cli
+from vqround import analysis, cli, optim
 from vqround.cli import main
 from vqround.hessian import curvature_init
+from vqround.optim import FinetuneConfig, optimize_blockwise
 from vqround.quantize import QuantParams, compute_quant_params
+from vqround.reparam import load_codebook
 from vqround.tensor_io import load_tensor, save_tensor
 
 
@@ -290,6 +292,53 @@ class TestOptimize:
         assert self._blockwise(tmp_path, flag, value) == 4
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "opt.centroids.vqt").exists()
+
+    def _no_step(self, monkeypatch):
+        def adam_step(*args):
+            raise AssertionError("an optimizer step ran before --base was checked")
+
+        monkeypatch.setattr(optim, "adam_step", adam_step)
+
+    def test_blockwise_base_of_other_shape_exits_3_before_running(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        base = tmp_path / "base.vqt"
+        save_tensor(np.zeros((8, 4)), base)
+        self._no_step(monkeypatch)
+        assert self._blockwise(tmp_path, "--base", str(base)) == 3
+        assert "base shape" in capsys.readouterr().err
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+
+    def test_blockwise_non_integral_base_exits_4_before_running(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        base = tmp_path / "base.vqt"
+        save_tensor(np.full((8, 8), 0.5), base)
+        self._no_step(monkeypatch)
+        assert self._blockwise(tmp_path, "--base", str(base)) == 4
+        assert "base must hold finite integers" in capsys.readouterr().err
+        assert not (tmp_path / "opt.centroids.vqt").exists()
+
+    def test_blockwise_trains_from_the_init_base(self, tmp_path):
+        base_path = str(tmp_path / "init_b.vqt")
+        assert self._blockwise(tmp_path, "--base", base_path) == 0
+        W = load_tensor(str(tmp_path / "w.vqt"))
+        X = load_tensor(str(tmp_path / "x.vqt"))
+        cb = load_codebook(str(tmp_path / "cb"), W.shape)
+        cfg = FinetuneConfig(steps=20)
+        want, _ = optimize_blockwise(W, X, compute_quant_params(W, 4), cb, cfg,
+                                     base=load_tensor(base_path))
+        got = load_tensor(str(tmp_path / "opt.centroids.vqt"))
+        assert got.tobytes() == want.centroids.astype(np.float32).tobytes()
+        floor, _ = optimize_blockwise(W, X, compute_quant_params(W, 4), cb, cfg)
+        assert not np.array_equal(floor.centroids, want.centroids)
+
+    def test_e2e_rejects_base(self, tmp_path, capsys):
+        l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
+        save_tensor(np.ones((4, 8)), l0)
+        save_tensor(np.ones((8, 2)), x_path)
+        code = main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
+                     "--base", str(l0), "--out", str(tmp_path / "e2e")])
+        assert code == 4
+        assert "--base" in capsys.readouterr().err
 
     def test_e2e_rejects_infinite_temperature(self, tmp_path, capsys):
         l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"

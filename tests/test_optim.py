@@ -111,8 +111,8 @@ class TestAdam:
 
 def blockwise_grad(W, X, p, cb, spec, lam, beta):
     """Gradient of :func:`blockwise_loss` w.r.t. the centroids (k, d)."""
-    return optim._blockwise_objective(*optim._layer_constants(W, X, p, cb),
-                                      p, cb, spec, lam, beta)[1]
+    quant, G = optim._layer_setup(W, X, p, cb)
+    return optim._blockwise_objective(quant, G, cb.centroids, spec, lam, beta)[1]
 
 
 def grid_aligned_layer(seed=0, shape=(4, 6), bits=3):
@@ -258,7 +258,7 @@ class TestCodebookBackward:
         fwd = optim.soft_quant_forward(W, p, cb, spec)
         H = unflatten_blocks(fwd.h[cb.indices], cb.shape)
         assert {0.0, 0.5, 1.0} <= set(H.ravel())
-        reg, _ = optim._codebook_backward(fwd, np.zeros(W.shape), p, cb, 1.0, beta)
+        reg, _ = optim.LayerQuantizer(W, p, cb).backward(fwd, np.zeros(W.shape), 1.0, beta)
         want = rounding_regularizer(H, beta)
         assert abs(reg - want) <= 1e-12 * want
 
@@ -370,12 +370,12 @@ class TestFusedObjective:
     def test_one_forward_per_step(self, monkeypatch):
         W, X, p, cb = interior_codebook(seed=14)
         calls = []
-        forward = optim.soft_quant_forward
+        forward = optim.LayerQuantizer.forward
 
         def counted(*args, **kwargs):
             calls.append(1)
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(optim, "soft_quant_forward", counted)
+        monkeypatch.setattr(optim.LayerQuantizer, "forward", counted)
         optimize_blockwise(W, X, p, cb, FinetuneConfig(steps=17))
         assert len(calls) == 17
