@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_softmax
 
 from .errors import ArchitectureMismatch, DomainError, ShapeMismatch
-from .hessian import curvature_seed, residual_init
+from .hessian import curvature_init, residual_init
 from .optim import (
     AdamState,
     FinetuneConfig,
@@ -41,9 +41,6 @@ class Layer:
     params: QuantParams | None = None
     codebook: Codebook | None = None
     base: np.ndarray | None = None  # integer base of the rounding seed; floor(W/s) if None
-
-    def quantizer(self) -> LayerQuantizer:
-        return LayerQuantizer(self.weight, self.params, self.codebook, self.base)
 
 
 @dataclass
@@ -157,7 +154,6 @@ def e2e_step(
     temperature: float = 1.0,
     spec: RoundingSpec = RoundingSpec(),
     teacher_logits=None,
-    quantizers: list[LayerQuantizer] | None = None,
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """Loss terms and per-layer codebook gradients for one batch.
 
@@ -166,16 +162,25 @@ def e2e_step(
     layer's weights; the codebook backward that blockwise optimization
     uses takes it on into the centroids. ``teacher_logits``, if given,
     must be ``forward_logits(teacher, x)``; the teacher is not run
-    again. ``quantizers``, if given, are the student layers' own, built
-    once per run; otherwise the step builds them.
+    again.
     """
+    return _e2e_step(_quantizers(student), teacher, student, x, lam, beta, temperature, spec,
+                     teacher_logits)
+
+
+def _quantizers(student: TinyNet) -> list[LayerQuantizer]:
+    return [LayerQuantizer(l.weight, l.params, l.codebook, l.base) for l in student.layers]
+
+
+def _e2e_step(quantizers, teacher, student, x, lam, beta, temperature, spec,
+              teacher_logits=None):
+    """:func:`e2e_step` through ``quantizers``, which must be
+    ``_quantizers(student)``; ``e2e_finetune`` builds them once per run."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     n_layers = len(student.layers)
 
-    if quantizers is None:
-        quantizers = [layer.quantizer() for layer in student.layers]
     fwds = [
         quant.forward(layer.codebook.centroids, spec)
         for quant, layer in zip(quantizers, student.layers)
@@ -231,7 +236,7 @@ def e2e_finetune(
     if not data:
         raise DomainError("empty calibration data")
 
-    quantizers = [layer.quantizer() for layer in student.layers]
+    quantizers = _quantizers(student)
     states = [AdamState.for_params(l.codebook.centroids) for l in student.layers]
     w = warmup_steps(cfg)
     loss_trace = np.zeros(cfg.steps)
@@ -250,9 +255,9 @@ def e2e_finetune(
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
 
-        total, kd, reg, grads = e2e_step(
-            teacher, student, data[sample], lam_t, beta, cfg.temperature, spec,
-            teacher_logits=teacher_logits[sample], quantizers=quantizers,
+        total, kd, reg, grads = _e2e_step(
+            quantizers, teacher, student, data[sample], lam_t, beta, cfg.temperature, spec,
+            teacher_logits=teacher_logits[sample],
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg
@@ -314,8 +319,8 @@ def build_student(
         p = compute_quant_params(W, bits)
         base = None
         if init == "hessian":
-            seed_result = curvature_seed(W, x_l, p)
-            h_seed, base = seed_result.h_tilde, seed_result.base
+            init_result = curvature_init(W, x_l, p)[0]
+            h_seed, base = init_result.h_tilde, init_result.base
             x_l = np.maximum(W @ x_l, 0.0) if li < len(teacher.layers) - 1 else x_l
         else:
             h_seed = residual_init(W, p)

@@ -8,8 +8,7 @@ column-sequential quantization sweep (GPTQ's lazy-batch sweep) then
 pushes each column's quantization error into the not-yet-processed
 columns through that factor. The curvature-normalized residual of every
 column seeds the soft rounding matrix. ``curvature_init`` runs the whole
-chain for one layer, and ``curvature_seed`` the same chain without the
-calibration error.
+chain for one layer.
 """
 
 from __future__ import annotations
@@ -96,31 +95,11 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
     without keeping a reference of its own frees it there. The factor
     is taken from the Hessian rounded to float32, which must be finite.
     """
-    H = _checked_hessian(W, X, percdamp)
-    del X
-    result = _factor_and_sweep(W, p, H, percdamp)
-    # Rounding can push <E H, E> a hair below zero when E X vanishes.
-    E = np.asarray(W, dtype=np.float64) - result.w_q
-    err = float(np.sqrt(max(np.sum((E @ H) * E) / 2, 0.0)))
-    return result, err
-
-
-def curvature_seed(W, X, p: QuantParams, percdamp: float = 0.01) -> InitResult:
-    """:func:`curvature_init` without ``recon_err``, for a caller that
-    only seeds the rounding."""
-    return _factor_and_sweep(W, p, _checked_hessian(W, X, percdamp), percdamp)
-
-
-def _checked_hessian(W, X, percdamp: float) -> np.ndarray:
     _check_percdamp(percdamp)
     if np.shape(X)[:1] != np.shape(W)[1:]:
         raise ShapeMismatch(f"calibration {np.shape(X)} does not feed weights {np.shape(W)}")
-    return accumulate_hessian(X)
-
-
-def _factor_and_sweep(W, p: QuantParams, H, percdamp: float) -> InitResult:
-    """The sweep of W through the damped inverse factor of the Hessian H
-    rounded to float32, which must be finite."""
+    H = accumulate_hessian(X)
+    del X
     with np.errstate(over="ignore"):
         H32 = H.astype(np.float32)
     if not np.isfinite(H32).all():
@@ -128,7 +107,11 @@ def _factor_and_sweep(W, p: QuantParams, H, percdamp: float) -> InitResult:
                          "calibration values too large")
     upper = damped_inverse_factor(H32, percdamp)
     del H32
-    return hessian_aware_init(W, p, upper)
+    result = hessian_aware_init(W, p, upper)
+    # Rounding can push <E H, E> a hair below zero when E X vanishes.
+    E = np.asarray(W, dtype=np.float64) - result.w_q
+    err = float(np.sqrt(max(np.sum((E @ H) * E) / 2, 0.0)))
+    return result, err
 
 
 def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:

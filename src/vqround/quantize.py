@@ -145,12 +145,12 @@ def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndar
     return logit((H - spec.gamma) / (spec.zeta - spec.gamma))
 
 
-def _quantize_grid(base, H, z, s, q_max, out=None):
+def _quantize_grid(base, H, z, s, q_min, q_max, out=None):
     """The rounding quantizer on an integer base, ``floor(W/s)`` by default.
 
     ``z`` and ``s`` are the per-row zero-points and scales, as columns or
     broadcast to W's shape. Returns the grid values
-    ``Q = clip(base + H + z, 0, q_max)`` and the dequantized
+    ``Q = clip(base + H + z, q_min, q_max)`` and the dequantized
     ``s * (Q - z)``. ``out``, an array of W's shape that may be ``H``
     itself, takes ``Q``; the dequantized weights are always a new array.
     Nothing is checked, so a caller stepping the same layer pays no
@@ -158,7 +158,7 @@ def _quantize_grid(base, H, z, s, q_max, out=None):
     """
     q = np.add(base, H, out=out)
     q += z
-    np.clip(q, 0, q_max, out=q)
+    np.clip(q, q_min, q_max, out=q)
     what = q - z
     what *= s
     return q, what
@@ -180,7 +180,7 @@ def adaptive_quantize(W, p: QuantParams, H, base=None) -> tuple[np.ndarray, np.n
     if H.size and (H.min() < 0.0 or H.max() > 1.0):
         raise OutOfRange("rounding values must lie in [0, 1]")
     base = np.floor(W / p.scale[:, None]) if base is None else _check_base(base, W.shape)
-    return _quantize_grid(base, H, p.zero[:, None], p.scale[:, None], p.q_max)
+    return _quantize_grid(base, H, p.zero[:, None], p.scale[:, None], p.q_min, p.q_max)
 
 
 def _check_base(base, shape) -> np.ndarray:

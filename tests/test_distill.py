@@ -386,7 +386,7 @@ class TestE2EFinetune:
         teacher = random_net((6, 8, 3), seed=14)
         data = [np.random.default_rng(i).normal(size=6) for i in range(5)]
         cfg = FinetuneConfig(steps=3 * len(data))
-        real_forward, real_step = distill.forward_logits, distill.e2e_step
+        real_forward, real_step = distill.forward_logits, distill._e2e_step
         batches = []
 
         def counting_forward(net, x, *args, **kwargs):
@@ -405,7 +405,7 @@ class TestE2EFinetune:
         assert len(batches) == len(data)
         assert [b.tobytes() for b in batches] == [x.tobytes() for x in data]
 
-        monkeypatch.setattr(distill, "e2e_step", uncached_step)
+        monkeypatch.setattr(distill, "_e2e_step", uncached_step)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         uncached = e2e_finetune(teacher, student, data, cfg)
         for name in ("loss_trace", "kd_trace", "reg_trace"):

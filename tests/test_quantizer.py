@@ -141,8 +141,7 @@ def recording(monkeypatch, module):
 
 
 BLOCKWISE_CASES = [
-    # (shape, d, k, layout, lam, with_base); rows longer than 1024 keep
-    # their zero-points and scales as columns.
+    # (shape, d, k, layout, lam, with_base)
     ((16, 24), 8, 12, "float64", 0.0, False),
     ((16, 24), 8, 12, "float64", 0.05, False),
     ((16, 24), 1, 40, "float64", 0.05, False),
