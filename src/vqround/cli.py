@@ -9,7 +9,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 
@@ -27,31 +26,6 @@ from .hessian import curvature_init
 from .optim import FinetuneConfig, optimize_blockwise
 from .quantize import compute_quant_params, inverse_rectified_sigmoid
 from .reparam import fit_codebook, load_codebook, save_codebook, wcss, flatten_blocks
-
-
-# glibc's mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-# Every optimizer step frees and allocates again its dequantized weights,
-# an array the size of a layer, and other stages their temporaries. By
-# default glibc maps blocks of 128 KB and up one by one and gives freed
-# memory above 128 KB at the top of the heap back to the kernel, so each
-# step would fault such arrays in again page by page. glibc raises
-# both limits only once a large mapped block has been freed, so that
-# cost depended on which stage ran before. Both are pinned at the
-# ceiling of glibc's own rule: blocks under 32 MB come from the heap,
-# and up to 64 MB of freed heap is kept for reuse.
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 64 << 20
-
-
-def _keep_freed_memory() -> None:
-    """Pin glibc's mmap and trim thresholds; a no-op on other C libraries."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,8 +173,10 @@ def _cmd_optimize_blockwise(args) -> int:
 def _cmd_optimize_e2e(args) -> int:
     if not args.layers:
         raise DomainError("e2e mode needs --layers")
-    if args.base:
-        raise DomainError("e2e mode does not read --base")
+    given = [f"--{name}" for name in ("weights", "codebook", "base")
+             if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"e2e mode does not read {', '.join(given)}")
     for name, default in _E2E_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -319,7 +295,6 @@ def _check_outputs(args) -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -81,17 +81,28 @@ def effective_weight(layer: Layer, spec: RoundingSpec, mode: str) -> np.ndarray:
                               hard=mode == "hard").what
 
 
-def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: str = "fp") -> np.ndarray:
-    """Logits for input columns x of shape (n0, batch)."""
+def _activations(net: TinyNet, weights, x) -> list[np.ndarray]:
+    """Every layer's output for input columns x of shape (n0, batch), run
+    through ``weights``, one per layer of ``net``: the input first, as
+    float64 columns, then each layer's ReLU output, then the logits."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.shape[0] != net.dims[0]:
         raise ShapeMismatch(f"input dim {a.shape[0]} != network input {net.dims[0]}")
-    for i, layer in enumerate(net.layers):
-        z = effective_weight(layer, spec, mode) @ a
-        a = np.maximum(z, 0.0) if i < len(net.layers) - 1 else z
-    return a
+    last = len(net.layers) - 1
+    acts = [a]
+    for i, w in enumerate(weights):
+        z = w @ a
+        a = np.maximum(z, 0.0) if i < last else z
+        acts.append(a)
+    return acts
+
+
+def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: str = "fp") -> np.ndarray:
+    """Logits for input columns x of shape (n0, batch)."""
+    weights = (effective_weight(layer, spec, mode) for layer in net.layers)
+    return _activations(net, weights, x)[-1]
 
 
 def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
@@ -176,27 +187,15 @@ def _e2e_step(quantizers, teacher, student, x, lam, beta, temperature, spec,
               teacher_logits=None):
     """:func:`e2e_step` through ``quantizers``, which must be
     ``_quantizers(student)``; ``e2e_finetune`` builds them once per run."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     n_layers = len(student.layers)
-
     fwds = [
         quant.forward(layer.codebook.centroids, spec)
         for quant, layer in zip(quantizers, student.layers)
     ]
-
-    acts = [x]
-    pre = []
-    a = x
-    for i, fwd in enumerate(fwds):
-        z_l = fwd.what @ a
-        pre.append(z_l)
-        a = np.maximum(z_l, 0.0) if i < n_layers - 1 else z_l
-        acts.append(a)
+    acts = _activations(student, [fwd.what for fwd in fwds], x)
 
     if teacher_logits is None:
-        teacher_logits = forward_logits(teacher, x, spec, mode="fp")
+        teacher_logits = forward_logits(teacher, acts[0], spec, mode="fp")
     kd, delta = _kl_and_logit_grad(acts[-1], teacher_logits, temperature)
 
     regs: list[float] = [0.0] * n_layers
@@ -206,7 +205,7 @@ def _e2e_step(quantizers, teacher, student, x, lam, beta, temperature, spec,
         regs[i], grads[i] = quant.backward(
             fwd, np.matmul(delta, acts[i].T, out=quant.dwhat), lam, beta)
         if i > 0:
-            delta = (fwd.what.T @ delta) * (pre[i - 1] > 0.0)
+            delta = (fwd.what.T @ delta) * (acts[i] > 0.0)
     reg = sum(regs)
     return kd + lam * reg, kd, reg, grads
 

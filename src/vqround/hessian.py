@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, OutOfRange, ShapeMismatch
-from .quantize import QuantParams, round_half_away
+from .quantize import QuantParams, _check_rows, round_half_away
 
 # Columns per block of the sweep. Only speed depends on it; the outputs
 # do not, beyond float accumulation.
@@ -131,15 +131,13 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     The outputs are transposed views. The result is independent of the
     block size up to float accumulation.
     """
-    Wt = np.array(np.asarray(W).T, dtype=np.float64, order="C")
-    if Wt.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d weights, got shape {np.shape(W)}")
+    W = np.asarray(W)
+    _check_rows(W, p)
+    Wt = np.array(W.T, dtype=np.float64, order="C")
     n, m = Wt.shape
     U = np.asarray(upper, dtype=np.float64)
     if U.shape != (n, n):
         raise ShapeMismatch(f"factor shape {U.shape} does not match {n} columns")
-    if p.scale.shape != (m,):
-        raise ShapeMismatch(f"per-row scale length {p.scale.shape} != {m} rows")
 
     s = p.scale
     z = p.zero.astype(np.float64)
@@ -180,9 +178,6 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
 def residual_init(W, p: QuantParams) -> np.ndarray:
     """Plain floor-residual rounding seed: clip(W/s - floor(W/s), 0, 1)."""
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d weights, got shape {W.shape}")
-    if p.scale.shape != (W.shape[0],):
-        raise ShapeMismatch(f"per-row scale length {p.scale.shape} != {W.shape[0]} rows")
+    _check_rows(W, p)
     u = W / p.scale[:, None]
     return np.clip(u - np.floor(u), 0.0, 1.0)

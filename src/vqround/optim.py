@@ -34,7 +34,8 @@ from scipy.sparse import csr_array
 from .quantize import (
     QuantParams,
     RoundingSpec,
-    _check_base,
+    _base,
+    _check_rows,
     _quantize_grid,
     _regularizer_terms,
     _stretched_sigmoid,
@@ -163,11 +164,10 @@ class LayerQuantizer:
         W = np.ascontiguousarray(W, dtype=np.float64)
         if cb.shape != W.shape:
             raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
-        if p.scale.shape != W.shape[:1]:
-            raise ShapeMismatch(f"{p.scale.size} row params do not fit weight {W.shape}")
+        _check_rows(W, p)
         self.W = W
         self.q_min, self.q_max = p.q_min, p.q_max
-        self.base = np.floor(W / p.scale[:, None]) if base is None else _check_base(base, W.shape)
+        self.base = _base(W, p, base)
         # Broadcast to W's shape: numpy runs an elementwise operation 20-70%
         # faster against a full array than against a per-row column on rows
         # of 64 to 1024 entries (1 BLAS thread, 2-core x86_64).

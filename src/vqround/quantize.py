@@ -179,15 +179,17 @@ def adaptive_quantize(W, p: QuantParams, H, base=None) -> tuple[np.ndarray, np.n
         raise ShapeMismatch(f"H shape {H.shape} != W shape {W.shape}")
     if H.size and (H.min() < 0.0 or H.max() > 1.0):
         raise OutOfRange("rounding values must lie in [0, 1]")
-    base = np.floor(W / p.scale[:, None]) if base is None else _check_base(base, W.shape)
-    return _quantize_grid(base, H, p.zero[:, None], p.scale[:, None], p.q_min, p.q_max)
+    return _quantize_grid(_base(W, p, base), H, p.zero[:, None], p.scale[:, None], p.q_min, p.q_max)
 
 
-def _check_base(base, shape) -> np.ndarray:
-    """A given integer base as float64: W's shape, finite and integral."""
+def _base(W: np.ndarray, p: QuantParams, base) -> np.ndarray:
+    """The integer base of the rounding quantizer as float64: ``floor(W/s)``,
+    or the given ``base``, checked to be of W's shape, finite and integral."""
+    if base is None:
+        return np.floor(W / p.scale[:, None])
     base = np.asarray(base, dtype=np.float64)
-    if base.shape != shape:
-        raise ShapeMismatch(f"base shape {base.shape} != W shape {shape}")
+    if base.shape != W.shape:
+        raise ShapeMismatch(f"base shape {base.shape} != W shape {W.shape}")
     if not (np.isfinite(base).all() and np.array_equal(base, np.floor(base))):
         raise DomainError("base must hold finite integers")
     return base

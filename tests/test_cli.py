@@ -1,7 +1,4 @@
 import csv
-import ctypes
-import platform
-import resource
 
 import numpy as np
 import pytest
@@ -340,6 +337,24 @@ class TestOptimize:
         assert code == 4
         assert "--base" in capsys.readouterr().err
 
+    def test_e2e_rejects_blockwise_inputs_before_loading(self, tmp_path, monkeypatch, capsys):
+        l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
+        save_tensor(np.ones((4, 8)), l0)
+        save_tensor(np.ones((8, 2)), x_path)
+
+        def load_tensor(path):
+            raise AssertionError(f"{path} was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli.tensor_io, "load_tensor", load_tensor)
+        code = main(["optimize", "--mode", "e2e", "--layers", str(l0), "--calib", str(x_path),
+                     "--k", "4", "--d", "4", "--steps", "2",
+                     "--weights", "no-such-file.vqt", "--codebook", "no-such-prefix",
+                     "--out", str(tmp_path / "e2e")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "--weights" in err and "--codebook" in err
+        assert not list(tmp_path.glob("e2e_layer0.*"))
+
     def test_e2e_rejects_infinite_temperature(self, tmp_path, capsys):
         l0, x_path = tmp_path / "l0.vqt", tmp_path / "x.vqt"
         save_tensor(np.ones((4, 8)), l0)
@@ -547,24 +562,3 @@ class TestUsage:
 
     def test_unknown_command_exits_1(self):
         assert main(["frobnicate"]) == 1
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
-class TestAllocator:
-    @staticmethod
-    def churn_faults() -> int:
-        """Page faults taken while a 1 MB temporary is made and freed 50 times."""
-        np.ones(1 << 17)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(50):
-            np.ones(1 << 17)
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-    def test_freed_temporaries_are_reused(self):
-        mallopt = ctypes.CDLL(None).mallopt
-        # glibc's start-up limits: every 1 MB block is mapped afresh.
-        mallopt(cli._M_MMAP_THRESHOLD, 128 << 10)
-        mallopt(cli._M_TRIM_THRESHOLD, 128 << 10)
-        assert self.churn_faults() > 50 * 128
-        cli._keep_freed_memory()
-        assert self.churn_faults() < 50

@@ -302,6 +302,12 @@ class TestE2EStep:
         _, kd, _, _ = e2e_step(teacher, student, np.ones(6), lam=0.0, beta=5.0)
         assert kd == pytest.approx(0.0, abs=1e-12)
 
+    def test_input_of_wrong_length_raises_shape_mismatch(self):
+        teacher = random_net((6, 10, 4), seed=3)
+        student = build_student(teacher, bits=4, k=6, d=4, kmeans_iters=5, seed=3)
+        with pytest.raises(errors.ShapeMismatch, match="input dim 5"):
+            e2e_step(teacher, student, np.ones(5), lam=0.0, beta=5.0)
+
 
 class TestMeanHardKl:
     @pytest.mark.parametrize("temperature", [1.0, 2.5])

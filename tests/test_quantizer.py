@@ -7,6 +7,8 @@ the base ``floor(W / s)`` unless given, one ``bincount`` per block
 coordinate. Training through the quantizer must match them bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -374,3 +376,56 @@ class TestCurvatureSeedBase:
         W, p, cb = clipped_layer(7, (16, 24), 8, 12)
         with pytest.raises(errors.ShapeMismatch, match="base"):
             LayerQuantizer(W, p, cb, np.zeros((24, 16)))
+
+
+def step_peak(step):
+    """Peak traced bytes one call of ``step`` holds above what is in use
+    when it starts, measured after one warm-up call."""
+    step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+class TestStepMemory:
+    """A step holds one layer-sized array per layer, its dequantized
+    weights, and otherwise k x d temporaries. One more layer-sized
+    temporary, even a short-lived one, takes the peak past 1.5 times the
+    layers' bytes: the e2e net has two layers for that reason."""
+
+    SHAPE, D, K = (256, 256), 8, 64  # k * d is 0.8% of the layer's entries
+
+    def test_blockwise_step(self):
+        W, p, cb = clipped_layer(30, self.SHAPE, self.D, self.K)
+        X = np.random.default_rng(30).normal(size=(256, 512))
+        quant, G = optim._layer_setup(W, X, p, cb)
+        state = optim.AdamState.for_params(cb.centroids)
+        centroids = cb.centroids.copy()
+
+        def step():
+            nonlocal centroids
+            _, grad = optim._blockwise_objective(quant, G, centroids, SPEC, 0.01, 10.0)
+            centroids = adam_step(state, centroids, grad, 1e-2)
+
+        assert step_peak(step) <= 1.5 * W.nbytes
+
+    def test_e2e_step(self):
+        layers = [Layer(*clipped_layer(31 + i, self.SHAPE, self.D, self.K))
+                  for i in range(2)]
+        student = TinyNet(layers)
+        teacher = random_net(student.dims, seed=31)
+        quantizers = distill._quantizers(student)
+        states = [optim.AdamState.for_params(l.codebook.centroids) for l in layers]
+        x = np.random.default_rng(31).normal(size=256)
+
+        def step():
+            grads = distill._e2e_step(quantizers, teacher, student, x, 0.01, 10.0, 1.0, SPEC)[3]
+            for layer, state, grad in zip(layers, states, grads):
+                layer.codebook.centroids = adam_step(state, layer.codebook.centroids, grad, 1e-2)
+
+        assert step_peak(step) <= 1.5 * sum(l.weight.nbytes for l in layers)
