@@ -22,7 +22,8 @@ from .errors import (
 from .quantize import RoundingSpec, _stretched_sigmoid, rectified_sigmoid
 from .reparam import (
     balanced_factors,
-    fit_codebook,
+    flatten_blocks,
+    kmeans_fit,
     kronecker_approx,
     param_count,
     svd_lowrank,
@@ -43,7 +44,6 @@ def lipschitz_constant(spec: RoundingSpec = RoundingSpec()) -> float:
 class LipschitzCheck:
     constant: float
     max_elementwise_ratio: float  # nan when every latent delta is zero
-    inf_norm_ratio: float  # nan when the latent sup-norm is zero
 
 
 def verify_lipschitz(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> LipschitzCheck:
@@ -69,12 +69,11 @@ def verify_lipschitz(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> Lipschi
 
     sup_da = float(np.max(dA)) if dA.size else 0.0
     sup_dh = float(np.max(dH)) if dH.size else 0.0
-    inf_ratio = sup_dh / sup_da if sup_da > 0.0 else float("nan")
     if sup_dh > L * sup_da + DETERMINISTIC_TOL:
         raise TheoremViolation(
             f"sup-norm {sup_dh} exceeds {L} * {sup_da} + {DETERMINISTIC_TOL}"
         )
-    return LipschitzCheck(constant=L, max_elementwise_ratio=max_ratio, inf_norm_ratio=inf_ratio)
+    return LipschitzCheck(constant=L, max_elementwise_ratio=max_ratio)
 
 
 def margins(A, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
@@ -271,39 +270,31 @@ def budgeted_approximations(
     d: int = 8,
     kmeans_iters: int = 100,
     seed: int = 0,
-    methods: tuple = ("vq", "lowrank", "kronecker"),
 ) -> dict:
-    """Per-method approximations at the largest settings fitting the
-    budget; returns {method: (params, approx)}."""
+    """vq, low-rank and Kronecker approximations at the largest settings
+    fitting the budget; returns {method: (params, approx)}. Every
+    method's settings are checked before anything is fitted."""
     A = np.asarray(A, dtype=np.float64)
+    blocks = flatten_blocks(A, d)
     m, n = A.shape
-    out = {}
-    for method in methods:
-        if method == "vq":
-            n_blocks = A.size // d
-            k = min(param_budget // d, n_blocks)
-            if k < 1:
-                raise BudgetInfeasible(f"budget {param_budget} too small for vq with d={d}")
-            cb = fit_codebook(A, d, k, iters=kmeans_iters, seed=seed)
-            out[method] = (param_count("vq", m, n, k=k, d=d), vq_reconstruct(cb))
-        elif method == "lowrank":
-            r = min(param_budget // (m + n), min(m, n))
-            if r < 1:
-                raise BudgetInfeasible(f"budget {param_budget} too small for rank >= 1")
-            lr = svd_lowrank(A, r)
-            out[method] = (param_count("lowrank", m, n, r=r), lr.reconstruct())
-        elif method == "kronecker":
-            factors = balanced_factors(m, n)
-            params = param_count("kronecker", m, n, factors=factors)
-            if params > param_budget:
-                raise BudgetInfeasible(
-                    f"balanced factor split needs {params} params > budget {param_budget}"
-                )
-            kr = kronecker_approx(A, *factors)
-            out[method] = (params, kr.reconstruct())
-        else:
-            raise BudgetInfeasible(f"unknown method {method!r}")
-    return out
+    k = min(param_budget // d, blocks.shape[0])
+    if k < 1:
+        raise BudgetInfeasible(f"budget {param_budget} too small for vq with d={d}")
+    r = min(param_budget // (m + n), min(m, n))
+    if r < 1:
+        raise BudgetInfeasible(f"budget {param_budget} too small for rank >= 1")
+    factors = balanced_factors(m, n)
+    kron_params = param_count("kronecker", m, n, factors=factors)
+    if kron_params > param_budget:
+        raise BudgetInfeasible(
+            f"balanced factor split needs {kron_params} params > budget {param_budget}"
+        )
+    cb = kmeans_fit(blocks, k, iters=kmeans_iters, seed=seed, shape=A.shape)
+    return {
+        "vq": (param_count("vq", m, n, k=k, d=d), vq_reconstruct(cb)),
+        "lowrank": (param_count("lowrank", m, n, r=r), svd_lowrank(A, r).reconstruct()),
+        "kronecker": (kron_params, kronecker_approx(A, *factors).reconstruct()),
+    }
 
 
 def compare_methods(A, approximations: dict) -> list[MethodNorms]:
@@ -328,10 +319,7 @@ def inf_norm_comparison(
     d: int = 8,
     kmeans_iters: int = 100,
     seed: int = 0,
-    methods: tuple = ("vq", "lowrank", "kronecker"),
 ) -> list[MethodNorms]:
     """Budget-matched worst-case-error comparison across methods."""
-    approx = budgeted_approximations(
-        A, param_budget, d=d, kmeans_iters=kmeans_iters, seed=seed, methods=methods
-    )
+    approx = budgeted_approximations(A, param_budget, d=d, kmeans_iters=kmeans_iters, seed=seed)
     return compare_methods(A, approx)

@@ -92,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--approx", required=True)
     p_an.add_argument("--report-dir", required=True)
     p_an.add_argument("--budget", type=int,
-                      help="also emit a budget-matched method comparison")
-    p_an.add_argument("--methods", nargs="+",
-                      default=["vq", "lowrank", "kronecker"])
+                      help="also emit a budget-matched vq, low-rank and Kronecker comparison")
     p_an.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -224,8 +222,11 @@ def cmd_analyze(args) -> int:
     At = tensor_io.load_tensor(args.approx)
     if A.shape != At.shape:
         raise ShapeMismatch(f"latent {A.shape} != approx {At.shape}")
-    os.makedirs(args.report_dir, exist_ok=True)
+    rows = None
+    if args.budget is not None:
+        rows = analysis.inf_norm_comparison(A, args.budget, seed=args.seed)
     rep = analysis.theory_report(A, At)
+    os.makedirs(args.report_dir, exist_ok=True)
     tensor_io.write_csv(
         ["epsilon", "tail_lhs", "tail_rhs", "lipschitz_L", "max_ratio", "clip_rate", "clip_bound"],
         [
@@ -259,10 +260,7 @@ def cmd_analyze(args) -> int:
         os.path.join(args.report_dir, "spectrum.csv"),
     )
 
-    if args.budget is not None:
-        rows = analysis.inf_norm_comparison(
-            A, args.budget, seed=args.seed, methods=tuple(args.methods)
-        )
+    if rows is not None:
         tensor_io.write_csv(
             ["params", "norm_inf", "norm_2", "norm_fro"],
             [[r.params, r.norm_inf, r.norm_2, r.norm_fro] for r in rows],

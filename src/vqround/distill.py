@@ -164,29 +164,26 @@ def e2e_step(
     beta: float,
     temperature: float = 1.0,
     spec: RoundingSpec = RoundingSpec(),
-    teacher_logits=None,
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """Loss terms and per-layer codebook gradients for one batch.
 
     Returns (total, kd, reg, grads). Backpropagation runs analytically
     through the softmax/KL head and the linear layers and ReLUs to each
     layer's weights; the codebook backward that blockwise optimization
-    uses takes it on into the centroids. ``teacher_logits``, if given,
-    must be ``forward_logits(teacher, x)``; the teacher is not run
-    again.
+    uses takes it on into the centroids.
     """
-    return _e2e_step(_quantizers(student), teacher, student, x, lam, beta, temperature, spec,
-                     teacher_logits)
+    return _e2e_step(_quantizers(student), student, x, forward_logits(teacher, x, spec),
+                     lam, beta, temperature, spec)
 
 
 def _quantizers(student: TinyNet) -> list[LayerQuantizer]:
     return [LayerQuantizer(l.weight, l.params, l.codebook, l.base) for l in student.layers]
 
 
-def _e2e_step(quantizers, teacher, student, x, lam, beta, temperature, spec,
-              teacher_logits=None):
+def _e2e_step(quantizers, student, x, teacher_logits, lam, beta, temperature, spec):
     """:func:`e2e_step` through ``quantizers``, which must be
-    ``_quantizers(student)``; ``e2e_finetune`` builds them once per run."""
+    ``_quantizers(student)``, against ``teacher_logits``, which must be
+    ``forward_logits(teacher, x)``; ``e2e_finetune`` builds both once."""
     n_layers = len(student.layers)
     fwds = [
         quant.forward(layer.codebook.centroids, spec)
@@ -194,8 +191,6 @@ def _e2e_step(quantizers, teacher, student, x, lam, beta, temperature, spec,
     ]
     acts = _activations(student, [fwd.what for fwd in fwds], x)
 
-    if teacher_logits is None:
-        teacher_logits = forward_logits(teacher, acts[0], spec, mode="fp")
     kd, delta = _kl_and_logit_grad(acts[-1], teacher_logits, temperature)
 
     regs: list[float] = [0.0] * n_layers
@@ -255,8 +250,8 @@ def e2e_finetune(
         lam_t = 0.0 if t <= w else cfg.lam
 
         total, kd, reg, grads = _e2e_step(
-            quantizers, teacher, student, data[sample], lam_t, beta, cfg.temperature, spec,
-            teacher_logits=teacher_logits[sample],
+            quantizers, student, data[sample], teacher_logits[sample], lam_t, beta,
+            cfg.temperature, spec,
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg

@@ -71,14 +71,6 @@ def flatten_blocks(A, d: int) -> np.ndarray:
     return A.reshape(-1, d)
 
 
-def unflatten_blocks(blocks, shape: tuple[int, int]) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=np.float64)
-    m, n = shape
-    if blocks.size != m * n:
-        raise ShapeMismatch(f"{blocks.size} values cannot fill shape {shape}")
-    return blocks.reshape(m, n)
-
-
 def vq_assign(blocks, centroids) -> np.ndarray:
     """Nearest-centroid index per block (squared Euclidean, ties to the
     lowest centroid index).
@@ -201,11 +193,8 @@ def _weighted_draw(weights: np.ndarray, total: float, u: float, cum: np.ndarray)
     return i
 
 
-# Weights per chunk of the seeding draw's locator, and the shortest weight
-# vector it runs on: below 4 chunks its fixed ~15 us cost is more than the
-# single running sum takes (measured with 1 BLAS thread on x86_64).
+# Weights per chunk of the seeding draw's locator.
 _DRAW_CHUNK = 256
-_DRAW_MIN = 4 * _DRAW_CHUNK
 
 
 def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray) -> int:
@@ -214,14 +203,14 @@ def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray
     state alike. The weights must be finite and non-negative, with a
     finite sum; ``cum`` is a scratch buffer of their length.
 
-    From ``_DRAW_MIN`` weights on, choice's index is located without its
-    O(L) quotient and running sum: chunk sums of ``_DRAW_CHUNK`` weights
-    (one vectorised reduction), their running sum, then one running sum
-    inside the chunk where ``u`` falls. That gives prefix sums ``P_i`` and
-    a total ``P`` that differ from the exact ``S_i`` and ``S`` by at most
-    ``(2C + n) eps`` and ``(C + n) eps`` relative, for C weights per chunk,
-    n chunks and eps = 2^-53 (any order of summing m non-negative terms
-    errs by at most ``(m-1) eps`` relative).
+    Choice's index is located without its O(L) quotient and running sum:
+    chunk sums of ``_DRAW_CHUNK`` weights (one vectorised reduction), their
+    running sum, then one running sum inside the chunk where ``u`` falls.
+    That gives prefix sums ``P_i`` and a total ``P`` that differ from the
+    exact ``S_i`` and ``S`` by at most ``(2C + n) eps`` and ``(C + n) eps``
+    relative, for at most C weights per chunk, n chunks and eps = 2^-53
+    (any order of summing m non-negative terms errs by at most ``(m-1)
+    eps`` relative). This holds for any L >= 1.
 
     Choice's ``x_i = cum[i] / cum[-1]`` sits near ``r_i = S_i / S``: the
     quotients ``w_j / total`` err by ``eps`` relative plus 2^-1075 where
@@ -239,11 +228,6 @@ def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray
     same ``u``, the only case that needs the total ``weights.sum()``.
     """
     L = weights.size
-    if L < _DRAW_MIN:
-        total = weights.sum()
-        if not total > 0.0:
-            return int(rng.integers(L))
-        return _weighted_draw(weights, total, rng.random(), cum)
     run = np.add.reduceat(weights, np.arange(0, L, _DRAW_CHUNK))
     run.cumsum(out=run)
     whole = float(run[-1])
@@ -281,10 +265,9 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     all. Float64 adds far less, bar ``d 2^-1074`` unscaled where subnormal
     squares round (capped at 8d). The slack, 8 (d + 4) plus that term,
     covers both, so no block the screen drops is nearer than ``closest``.
-    The draw is :func:`_seeding_draw`, whose only O(L) pass from
-    ``_DRAW_MIN`` blocks on is one chunked sum of ``closest``. A step costs
-    that pass, the GEMV and three float32 passes, plus O(d) per block
-    measured again.
+    The draw is :func:`_seeding_draw`, whose only O(L) pass is one chunked
+    sum of ``closest``. A step costs that pass, the GEMV and three float32
+    passes, plus O(d) per block measured again.
     """
     L, d = blocks.shape
     centroids = np.empty((k, d))
@@ -389,7 +372,6 @@ def kmeans_fit(
         for j in range(d):
             sums[:, j] = np.bincount(assign, weights=blocks[:, j], minlength=k)
         occupied = counts > 0
-        centroids = centroids.copy()
         centroids[occupied] = sums[occupied] / counts[occupied, None]
 
     indices = assign if converged else vq_assign(blocks, centroids)
@@ -407,7 +389,7 @@ def fit_codebook(A, d: int, k: int, iters: int = 100, seed: int = 0) -> Codebook
 
 def vq_reconstruct(cb: Codebook) -> np.ndarray:
     """Gather each block's centroid and undo the flatten."""
-    return unflatten_blocks(cb.centroids[cb.indices], cb.shape)
+    return cb.centroids[cb.indices].reshape(cb.shape)
 
 
 def save_codebook(cb: Codebook, prefix: str) -> None:
@@ -426,7 +408,6 @@ def load_codebook(prefix: str, shape: tuple[int, int]) -> Codebook:
 class LowRankApprox:
     left: np.ndarray  # (m, r)
     right: np.ndarray  # (n, r)
-    rank: int
     tail_energy: float  # Frobenius norm of the discarded spectrum
 
     def reconstruct(self) -> np.ndarray:
@@ -448,7 +429,7 @@ def svd_lowrank(A, r: int) -> LowRankApprox:
     left = U[:, :r] * S[:r]
     right = Vt[:r].T
     tail = float(np.sqrt(np.sum(S[r:] ** 2)))
-    return LowRankApprox(left=left, right=right, rank=r, tail_energy=tail)
+    return LowRankApprox(left=left, right=right, tail_energy=tail)
 
 
 def rearrange(A, a: int, b: int, c: int, d2: int) -> np.ndarray:

@@ -36,7 +36,6 @@ class TestVerifyLipschitz:
         A = np.random.default_rng(0).normal(size=(4, 4))
         check = verify_lipschitz(A, A, SPEC)
         assert np.isnan(check.max_elementwise_ratio)
-        assert np.isnan(check.inf_norm_ratio)
 
     def test_bound_tight_at_origin(self):
         # The slope peaks at the origin: 1.2 * sigma'(0) = 0.3.
@@ -222,7 +221,12 @@ class TestInfNormComparison:
 
     def test_budget_infeasible(self):
         with pytest.raises(errors.BudgetInfeasible):
-            inf_norm_comparison(np.zeros((64, 64)), 4, d=8, methods=("lowrank",))
+            inf_norm_comparison(np.zeros((64, 64)), 4, d=8)
+
+    @pytest.mark.parametrize("d", [0, -8])
+    def test_non_positive_block_length(self, d):
+        with pytest.raises(errors.DomainError, match="block length"):
+            inf_norm_comparison(np.zeros((8, 8)), 64, d=d)
 
     def test_params_within_budget(self):
         A = np.random.default_rng(10).normal(size=(16, 16))

@@ -550,10 +550,29 @@ class TestAnalyze:
         code = main([
             "analyze", "--latent", str(a_path), "--approx", str(a_path),
             "--report-dir", str(tmp_path / "r"), "--budget", "64",
-            "--methods", "lowrank", "kronecker",
         ])
         assert code == 0
         assert (tmp_path / "r" / "norms.csv").exists()
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()[:3]] == ["vq", "lowrank", "kronecker"]
+
+    @pytest.mark.parametrize("budget", ["1", "40"])
+    def test_infeasible_budget_exits_4_before_any_fit_or_report(self, tmp_path, monkeypatch,
+                                                                 budget):
+        # Budget 1 fits no method; budget 40 fits a vq codebook (k=5) but
+        # no rank on 64x96, so no method may be fitted and no report written.
+        A = np.random.default_rng(11).normal(size=(64, 96))
+        a_path = tmp_path / "a.vqt"
+        save_tensor(A, a_path)
+        fits = []
+        monkeypatch.setattr(analysis, "kmeans_fit", lambda *a, **kw: fits.append(a))
+        code = main([
+            "analyze", "--latent", str(a_path), "--approx", str(a_path),
+            "--report-dir", str(tmp_path / "r"), "--budget", budget,
+        ])
+        assert code == 4
+        assert fits == []
+        assert not (tmp_path / "r").exists()
 
 
 class TestUsage:

@@ -400,8 +400,8 @@ class TestE2EFinetune:
                 batches.append(np.array(x))
             return real_forward(net, x, *args, **kwargs)
 
-        def uncached_step(*args, teacher_logits=None, **kwargs):
-            return real_step(*args, **kwargs)
+        def uncached_step(quantizers, student, x, teacher_logits, *rest):
+            return real_step(quantizers, student, x, real_forward(teacher, x), *rest)
 
         monkeypatch.setattr(distill, "forward_logits", counting_forward)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)

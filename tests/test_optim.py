@@ -20,7 +20,7 @@ from vqround.quantize import (
     inverse_rectified_sigmoid,
     rounding_regularizer,
 )
-from vqround.reparam import Codebook, fit_codebook, unflatten_blocks, vq_reconstruct
+from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
 
 SPEC = RoundingSpec()
 
@@ -256,7 +256,7 @@ class TestCodebookBackward:
         indices[0] = 0
         cb = Codebook(centroids=centroids, indices=indices, shape=W.shape)
         fwd = optim.soft_quant_forward(W, p, cb, spec)
-        H = unflatten_blocks(fwd.h[cb.indices], cb.shape)
+        H = fwd.h[cb.indices].reshape(cb.shape)
         assert {0.0, 0.5, 1.0} <= set(H.ravel())
         reg, _ = optim.LayerQuantizer(W, p, cb).backward(fwd, np.zeros(W.shape), 1.0, beta)
         want = rounding_regularizer(H, beta)

@@ -4,6 +4,7 @@ from pathlib import Path
 import vqround
 
 PACKAGE_DIR = Path(vqround.__file__).parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def test_package_has_no_bare_asserts():
@@ -17,41 +18,58 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def _config_fields(tree):
-    """(class, field) for every annotated field of a ``*Config`` dataclass."""
+# Code outside the package that reads its results: the scripts, the
+# benchmark, and the acceptance suite, which checks the paper's invariants.
+READER_FILES = sorted((REPO_DIR / "scripts").glob("*.py")) + sorted(
+    (REPO_DIR / "perfbench").glob("*.py")) + [REPO_DIR / "tests" / "test_acceptance.py"]
+
+
+def _is_dataclass(node):
+    """Whether ``node`` is a class under ``@dataclass`` or ``@dataclass(...)``."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass" for dec in decorators)
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of a dataclass."""
     return {
         (node.name, stmt.target.id)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+        if _is_dataclass(node)
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     }
 
 
-def _attribute_reads(node, in_config_class=False):
+def _attribute_reads(node, in_dataclass=False):
     """Attribute names loaded anywhere under ``node``, skipping each
-    ``*Config`` class's own ``__post_init__`` (validation is not a use) and
-    attributes of ``args`` (the CLI's parsed flags, not a config)."""
-    if isinstance(node, ast.FunctionDef) and in_config_class and node.name == "__post_init__":
+    dataclass's own ``__post_init__`` (validation is not a use) and
+    attributes of ``args`` (the CLI's parsed flags, not a field)."""
+    if isinstance(node, ast.FunctionDef) and in_dataclass and node.name == "__post_init__":
         return set()
     reads = set()
     if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
         reads.add(node.attr)
-    inside = isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+    inside = _is_dataclass(node)
     for child in ast.iter_child_nodes(node):
         reads |= _attribute_reads(child, inside)
     return reads
 
 
 def test_every_config_field_has_a_reader():
-    # A settable value that the package never reads is a knob without a
-    # caller: setting it changes nothing.
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE_DIR.glob("*.py"))]
-    fields = set().union(*(_config_fields(tree) for tree in trees))
-    reads = set().union(*(_attribute_reads(tree) for tree in trees))
-    assert "FinetuneConfig" in {cls for cls, _ in fields}
+    # A settable value that nothing reads is a knob without a caller:
+    # setting it changes nothing. A result field that nothing reads is
+    # work without a consumer.
+    package = [ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    readers = package + [ast.parse(path.read_text(), filename=str(path))
+                         for path in READER_FILES]
+    fields = set().union(*(_dataclass_fields(tree) for tree in package))
+    reads = set().union(*(_attribute_reads(tree) for tree in readers))
+    assert {"FinetuneConfig", "LipschitzCheck"} <= {cls for cls, _ in fields}
     assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []
 
 

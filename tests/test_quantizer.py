@@ -422,9 +422,11 @@ class TestStepMemory:
         quantizers = distill._quantizers(student)
         states = [optim.AdamState.for_params(l.codebook.centroids) for l in layers]
         x = np.random.default_rng(31).normal(size=256)
+        teacher_logits = distill.forward_logits(teacher, x)
 
         def step():
-            grads = distill._e2e_step(quantizers, teacher, student, x, 0.01, 10.0, 1.0, SPEC)[3]
+            grads = distill._e2e_step(quantizers, student, x, teacher_logits,
+                                      0.01, 10.0, 1.0, SPEC)[3]
             for layer, state, grad in zip(layers, states, grads):
                 layer.codebook.centroids = adam_step(state, layer.codebook.centroids, grad, 1e-2)
 

@@ -11,8 +11,6 @@ from vqround import errors, reparam
 from vqround.hessian import residual_init
 from vqround.quantize import compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import (
-    _DRAW_CHUNK,
-    _DRAW_MIN,
     Codebook,
     _nearest,
     _plusplus_seed,
@@ -29,7 +27,6 @@ from vqround.reparam import (
     rearrange_inverse,
     save_codebook,
     svd_lowrank,
-    unflatten_blocks,
     vq_assign,
     vq_reconstruct,
     wcss,
@@ -58,7 +55,8 @@ class TestFlattenBlocks:
 
     def test_roundtrip(self):
         A = np.random.default_rng(0).normal(size=(4, 6))
-        assert np.array_equal(unflatten_blocks(flatten_blocks(A, 3), (4, 6)), A)
+        cb = Codebook(centroids=flatten_blocks(A, 3), indices=np.arange(8), shape=A.shape)
+        assert np.array_equal(vq_reconstruct(cb), A)
 
 
 class TestKmeans:
@@ -296,9 +294,9 @@ class TestWeightedDraw:
         assert off_by_one > 0
 
 
-# Lengths below, at and above the shortest the draw's locator runs on, most
-# not a multiple of its chunk.
-DRAW_LENGTHS = [1, 37, _DRAW_MIN - 1, _DRAW_MIN, _DRAW_MIN + 1, 2 * _DRAW_MIN + _DRAW_CHUNK // 2 + 3]
+# Lengths within one chunk of the draw's locator, at and around one to four
+# chunk boundaries, and beyond, most not a multiple of its chunk.
+DRAW_LENGTHS = [1, 37, 255, 256, 257, 513, 1023, 1024, 1025, 2179]
 
 
 @st.composite
@@ -338,7 +336,7 @@ class TestSeedingDraw:
         # A u on or one ulp beside a boundary of choice's running sum lies
         # within the locator's slack, so the exact draw must settle it and
         # still give choice's index; a u between boundaries never needs it.
-        w = np.random.default_rng(23).random(3 * _DRAW_MIN + 5)
+        w = np.random.default_rng(23).random(3077)
         cdf = np.cumsum(w / w.sum())
         cdf /= cdf[-1]
         calls = []
