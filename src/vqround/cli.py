@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import analysis, tensor_io
-from .distill import build_student, e2e_finetune
+from .distill import Layer, TinyNet, build_student, e2e_finetune
 from .errors import (
     DomainError,
     IoFailure,
@@ -93,12 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--report-dir", required=True)
     p_an.add_argument("--budget", type=int,
                       help="also emit a budget-matched vq, low-rank and Kronecker comparison")
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=int,
+                      help="k-means seed of the --budget comparison (default 0)")
     return parser
 
 
 # The optimize flags that only e2e mode reads, with their defaults there.
 _E2E_DEFAULTS = {"k": 4096, "d": 8, "kmeans_iters": 100, "temperature": 1.0}
+
+
+def _refuse_unread(args, mode, names) -> None:
+    """Exit 4, naming each one given, for flags that ``mode`` does not read."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"{mode} mode does not read {', '.join(given)}")
 
 
 def _cfg_from_args(args, **e2e) -> FinetuneConfig:
@@ -141,10 +149,7 @@ def cmd_vq(args) -> int:
 def _cmd_optimize_blockwise(args) -> int:
     if not args.weights or not args.codebook:
         raise DomainError("blockwise mode needs --weights and --codebook")
-    given = [f"--{name.replace('_', '-')}" for name in _E2E_DEFAULTS
-             if getattr(args, name) is not None]
-    if given:
-        raise DomainError(f"blockwise mode does not read {', '.join(given)}")
+    _refuse_unread(args, "blockwise", ["layers", *_E2E_DEFAULTS])
     W = tensor_io.load_tensor(args.weights)
     X = tensor_io.load_tensor(args.calib)
     if X.shape[0] != W.shape[1]:
@@ -171,15 +176,10 @@ def _cmd_optimize_blockwise(args) -> int:
 def _cmd_optimize_e2e(args) -> int:
     if not args.layers:
         raise DomainError("e2e mode needs --layers")
-    given = [f"--{name}" for name in ("weights", "codebook", "base")
-             if getattr(args, name) is not None]
-    if given:
-        raise DomainError(f"e2e mode does not read {', '.join(given)}")
+    _refuse_unread(args, "e2e", ["weights", "codebook", "base"])
     for name, default in _E2E_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    from .distill import Layer, TinyNet
-
     weights = [tensor_io.load_tensor(path) for path in args.layers]
     teacher = TinyNet(layers=[Layer(weight=w) for w in weights])
     X = tensor_io.load_tensor(args.calib)
@@ -218,13 +218,16 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.budget is None and args.seed is not None:
+        raise DomainError("analyze reads --seed only with --budget")
     A = tensor_io.load_tensor(args.latent)
     At = tensor_io.load_tensor(args.approx)
     if A.shape != At.shape:
         raise ShapeMismatch(f"latent {A.shape} != approx {At.shape}")
     rows = None
     if args.budget is not None:
-        rows = analysis.inf_norm_comparison(A, args.budget, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rows = analysis.inf_norm_comparison(A, args.budget, seed=seed)
     rep = analysis.theory_report(A, At)
     os.makedirs(args.report_dir, exist_ok=True)
     tensor_io.write_csv(
@@ -283,13 +286,23 @@ _COMMANDS = {
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output that could not be written: a
-    prefix or trace in a missing directory, or a trace that is one."""
+    prefix or trace in a missing directory, a trace that is one, or a
+    report directory that is, or would be made under, something else."""
     trace = getattr(args, "trace", None)
     for path in (getattr(args, "out_prefix", None), getattr(args, "out", None), trace):
         if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise IoFailure(f"output directory does not exist: {path}")
     if trace and os.path.isdir(trace):
         raise IoFailure(f"trace path is a directory: {trace}")
+    report_dir = getattr(args, "report_dir", None)
+    if report_dir:
+        # Missing parents are fine: os.makedirs creates them.
+        existing = os.path.abspath(report_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise IoFailure(f"cannot make report directory {report_dir}: "
+                            f"{existing} is not a directory")
 
 
 def main(argv=None) -> int:

@@ -264,6 +264,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "4"), ("--d", "4"), ("--kmeans-iters", "20"), ("--temperature", "1"),
+        ("--layers", "a.vqt"),
     ])
     def test_blockwise_rejects_e2e_only_flag(self, tmp_path, capsys, flag, value):
         # Even a flag set to its e2e default is refused: blockwise mode
@@ -573,6 +574,65 @@ class TestAnalyze:
         assert code == 4
         assert fits == []
         assert not (tmp_path / "r").exists()
+
+    def test_seed_without_budget_exits_4_before_loading(self, tmp_path, capsys):
+        # Only the budget comparison draws random numbers; the latent
+        # named here does not exist, so exit 4 means nothing was read.
+        code = main([
+            "analyze", "--latent", str(tmp_path / "missing.vqt"),
+            "--approx", str(tmp_path / "missing.vqt"),
+            "--report-dir", str(tmp_path / "r"), "--seed", "5",
+        ])
+        assert code == 4
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_budget_without_seed_uses_seed_0(self, tmp_path, monkeypatch):
+        A = np.random.default_rng(9).normal(size=(16, 16))
+        a_path = tmp_path / "a.vqt"
+        save_tensor(A, a_path)
+        seeds = []
+        compare = analysis.inf_norm_comparison
+
+        def recording_compare(*args, seed):
+            seeds.append(seed)
+            return compare(*args, seed=seed)
+
+        monkeypatch.setattr(analysis, "inf_norm_comparison", recording_compare)
+        code = main([
+            "analyze", "--latent", str(a_path), "--approx", str(a_path),
+            "--report-dir", str(tmp_path / "r"), "--budget", "64",
+        ])
+        assert code == 0
+        assert seeds == [0]
+
+    def test_report_dir_under_a_file_exits_2_before_any_fit(self, tmp_path, monkeypatch,
+                                                            capsys):
+        A = np.random.default_rng(11).normal(size=(64, 96))
+        a_path = tmp_path / "a.vqt"
+        save_tensor(A, a_path)
+        (tmp_path / "file").write_text("")
+        fits = []
+        monkeypatch.setattr(analysis, "kmeans_fit", lambda *a, **kw: fits.append(a))
+        code = main([
+            "analyze", "--latent", str(a_path), "--approx", str(a_path),
+            "--report-dir", str(tmp_path / "file" / "sub" / "r"), "--budget", "1024",
+        ])
+        assert code == 2
+        assert fits == []
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_report_dir_with_missing_parents_is_created(self, tmp_path):
+        A = np.random.default_rng(7).normal(size=(8, 8))
+        a_path = tmp_path / "a.vqt"
+        save_tensor(A, a_path)
+        report_dir = tmp_path / "new" / "deeper" / "r"
+        code = main([
+            "analyze", "--latent", str(a_path), "--approx", str(a_path),
+            "--report-dir", str(report_dir),
+        ])
+        assert code == 0
+        assert (report_dir / "theory.csv").exists()
 
 
 class TestUsage:

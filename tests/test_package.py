@@ -108,3 +108,37 @@ def test_cli_uses_no_private_name_of_another_module():
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules and node.attr.startswith("_")]
     assert found == []
+
+
+# Public names that nothing in the package or its readers calls, each
+# kept for a caller outside them.
+UNCALLED_PUBLIC_NAMES = {
+    "cli.entry",  # the console script in pyproject.toml
+    "distill.e2e_step",  # acceptance test 08's finite-difference check goes through it
+    "quantize.rounding_regularizer",  # the reference the backward's tests compare against
+    "reparam.rearrange_inverse",  # kept for the trained low-rank comparison (ROADMAP item 4)
+}
+
+
+def _named(node):
+    """Every name that ``node`` loads or stores, as a variable or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_caller():
+    # A public function or class that nothing names is code without a
+    # caller. A definition naming itself (recursion) does not count.
+    public, named = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + READER_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = _named(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if path.parent == PACKAGE_DIR and not stmt.name.startswith("_"):
+                    public.add((path.stem, stmt.name))
+            named |= names
+    uncalled = {f"{module}.{name}" for module, name in public if name not in named}
+    assert sorted(uncalled - UNCALLED_PUBLIC_NAMES) == []
+    assert sorted(UNCALLED_PUBLIC_NAMES - uncalled) == []
