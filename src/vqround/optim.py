@@ -114,7 +114,13 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new parameters."""
+    """One bias-corrected Adam update; returns the new parameters.
+
+    The moments are updated in place, each operation rounding as in
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
+    ``params - lr m_hat / (sqrt(v_hat) + eps)``, so that a step allocates
+    two arrays of the parameters' size, one of them the result.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -122,11 +128,21 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
     state.step += 1
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
-    m_hat = state.m / (1.0 - _BETA1**state.step)
-    v_hat = state.v / (1.0 - _BETA2**state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    m, v = state.m, state.v
+    tmp = np.multiply(grads, 1.0 - _BETA1)
+    m *= _BETA1
+    m += tmp
+    np.square(grads, out=tmp)
+    tmp *= 1.0 - _BETA2
+    v *= _BETA2
+    v += tmp
+    update = np.divide(m, 1.0 - _BETA1**state.step)
+    update *= lr
+    np.divide(v, 1.0 - _BETA2**state.step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += _EPS
+    update /= tmp
+    return np.subtract(params, update, out=update)
 
 
 @dataclass

@@ -9,6 +9,8 @@ reshape, so only the k*d centroid values remain trainable.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +89,39 @@ def vq_assign(blocks, centroids) -> np.ndarray:
     return _nearest(blocks, centroids)[0]
 
 
-# Float32 scores per chunk of the nearest-centroid search (4 MB whatever
-# the number of blocks L) and the most rows a chunk takes; 256 rows at
-# k = 4096.
+# Float32 scores per pass of the nearest-centroid search, shared by its
+# workers (4 MB whatever the number of blocks L), and the most rows a
+# chunk takes; 256 rows at k = 4096 inline, 128 per worker when split.
 _CHUNK_SCORES = 2**20
 _CHUNK_ROWS = 512
+# A pass splits its rows over the workers from k >= _SPLIT_K and L * k >=
+# _SPLIT_WORK on; smaller passes run inline. Split over inline time,
+# medians of 100 alternating calls in two runs (1 BLAS thread, 2-core
+# x86_64): at k = 1024, 2048 and 4096, 1.04-2.01x for L * k <= 2^19,
+# 0.79-0.95x at 2^20 and 0.65-0.95x at 2^21-2^22. At k = 256 the chunk's
+# many small numpy calls hold the GIL: 0.97-1.07x for L from 4096 to
+# 16384, and up to 1.42x in earlier runs to L = 65536.
+_SPLIT_K = 1024
+_SPLIT_WORK = 2**20
+# (pid, executor), kept from pass to pass: a new executor per pass took a
+# split pass at k = 1024, L = 2048-8192 to 0.94-1.17x of inline, against
+# 0.73-0.85x with the kept pool. A forked child has none of its parent's
+# pool threads, so it starts a pool of its own.
+_pool = None
+
+
+def _workers() -> int:
+    """Threads an assignment pass splits over: up to 2, one per usable core."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(2, cores or 1))
+
+
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the module's thread pool, created on first use."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(2, thread_name_prefix="vqround-nearest"))
+    return _pool[1].submit(fn, *args)
 
 
 def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +141,15 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     whose runner-up lies within the slack is re-ranked by cdist itself,
     so ties still go to the lowest index; on any other row the float32
     winner is cdist's strict minimum. The distance is summed column by
-    column, in cdist's order. Extra memory is O(_CHUNK_SCORES), plus the
-    two length-L results.
+    column, in cdist's order.
+
+    Every row's result is exact whatever chunk it falls in, so from
+    ``k >= _SPLIT_K`` and ``L * k >= _SPLIT_WORK`` on the rows are split
+    into two contiguous ranges, one per worker of a private thread pool
+    (:func:`_workers`; inline on one usable core). The calling thread allocates all scratch,
+    so the workers share the ``_CHUNK_SCORES`` budget of 4 MB rather than
+    taking one each: extra memory is O(_CHUNK_SCORES) over all workers,
+    plus the two length-L results.
     """
     L, d = blocks.shape
     k = centroids.shape[0]
@@ -129,35 +166,49 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     c_max = np.sqrt(sq_norms.max())
     tol = 2 * (d + 5) * float(np.finfo(np.float32).eps)
     floor = d * 2.0**-145 + np.ldexp(float(d), min(-2 * e - 1074, 3))
-    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // k, L))
-    x = np.empty((chunk, d))
-    aug = np.ones((chunk, d + 1), dtype=np.float32)
-    scores = np.empty((chunk, k), dtype=np.float32)
+    workers = _workers() if k >= _SPLIT_K and L * k >= _SPLIT_WORK else 1
+    per = -(-L // workers)
+    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // (k * workers), per))
+    x = np.empty((workers, chunk, d))
+    aug = np.ones((workers, chunk, d + 1), dtype=np.float32)
+    scores = np.empty((workers, chunk, k), dtype=np.float32)
     assign = np.empty(L, dtype=np.int64)
     own = np.empty(L)
-    for start in range(0, L, chunk):
-        b = blocks[start:start + chunk]
-        n = b.shape[0]
-        xs = np.ldexp(np.subtract(b, mean, out=x[:n]), -e, out=x[:n])
-        aug[:n, :d] = xs
-        G = scores[:n]
-        np.matmul(aug[:n], weights, out=G)
-        at = np.arange(n)
-        a = np.argmin(G, axis=1)
-        best = G[at, a]
-        G[at, a] = np.inf
-        # A second argmin reads short rows faster than min does.
-        second = G[at, np.argmin(G, axis=1)]
-        slack = tol * (np.sqrt(np.einsum("ij,ij->i", xs, xs)) + c_max) ** 2 + floor
-        near = np.flatnonzero(second - best <= slack)
-        if near.size:
-            a[near] = np.argmin(cdist(b[near], centroids, "sqeuclidean"), axis=1)
-        c = centroids[a]
-        dist = (b[:, 0] - c[:, 0]) ** 2
-        for j in range(1, d):
-            dist += (b[:, j] - c[:, j]) ** 2
-        assign[start:start + n] = a
-        own[start:start + n] = dist
+
+    def run(w: int) -> None:
+        for start in range(w * per, min(L, (w + 1) * per), chunk):
+            b = blocks[start:min(start + chunk, (w + 1) * per)]
+            n = b.shape[0]
+            xs = np.ldexp(np.subtract(b, mean, out=x[w, :n]), -e, out=x[w, :n])
+            aug[w, :n, :d] = xs
+            G = scores[w, :n]
+            np.matmul(aug[w, :n], weights, out=G)
+            at = np.arange(n)
+            a = np.argmin(G, axis=1)
+            best = G[at, a]
+            G[at, a] = np.inf
+            # A second argmin reads short rows faster than min does.
+            second = G[at, np.argmin(G, axis=1)]
+            slack = tol * (np.sqrt(np.einsum("ij,ij->i", xs, xs)) + c_max) ** 2 + floor
+            near = np.flatnonzero(second - best <= slack)
+            if near.size:
+                a[near] = np.argmin(cdist(b[near], centroids, "sqeuclidean"), axis=1)
+            c = centroids[a]
+            dist = (b[:, 0] - c[:, 0]) ** 2
+            for j in range(1, d):
+                dist += (b[:, j] - c[:, j]) ** 2
+            assign[start:start + n] = a
+            own[start:start + n] = dist
+
+    if workers == 1:
+        run(0)
+    else:
+        # Wait for every range before raising any worker's error, so that
+        # none still writes into the scratch or the results.
+        futures = [_submit(run, w) for w in range(workers)]
+        wait(futures)
+        for f in futures:
+            f.result()
     return assign, own
 
 
@@ -197,15 +248,40 @@ def _weighted_draw(weights: np.ndarray, total: float, u: float, cum: np.ndarray)
 _DRAW_CHUNK = 256
 
 
-def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray) -> int:
+def _resum_chunks(sums: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                  starts: np.ndarray) -> None:
+    """Bring ``sums``, ``np.add.reduceat(weights, starts)`` for ``starts``
+    every ``_DRAW_CHUNK``, up to date after the weights at ``rows``
+    (sorted) changed, bit for bit.
+
+    When few rows changed, only their chunks are summed again: gathered
+    into one compact copy, each is the same run of ``_DRAW_CHUNK`` values,
+    which ``reduceat`` adds in the same order wherever it lies. Otherwise,
+    or when a row lies in a short last chunk, every chunk is.
+    """
+    if not rows.size:
+        return
+    whole = weights.size // _DRAW_CHUNK
+    if 2 * _DRAW_CHUNK * rows.size > weights.size or rows[-1] >= whole * _DRAW_CHUNK:
+        np.add.reduceat(weights, starts, out=sums)
+        return
+    chunks = rows // _DRAW_CHUNK
+    runs = weights[:whole * _DRAW_CHUNK].reshape(whole, _DRAW_CHUNK)[chunks]
+    sums[chunks] = np.add.reduceat(runs.ravel(), starts[:chunks.size])
+
+
+def _seeding_draw(weights: np.ndarray, sums: np.ndarray, rng: np.random.Generator,
+                  cum: np.ndarray) -> int:
     """The ++ seeding's draw: ``rng.choice(L, p=weights / weights.sum())``,
     or ``rng.integers(L)`` when every weight is 0, index and generator
     state alike. The weights must be finite and non-negative, with a
-    finite sum; ``cum`` is a scratch buffer of their length.
+    finite sum; ``sums`` are the sums of every ``_DRAW_CHUNK`` of them,
+    as :func:`_resum_chunks` keeps them, and ``cum`` is a scratch buffer
+    of their length.
 
     Choice's index is located without its O(L) quotient and running sum:
-    chunk sums of ``_DRAW_CHUNK`` weights (one vectorised reduction), their
-    running sum, then one running sum inside the chunk where ``u`` falls.
+    the running sum of the chunk sums, then one running sum inside the
+    chunk where ``u`` falls.
     That gives prefix sums ``P_i`` and a total ``P`` that differ from the
     exact ``S_i`` and ``S`` by at most ``(2C + n) eps`` and ``(C + n) eps``
     relative, for at most C weights per chunk, n chunks and eps = 2^-53
@@ -228,8 +304,7 @@ def _seeding_draw(weights: np.ndarray, rng: np.random.Generator, cum: np.ndarray
     same ``u``, the only case that needs the total ``weights.sum()``.
     """
     L = weights.size
-    run = np.add.reduceat(weights, np.arange(0, L, _DRAW_CHUNK))
-    run.cumsum(out=run)
+    run = sums.cumsum()
     whole = float(run[-1])
     if not whole > 0.0:
         return int(rng.integers(L))
@@ -265,9 +340,11 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     all. Float64 adds far less, bar ``d 2^-1074`` unscaled where subnormal
     squares round (capped at 8d). The slack, 8 (d + 4) plus that term,
     covers both, so no block the screen drops is nearer than ``closest``.
-    The draw is :func:`_seeding_draw`, whose only O(L) pass is one chunked
-    sum of ``closest``. A step costs that pass, the GEMV and three float32
-    passes, plus O(d) per block measured again.
+    The draw is :func:`_seeding_draw` on ``closest`` and its chunk sums,
+    which are kept by :func:`_resum_chunks`: once few blocks move per
+    step, only their chunks are summed again. A step then costs the GEMV
+    and three float32 passes over L, plus O(d) per block measured again
+    and O(_DRAW_CHUNK) per block moved.
     """
     L, d = blocks.shape
     centroids = np.empty((k, d))
@@ -281,10 +358,12 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     sq_norms = np.einsum("ij,ij->j", scaled_t, scaled_t)
     slack = 8 * (d + 4) * np.finfo(np.float32).eps + np.ldexp(float(d), min(-2 * e - 1074, 3))
     thr = (np.ldexp(closest, -2 * e) + slack).astype(np.float32)
+    starts = np.arange(0, L, _DRAW_CHUNK)
+    sums = np.add.reduceat(closest, starts)
     cum = np.empty(L)
     score = np.empty(L, dtype=np.float32)
     for c in range(1, k):
-        idx = _seeding_draw(closest, rng, cum)
+        idx = _seeding_draw(closest, sums, rng, cum)
         centre = centroids[c] = blocks[idx]
         np.matmul(-2.0 * scaled_t[:, idx], scaled_t, out=score)
         np.add(score, sq_norms, out=score)
@@ -294,6 +373,7 @@ def _plusplus_seed(blocks: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         nearer = dist < closest[rows]
         rows, dist = rows[nearer], dist[nearer]
         closest[rows] = dist
+        _resum_chunks(sums, closest, rows, starts)
         thr[rows] = np.ldexp(dist, -2 * e) + slack
     return centroids
 

@@ -103,6 +103,31 @@ class TestAdam:
             params = adam_step(state, params, g, lr=0.05)
             assert np.array_equal(params, want)
 
+    def test_in_place_moments_match_the_rebinding_update(self):
+        # The update as written before it kept its moments in place, each
+        # expression allocating; 25 steps on a k x d codebook, bit for bit,
+        # with the caller's moment arrays updated rather than replaced.
+        rng = np.random.default_rng(4)
+        params = rng.normal(size=(256, 8))
+        state = AdamState.for_params(params)
+        m_buf, v_buf = state.m, state.v
+        m = v = np.zeros_like(params)
+        want = params
+        for t in range(1, 26):
+            g = rng.normal(size=params.shape) * 10.0 ** rng.uniform(-6, 2)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g**2
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            want = want - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            before, kept = params, params.copy()
+            params = adam_step(state, params, g, lr=1e-2)
+            assert params is not before and before.tobytes() == kept.tobytes()
+            assert params.tobytes() == want.tobytes()
+            assert state.m is m_buf and state.v is v_buf
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert state.step == 25
+
     def test_shape_mismatch(self):
         state = AdamState.for_params(np.zeros(2))
         with pytest.raises(errors.ShapeMismatch):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vqround
@@ -142,3 +145,90 @@ def test_every_public_name_has_a_caller():
     uncalled = {f"{module}.{name}" for module, name in public if name not in named}
     assert sorted(uncalled - UNCALLED_PUBLIC_NAMES) == []
     assert sorted(UNCALLED_PUBLIC_NAMES - uncalled) == []
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``vqround``; returns its standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+HELP_THREADS = """
+import argparse, contextlib, io, threading
+import vqround
+assert threading.active_count() == 1, threading.enumerate()
+from vqround import cli
+(commands,) = [action.choices for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+for argv in [["--help"]] + [[name, "--help"] for name in commands]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert threading.active_count() == 1, (argv, threading.enumerate())
+print(" ".join(sorted(commands)))
+"""
+
+
+def test_import_and_help_start_no_thread(tmp_path):
+    assert run_python(HELP_THREADS, tmp_path).split() == ["analyze", "init", "optimize", "vq"]
+
+
+VQ_THREADS = """
+import multiprocessing, os, threading
+import numpy as np
+from vqround import cli, reparam
+from vqround.tensor_io import save_tensor
+# 4096 blocks of 8 at k = 1024: L * k = 2^22, above the gate, so every
+# assignment pass splits.
+save_tensor(np.random.default_rng(0).random((64, 512)), "a.vqt")
+assert cli.main(["vq", "--latent", "a.vqt", "--k", "1024", "--iters", "2", "--out", "cb"]) == 0
+others = [t for t in threading.enumerate() if t is not threading.main_thread()]
+assert all(t.name.startswith("vqround-nearest") for t in others), others
+if reparam._pool is not None:
+    assert reparam._pool[1]._work_queue.empty()
+assert multiprocessing.active_children() == []
+try:
+    os.waitpid(-1, os.WNOHANG)
+    raise AssertionError("vq left a child process")
+except ChildProcessError:
+    pass
+print(len(others), reparam._workers())
+"""
+
+
+def test_vq_leaves_only_idle_pool_workers(tmp_path):
+    # The split assignment pass starts no process; after vq only the
+    # pool's idle workers are left, one per worker the pass used, and the
+    # interpreter joins them at exit (the child exits 0).
+    threads, workers = map(int, run_python(VQ_THREADS, tmp_path).splitlines()[-1].split())
+    assert threads == (workers if workers > 1 else 0)
+
+
+FORKED_PASS = """
+import multiprocessing
+import numpy as np
+from vqround import reparam
+reparam.os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(0)
+blocks, centroids = rng.normal(size=(8192, 8)), rng.normal(size=(1024, 8))
+want = reparam._nearest(blocks, centroids)
+
+def child():
+    got = reparam._nearest(blocks, centroids)
+    raise SystemExit(0 if all(g.tobytes() == w.tobytes() for g, w in zip(got, want)) else 1)
+
+proc = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+proc.start()
+proc.join(60)
+print(proc.exitcode)
+"""
+
+
+def test_forked_child_splits_on_a_pool_of_its_own(tmp_path):
+    # A child forked after a split pass inherits the pool but none of its
+    # threads; its own split pass must not wait on them.
+    assert run_python(FORKED_PASS, tmp_path).split() == ["0"]

@@ -320,6 +320,11 @@ def seeding_weights(draw):
     return w
 
 
+def chunk_sums(w):
+    """The chunk sums the seeding keeps for its draw, by a full reduction."""
+    return np.add.reduceat(w, np.arange(0, w.size, reparam._DRAW_CHUNK))
+
+
 class TestSeedingDraw:
     @settings(max_examples=300, deadline=None)
     @given(seeding_weights(), st.integers(0, 2**32 - 1))
@@ -329,7 +334,7 @@ class TestSeedingDraw:
         for _ in range(3):
             total = w.sum()
             want = int(theirs.choice(w.size, p=w / total)) if total > 0.0 else int(theirs.integers(w.size))
-            assert _seeding_draw(w, ours, cum) == want
+            assert _seeding_draw(w, chunk_sums(w), ours, cum) == want
         assert ours.random() == theirs.random()
 
     def test_boundary_u_takes_the_exact_fallback(self, monkeypatch):
@@ -346,15 +351,15 @@ class TestSeedingDraw:
             return _weighted_draw(*args)
 
         monkeypatch.setattr(reparam, "_weighted_draw", counted)
-        cum = np.empty(w.size)
+        cum, sums = np.empty(w.size), chunk_sums(w)
         edges = cdf[:-1:29]
         boundary = [u for q in edges for u in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0))]
         for u in boundary:
             want = int(np.searchsorted(cdf, u, side="right"))
-            assert _seeding_draw(w, _FixedUniform(u), cum) == want
+            assert _seeding_draw(w, sums, _FixedUniform(u), cum) == want
         assert calls == boundary
         for u in (edges[1:] + edges[:-1]) / 2:
-            assert _seeding_draw(w, _FixedUniform(u), cum) == int(np.searchsorted(cdf, u, side="right"))
+            assert _seeding_draw(w, sums, _FixedUniform(u), cum) == int(np.searchsorted(cdf, u, side="right"))
         assert calls == boundary
 
 
@@ -392,6 +397,35 @@ def boundary_seeding(blocks, k, seed):
     return centroids, int(picks[0]), us
 
 
+class TestResumChunks:
+    @pytest.mark.parametrize("L", [256, 2048, 2900, 32768])
+    def test_matches_a_full_reduction(self, L):
+        # Rows in one chunk or several, repeated chunks, a row in a short
+        # last chunk, and more rows than the gathered path takes.
+        rng = np.random.default_rng(L)
+        w = 10.0 ** rng.uniform(-8, 8, L)
+        starts = np.arange(0, L, reparam._DRAW_CHUNK)
+        sums = chunk_sums(w)
+        for n in (0, 1, 2, 3, 5, 40, L // 2):
+            rows = np.unique(rng.integers(0, L, size=n))
+            w[rows] = 10.0 ** rng.uniform(-8, 8, rows.size)
+            reparam._resum_chunks(sums, w, rows, starts)
+            assert sums.tobytes() == chunk_sums(w).tobytes()
+
+    def test_few_rows_leave_other_chunks_alone(self):
+        # Only the chunks that hold a row are summed again: a stale sum
+        # elsewhere stays as it was.
+        w = np.random.default_rng(26).random(4096)
+        sums = chunk_sums(w)
+        sums[0] = -1.0
+        rows = np.array([300, 301, 2000])
+        w[rows] = 0.5
+        reparam._resum_chunks(sums, w, rows, np.arange(0, 4096, reparam._DRAW_CHUNK))
+        want = chunk_sums(w)
+        assert sums[0] == -1.0
+        assert sums[1:].tobytes() == want[1:].tobytes()
+
+
 class TestPlusPlusSeed:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_boundary_draws_pin_the_distances(self, seed):
@@ -419,6 +453,24 @@ class TestPlusPlusSeed:
         want = oracle_seeding(blocks, k, np.random.default_rng(seed))
         got = _plusplus_seed(blocks, k, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("L, k", [(8192, 1024), (2900, 512)])
+    def test_kept_chunk_sums_match_a_full_reduction(self, monkeypatch, L, k):
+        # The chunk sums the draw reads, kept up to date one step at a
+        # time, against a fresh reduction of ``closest`` before every draw.
+        # About half the steps (a sixth at 2900 blocks, which end in a
+        # short chunk) move few enough blocks to sum only their chunks.
+        blocks = np.random.default_rng(25).random(size=(L, 8))
+        draws = []
+
+        def checked(weights, sums, rng, cum):
+            draws.append(sums.tobytes() == chunk_sums(weights).tobytes())
+            return _seeding_draw(weights, sums, rng, cum)
+
+        monkeypatch.setattr(reparam, "_seeding_draw", checked)
+        got = _plusplus_seed(blocks, k, np.random.default_rng(4))
+        assert draws == [True] * (k - 1)
+        assert got.tobytes() == oracle_seeding(blocks, k, np.random.default_rng(4)).tobytes()
 
     def test_memory_bounded_by_blocks(self):
         blocks = np.random.default_rng(22).normal(size=(32768, 8))
@@ -513,6 +565,130 @@ class TestVqAssign:
         for i, b in enumerate(blocks):
             dists = [float(np.sum((b - c) ** 2)) for c in centroids]
             assert got[i] == int(np.argmin(dists))
+
+
+def two_cores(monkeypatch):
+    monkeypatch.setattr(reparam.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def counted_submits(monkeypatch):
+    """Count the ranges a pass hands to the pool."""
+    calls = []
+    submit = reparam._submit
+
+    def counted(fn, *args):
+        calls.append(args)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(reparam, "_submit", counted)
+    return calls
+
+
+def refuse_pool(monkeypatch):
+    def refused(fn, *args):
+        raise AssertionError("the pass reached the pool")
+
+    monkeypatch.setattr(reparam, "_submit", refused)
+
+
+def inline_nearest(monkeypatch, blocks, centroids):
+    with monkeypatch.context() as m:
+        m.setattr(reparam, "_SPLIT_K", np.inf)
+        refuse_pool(m)
+        return _nearest(blocks, centroids)
+
+
+class TestSplitPass:
+    @pytest.mark.parametrize("L, k", [(5000, 1024), (32768, 4096), (4099, 1031)])
+    def test_matches_the_inline_pass(self, monkeypatch, L, k):
+        # Above the gate, with L not a multiple of the per-worker chunk (512
+        # rows at k = 1024, 128 at k = 4096) nor of the two ranges.
+        assert k >= reparam._SPLIT_K and L * k >= reparam._SPLIT_WORK
+        rng = np.random.default_rng(L)
+        blocks = rng.normal(size=(L, 8))
+        centroids = blocks[rng.choice(L, k, replace=False)] + 1e-3
+        want = inline_nearest(monkeypatch, blocks, centroids)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got = _nearest(blocks, centroids)
+        assert len(calls) == 2
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("L, k", [(1, 1), (2, 2), (3, 5), (700, 3)])
+    def test_fewer_rows_than_two_chunks(self, monkeypatch, L, k):
+        # Such shapes lie below the gate; with the gate lowered they split
+        # into one short range each, or one range and an empty one.
+        monkeypatch.setattr(reparam, "_SPLIT_K", 1)
+        rng = np.random.default_rng(L)
+        blocks = rng.normal(size=(L, 4))
+        centroids = rng.normal(size=(k, 4))
+        want = inline_nearest(monkeypatch, blocks, centroids)
+        two_cores(monkeypatch)
+        monkeypatch.setattr(reparam, "_SPLIT_WORK", 1)
+        calls = counted_submits(monkeypatch)
+        got = _nearest(blocks, centroids)
+        assert len(calls) == 2
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("L, k, ranges", [(1023, 1024, 0), (1024, 1024, 2), (2048, 1024, 2),
+                                              (256, 4096, 2), (8192, 512, 0), (16384, 256, 0)])
+    def test_gate(self, monkeypatch, L, k, ranges):
+        # From k = 1024 and L * k = 2^20 on a pass splits; below either it
+        # runs inline.
+        rng = np.random.default_rng(30)
+        blocks = rng.normal(size=(L, 8))
+        centroids = rng.normal(size=(k, 8))
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        _nearest(blocks, centroids)
+        assert len(calls) == ranges
+
+    @pytest.mark.parametrize("shape", [(256, 256), (128, 64), (128, 128), (16, 128)])
+    def test_benchmark_shapes_at_k_256_stay_inline(self, monkeypatch, shape):
+        # layer-256's 256x256 latent and e2e-toy's three layers, at k = 256
+        # and d = 8, where a split costs more than it gains.
+        two_cores(monkeypatch)
+        refuse_pool(monkeypatch)
+        latent = np.random.default_rng(27).random(shape)
+        cb = fit_codebook(latent, d=8, k=256, iters=25, seed=0)
+        assert cb.centroids.shape == (256, 8)
+
+    def test_one_usable_core_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(reparam.os, "sched_getaffinity", lambda pid: {0})
+        refuse_pool(monkeypatch)
+        rng = np.random.default_rng(28)
+        blocks = rng.normal(size=(8192, 8))
+        centroids = rng.normal(size=(1024, 8))
+        assign, own = _nearest(blocks, centroids)
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        assert np.array_equal(assign, np.argmin(dists, axis=1))
+        assert own.tobytes() == np.min(dists, axis=1).tobytes()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # Duplicated centroids tie every row, so both workers call cdist.
+        class Boom(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Boom("cdist failed")
+
+        rng = np.random.default_rng(29)
+        blocks = rng.normal(size=(8192, 8))
+        centroids = np.repeat(rng.normal(size=(512, 8)), 2, axis=0)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(reparam, "cdist", boom)
+            with pytest.raises(Boom, match="cdist failed"):
+                _nearest(blocks, centroids)
+        assert len(calls) == 2
+        assign, own = _nearest(blocks, centroids)
+        assert len(calls) == 4
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        assert np.array_equal(assign, np.argmin(dists, axis=1))
+        assert own.tobytes() == np.min(dists, axis=1).tobytes()
 
 
 class TestVqReconstruct:
