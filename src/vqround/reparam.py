@@ -9,14 +9,13 @@ reshape, so only the k*d centroid values remain trainable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import tensor_io
+from . import parallel, tensor_io
 from .errors import (
     DomainError,
     IndivisibleShape,
@@ -103,27 +102,6 @@ _CHUNK_ROWS = 512
 # 16384, and up to 1.42x in earlier runs to L = 65536.
 _SPLIT_K = 1024
 _SPLIT_WORK = 2**20
-# (pid, executor), kept from pass to pass: a new executor per pass took a
-# split pass at k = 1024, L = 2048-8192 to 0.94-1.17x of inline, against
-# 0.73-0.85x with the kept pool. A forked child has none of its parent's
-# pool threads, so it starts a pool of its own.
-_pool = None
-
-
-def _workers() -> int:
-    """Threads an assignment pass splits over: up to 2, one per usable core."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(2, cores or 1))
-
-
-def _submit(fn, *args):
-    """Run ``fn(*args)`` on the module's thread pool, created on first use."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(2, thread_name_prefix="vqround-nearest"))
-    return _pool[1].submit(fn, *args)
-
-
 def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid of every block and its squared distance.
 
@@ -145,11 +123,12 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
 
     Every row's result is exact whatever chunk it falls in, so from
     ``k >= _SPLIT_K`` and ``L * k >= _SPLIT_WORK`` on the rows are split
-    into two contiguous ranges, one per worker of a private thread pool
-    (:func:`_workers`; inline on one usable core). The calling thread allocates all scratch,
-    so the workers share the ``_CHUNK_SCORES`` budget of 4 MB rather than
-    taking one each: extra memory is O(_CHUNK_SCORES) over all workers,
-    plus the two length-L results.
+    into two contiguous ranges, one per thread of the package's pool
+    (:func:`parallel.workers`; inline on one usable core). The calling
+    thread allocates all scratch, so the workers share the
+    ``_CHUNK_SCORES`` budget of 4 MB rather than taking one each: extra
+    memory is O(_CHUNK_SCORES) over all workers, plus the two length-L
+    results.
     """
     L, d = blocks.shape
     k = centroids.shape[0]
@@ -166,7 +145,7 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     c_max = np.sqrt(sq_norms.max())
     tol = 2 * (d + 5) * float(np.finfo(np.float32).eps)
     floor = d * 2.0**-145 + np.ldexp(float(d), min(-2 * e - 1074, 3))
-    workers = _workers() if k >= _SPLIT_K and L * k >= _SPLIT_WORK else 1
+    workers = parallel.workers() if k >= _SPLIT_K and L * k >= _SPLIT_WORK else 1
     per = -(-L // workers)
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // (k * workers), per))
     x = np.empty((workers, chunk, d))
@@ -200,15 +179,7 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
             assign[start:start + n] = a
             own[start:start + n] = dist
 
-    if workers == 1:
-        run(0)
-    else:
-        # Wait for every range before raising any worker's error, so that
-        # none still writes into the scratch or the results.
-        futures = [_submit(run, w) for w in range(workers)]
-        wait(futures)
-        for f in futures:
-            f.result()
+    parallel.run([partial(run, w) for w in range(workers)])
     return assign, own
 
 

@@ -1,9 +1,14 @@
 import csv
+import importlib
+import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from vqround import analysis, cli, optim
+from pools import counted_submits, refuse_pool, two_cores
+from vqround import analysis, cli, optim, parallel
 from vqround.cli import main
 from vqround.hessian import curvature_init
 from vqround.optim import FinetuneConfig, optimize_blockwise
@@ -31,6 +36,44 @@ def run_init(tmp_path, w_path, x_path, *extra):
     return code, prefix
 
 
+@pytest.fixture
+def large_layer_files(tmp_path):
+    # 512x768 weights and 768x256 calibration: above every split gate of
+    # the curvature init.
+    rng = np.random.default_rng(5)
+    w_path = tmp_path / "w_large.vqt"
+    x_path = tmp_path / "x_large.vqt"
+    save_tensor(rng.normal(size=(512, 768)), w_path)
+    save_tensor(rng.normal(size=(768, 256)), x_path)
+    return str(w_path), str(x_path)
+
+
+LIBRARY_MODULES = ("analysis", "distill", "hessian", "optim", "parallel", "quantize", "reparam",
+                   "tensor_io")
+
+
+def record_threads(monkeypatch):
+    """Wrap every public function of the library modules, in every
+    ``vqround`` namespace that holds it, to record the thread it runs on.
+    Returns the list of (name, thread) the wrappers fill."""
+    seen = []
+    namespaces = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "vqround"]
+    for module in map(importlib.import_module, (f"vqround.{name}" for name in LIBRARY_MODULES)):
+        for name, fn in list(vars(module).items()):
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+
+            def wrapper(*args, _fn=fn, **kwargs):
+                seen.append((_fn.__name__, threading.current_thread()))
+                return _fn(*args, **kwargs)
+
+            for namespace in namespaces:
+                for attr, value in list(vars(namespace).items()):
+                    if value is fn:
+                        monkeypatch.setattr(namespace, attr, wrapper)
+    return seen
+
+
 class TestInit:
     def test_writes_four_tensors(self, tmp_path, layer_files, capsys):
         w_path, x_path = layer_files
@@ -56,6 +99,43 @@ class TestInit:
         assert code == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(line.split("=")[1]) == pytest.approx(0.0, abs=1e-4)
+
+    def test_outputs_match_with_the_pool_refused(self, tmp_path, large_layer_files, monkeypatch,
+                                                 capsys):
+        w_path, x_path = large_layer_files
+        outputs = []
+        for refused in (True, False):
+            with monkeypatch.context() as m:
+                if refused:
+                    m.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+                    refuse_pool(m)
+                else:
+                    two_cores(m)
+                calls = counted_submits(m)
+                prefix = str(tmp_path / f"refused{refused}")
+                assert main(["init", "--weights", w_path, "--calib", x_path,
+                             "--out-prefix", prefix]) == 0
+            printed = capsys.readouterr().out
+            files = [(tmp_path / f"refused{refused}{suffix}").read_bytes()
+                     for suffix in ("_wq.vqt", "_b.vqt", "_h.vqt", "_a.vqt")]
+            outputs.append((files, printed, len(calls)))
+        assert outputs[0][2] == 0 and outputs[1][2] == 8
+        assert outputs[0][:2] == outputs[1][:2]
+
+    def test_library_runs_on_the_main_thread(self, tmp_path, large_layer_files, monkeypatch):
+        # Pool threads run plain numpy calls only, so a tracer that keeps
+        # one span stack sees every library call on the main thread.
+        w_path, x_path = large_layer_files
+        two_cores(monkeypatch)
+        seen = record_threads(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        assert main(["init", "--weights", w_path, "--calib", x_path,
+                     "--out-prefix", str(tmp_path / "o")]) == 0
+        assert len(calls) == 8
+        names = {name for name, _ in seen}
+        assert {"curvature_init", "accumulate_hessian", "hessian_aware_init", "round_half_away",
+                "submit", "save_tensor"} <= names
+        assert all(thread is threading.main_thread() for _, thread in seen)
 
     def test_missing_file_exits_2(self, tmp_path, layer_files):
         _, x_path = layer_files

@@ -1,11 +1,14 @@
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from vqround import errors, hessian
+from pools import counted_submits, refuse_pool, two_cores
+from vqround import distill, errors, hessian, parallel
 from vqround.hessian import (
     accumulate_hessian,
     curvature_init,
@@ -380,3 +383,280 @@ class TestResidualInit:
         assert np.array_equal(
             hard_round(res.h_tilde, SPEC), hard_round(plain, SPEC)
         )
+
+
+class Boom(Exception):
+    pass
+
+
+def lower_gates(monkeypatch):
+    """Split every product and look ahead in every sweep, whatever the shape."""
+    for name in ("_SPLIT_WORK", "_LOOKAHEAD_ROWS", "_LOOKAHEAD_COLUMNS"):
+        monkeypatch.setattr(hessian, name, 0)
+    monkeypatch.setattr(hessian, "_SPLIT_ALIGN", 1)
+
+
+def inline(monkeypatch, fn, *args):
+    """``fn(*args)`` on one usable core, where no task may reach the pool."""
+    with monkeypatch.context() as m:
+        m.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+        refuse_pool(m)
+        return fn(*args)
+
+
+def lookahead_tasks(n):
+    # Every block but the last two hands the rows after the next block
+    # to the pool.
+    return max(0, -(-n // 128) - 2)
+
+
+def assert_same_init(got, want):
+    for name in ("w_q", "base", "h_tilde"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def assert_close_init(got, plain):
+    # The pieces round apart from the single products in the last bits
+    # only: no decision moves, and the soft seed stays within rounding.
+    assert np.array_equal(got.w_q, plain.w_q)
+    assert np.array_equal(got.base, plain.base)
+    assert np.allclose(got.h_tilde, plain.h_tilde, rtol=0, atol=1e-9)
+
+
+def soft_layer(m, n, N, seed):
+    # Calibration scaled to 0.05 gives curvatures d > 1 and so a soft
+    # h_tilde, whose bytes show any change in the compensated weights.
+    W, X, p = layer(m, n, N, seed)
+    return W, 0.05 * X, p
+
+
+# Column counts on both sides of the sweep's 128-column block edges.
+EDGE_COLUMNS = [1, 127, 128, 129, 256, 257, 385]
+# Above every gate: 2 Hessian tasks, 4 lookahead updates, 2 recon_err tasks.
+ABOVE_GATES = (512, 768, 256)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("N", [1, 5, 300])
+    @pytest.mark.parametrize("n", EDGE_COLUMNS)
+    def test_hessian_matches_inline(self, monkeypatch, n, N):
+        X = np.random.default_rng([n, N]).normal(size=(n, N))
+        lower_gates(monkeypatch)
+        want = inline(monkeypatch, accumulate_hessian, X)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got = accumulate_hessian(X)
+        assert len(calls) == 2
+        assert got.tobytes() == want.tobytes()
+        # Both take the same pieces; they agree with the single product
+        # to rounding, and the mirror keeps H exactly symmetric.
+        assert np.array_equal(got, got.T)
+        assert np.allclose(got, 2.0 * (X @ X.T), rtol=1e-12, atol=1e-12 * N)
+
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    @pytest.mark.parametrize("n", EDGE_COLUMNS)
+    def test_sweep_matches_inline(self, monkeypatch, n, m):
+        W, X, p = soft_layer(m, n, 2 * n, seed=n + m)
+        factor = damped_inverse_factor(accumulate_hessian(X))
+        plain = hessian_aware_init(W, p, factor)
+        lower_gates(monkeypatch)
+        want = inline(monkeypatch, hessian_aware_init, W, p, factor)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got = hessian_aware_init(W, p, factor)
+        assert len(calls) == lookahead_tasks(n)
+        assert_same_init(got, want)
+        assert_close_init(got, plain)
+
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    @pytest.mark.parametrize("n", EDGE_COLUMNS)
+    def test_curvature_init_matches_inline(self, monkeypatch, n, m):
+        W, X, p = soft_layer(m, n, 300, seed=n * m)
+        plain, plain_err = curvature_init(W, X, p)
+        lower_gates(monkeypatch)
+        want, want_err = inline(monkeypatch, curvature_init, W, X, p)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got, err = curvature_init(W, X, p)
+        assert len(calls) == 2 + lookahead_tasks(n) + 2
+        assert_same_init(got, want)
+        assert err == want_err
+        assert_close_init(got, plain)
+        assert err == pytest.approx(plain_err, rel=1e-9)
+
+    @pytest.mark.parametrize("m, n, N", [ABOVE_GATES, (1024, 768, 384)])
+    def test_aligned_shapes_keep_the_single_product_bytes(self, monkeypatch, m, n, N):
+        # With every dimension a multiple of 128, the pieces reproduce the
+        # unsplit products bit for bit, so the outputs are the unsplit path's.
+        W, X, p = soft_layer(m, n, N, seed=m + n + N)
+        with monkeypatch.context() as mp:
+            mp.setattr(hessian, "_SPLIT_WORK", np.inf)
+            refuse_pool(mp)
+            want, want_err = curvature_init(W, X, p)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got, err = curvature_init(W, X, p)
+        assert len(calls) == 2 + lookahead_tasks(n) + 2
+        assert_same_init(got, want)
+        assert err == want_err
+
+    @pytest.mark.parametrize("n, N, tasks", [(512, 512, 2), (384, 1024, 2), (384, 768, 0),
+                                             (512, 511, 0), (520, 1024, 0)])
+    def test_hessian_gate(self, monkeypatch, n, N, tasks):
+        # From n * n * N = 2^27 on, with n and N multiples of 128.
+        X = np.random.default_rng(40).normal(size=(n, N))
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        accumulate_hessian(X)
+        assert len(calls) == tasks
+
+    @pytest.mark.parametrize("m, n, tasks", [(512, 768, 4), (384, 768, 0), (512, 640, 0),
+                                             (520, 1024, 0), (512, 1000, 0)])
+    def test_sweep_gate(self, monkeypatch, m, n, tasks):
+        # From 512 rows and 768 columns on, both multiples of 128.
+        W, _, p = layer(m, n, 1, seed=41)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        hessian_aware_init(W, p, np.eye(n))
+        assert len(calls) == tasks
+
+    @pytest.mark.parametrize("m, n, tasks", [(512, 512, 2), (640, 512, 2), (256, 512, 0),
+                                             (640, 520, 0)])
+    def test_recon_err_gate(self, monkeypatch, m, n, tasks):
+        # From m * n * n = 2^27 on, with m and n multiples of 128. One
+        # calibration column keeps the Hessian and the sweep unsplit.
+        W, X, p = layer(m, n, 1, seed=42)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        curvature_init(W, X, p)
+        assert len(calls) == tasks
+
+    def test_layer_256_init_stays_inline(self, monkeypatch):
+        # layer-256's init: 256x256 weights, 1024 calibration columns.
+        W, X, p = layer(256, 256, 1024, seed=43)
+        two_cores(monkeypatch)
+        refuse_pool(monkeypatch)
+        curvature_init(W, X, p)
+
+    def test_e2e_toy_hessian_student_stays_inline(self, monkeypatch):
+        # e2e-toy's 64-128-128-16 net with 256 calibration columns.
+        teacher = distill.random_net((64, 128, 128, 16), seed=44)
+        calib = np.random.default_rng(45).normal(size=(64, 256))
+        two_cores(monkeypatch)
+        refuse_pool(monkeypatch)
+        student = distill.build_student(teacher, bits=3, k=256, d=8, kmeans_iters=2,
+                                        init="hessian", calib=calib)
+        assert all(layer.base is not None for layer in student.layers)
+
+    def test_one_usable_core_runs_inline(self, monkeypatch):
+        W, X, p = soft_layer(*ABOVE_GATES, seed=46)
+        want = curvature_init(W, X, p)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+        refuse_pool(monkeypatch)
+        got = curvature_init(W, X, p)
+        assert_same_init(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("index", [0, 2, 7])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, index):
+        # Tasks 0-1 take the Hessian, 2-5 the lookahead updates and 6-7
+        # recon_err. One task fails at once, every other one sleeps first:
+        # the error reaches the caller only once all of them have stopped.
+        W, X, p = soft_layer(*ABOVE_GATES, seed=47)
+        two_cores(monkeypatch)
+        want, want_err = curvature_init(W, X, p)
+        with monkeypatch.context() as m:
+            submitted, finished = fail_one_task(m, index)
+            with pytest.raises(Boom, match=f"task {index} failed"):
+                curvature_init(W, X, p)
+        assert index in submitted
+        assert sorted(finished) == [t for t in submitted if t != index]
+        got, err = curvature_init(W, X, p)
+        assert_same_init(got, want)
+        assert err == want_err
+
+    def test_sweep_error_waits_for_the_pending_update(self, monkeypatch):
+        # The column loop fails in the second block while the first
+        # block's trailing update still runs on the pool.
+        W, X, p = soft_layer(*ABOVE_GATES, seed=48)
+        factor = damped_inverse_factor(accumulate_hessian(X))
+        rounded = []
+
+        def round_until_block_1(x):
+            rounded.append(x)
+            if len(rounded) > 128:
+                raise Boom("column loop failed")
+            return round_half_away(x)
+
+        two_cores(monkeypatch)
+        submitted, finished = fail_one_task(monkeypatch, None)
+        monkeypatch.setattr(hessian, "round_half_away", round_until_block_1)
+        with pytest.raises(Boom, match="column loop failed"):
+            hessian_aware_init(W, p, factor)
+        assert submitted == finished == [0]
+
+    def test_sweep_under_rapid_thread_switches(self, monkeypatch):
+        # The pool thread and the column loop share Wt by rows. With every
+        # pool task late by 20 ms, an update the next one does not wait
+        # for, or one lost, would show in the bytes.
+        W, X, p = soft_layer(*ABOVE_GATES, seed=49)
+        factor = damped_inverse_factor(accumulate_hessian(X))
+        want = inline(monkeypatch, hessian_aware_init, W, p, factor)
+        two_cores(monkeypatch)
+        submitted, finished = fail_one_task(monkeypatch, None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert_same_init(hessian_aware_init(W, p, factor), want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert submitted == finished == list(range(5 * lookahead_tasks(ABOVE_GATES[1])))
+
+    def test_split_hessian_does_not_hold_the_calibration(self, monkeypatch):
+        # TestCurvatureInit's check with the Hessian split over two cores.
+        W, _, p = layer(8, 32, 1, seed=5)
+        N = 50_000
+        in_use = []
+        sweep = hessian.hessian_aware_init
+
+        def traced_sweep(*args):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return sweep(*args)
+
+        lower_gates(monkeypatch)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        monkeypatch.setattr(hessian, "hessian_aware_init", traced_sweep)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curvature_init(W, np.random.default_rng(6).normal(size=(32, N)), p)
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 4
+        assert in_use[0] - before < 32 * N * 8 / 10
+
+
+def fail_one_task(monkeypatch, index):
+    """Make the pool's task number ``index`` raise Boom at once, and every
+    other task sleep 20 ms before it runs. Returns the numbers of the
+    tasks submitted and of those that ran to the end."""
+    submitted, finished = [], []
+    submit = parallel.submit
+
+    def failing(fn, *args):
+        number = len(submitted)
+        submitted.append(number)
+
+        def task():
+            if number == index:
+                raise Boom(f"task {number} failed")
+            time.sleep(0.02)
+            fn(*args)
+            finished.append(number)
+
+        return submit(task)
+
+    monkeypatch.setattr(parallel, "submit", failing)
+    return submitted, finished

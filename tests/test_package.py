@@ -177,42 +177,64 @@ def test_import_and_help_start_no_thread(tmp_path):
     assert run_python(HELP_THREADS, tmp_path).split() == ["analyze", "init", "optimize", "vq"]
 
 
-VQ_THREADS = """
+POOL_THREADS = """
 import multiprocessing, os, threading
 import numpy as np
-from vqround import cli, reparam
+from vqround import cli, parallel
 from vqround.tensor_io import save_tensor
-# 4096 blocks of 8 at k = 1024: L * k = 2^22, above the gate, so every
-# assignment pass splits.
-save_tensor(np.random.default_rng(0).random((64, 512)), "a.vqt")
-assert cli.main(["vq", "--latent", "a.vqt", "--k", "1024", "--iters", "2", "--out", "cb"]) == 0
+{run}
 others = [t for t in threading.enumerate() if t is not threading.main_thread()]
-assert all(t.name.startswith("vqround-nearest") for t in others), others
-if reparam._pool is not None:
-    assert reparam._pool[1]._work_queue.empty()
+assert all(t.name.startswith("vqround-worker") for t in others), others
+if parallel._pool is not None:
+    assert parallel._pool[1]._work_queue.empty()
 assert multiprocessing.active_children() == []
 try:
     os.waitpid(-1, os.WNOHANG)
-    raise AssertionError("vq left a child process")
+    raise AssertionError("the command left a child process")
 except ChildProcessError:
     pass
-print(len(others), reparam._workers())
+print(len(others), parallel.workers())
+"""
+
+# 4096 blocks of 8 at k = 1024: L * k = 2^22, above the gate, so every
+# assignment pass splits.
+VQ_RUN = """
+save_tensor(np.random.default_rng(0).random((64, 512)), "a.vqt")
+assert cli.main(["vq", "--latent", "a.vqt", "--k", "1024", "--iters", "2", "--out", "cb"]) == 0
+"""
+
+# 512x768 weights and 768x256 calibration: above every gate of the
+# curvature init, so its Hessian, sweep and recon_err all use the pool.
+INIT_RUN = """
+rng = np.random.default_rng(0)
+save_tensor(rng.normal(size=(512, 768)), "w.vqt")
+save_tensor(rng.normal(size=(768, 256)), "x.vqt")
+assert cli.main(["init", "--weights", "w.vqt", "--calib", "x.vqt", "--out-prefix", "o"]) == 0
 """
 
 
-def test_vq_leaves_only_idle_pool_workers(tmp_path):
-    # The split assignment pass starts no process; after vq only the
-    # pool's idle workers are left, one per worker the pass used, and the
+def assert_only_idle_pool_workers(run, tmp_path):
+    # A split starts no process; after the command only the pool's idle
+    # workers are left, one per worker the splits used, and the
     # interpreter joins them at exit (the child exits 0).
-    threads, workers = map(int, run_python(VQ_THREADS, tmp_path).splitlines()[-1].split())
+    last = run_python(POOL_THREADS.format(run=run), tmp_path).splitlines()[-1]
+    threads, workers = map(int, last.split())
     assert threads == (workers if workers > 1 else 0)
+
+
+def test_vq_leaves_only_idle_pool_workers(tmp_path):
+    assert_only_idle_pool_workers(VQ_RUN, tmp_path)
+
+
+def test_init_leaves_only_idle_pool_workers(tmp_path):
+    assert_only_idle_pool_workers(INIT_RUN, tmp_path)
 
 
 FORKED_PASS = """
 import multiprocessing
 import numpy as np
-from vqround import reparam
-reparam.os.sched_getaffinity = lambda pid: {0, 1}
+from vqround import parallel, reparam
+parallel.os.sched_getaffinity = lambda pid: {0, 1}
 rng = np.random.default_rng(0)
 blocks, centroids = rng.normal(size=(8192, 8)), rng.normal(size=(1024, 8))
 want = reparam._nearest(blocks, centroids)
@@ -232,3 +254,33 @@ def test_forked_child_splits_on_a_pool_of_its_own(tmp_path):
     # A child forked after a split pass inherits the pool but none of its
     # threads; its own split pass must not wait on them.
     assert run_python(FORKED_PASS, tmp_path).split() == ["0"]
+
+
+FORKED_INIT = """
+import multiprocessing
+import numpy as np
+from vqround import parallel
+from vqround.hessian import curvature_init
+from vqround.quantize import compute_quant_params
+parallel.os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(0)
+W, X = rng.normal(size=(512, 768)), rng.normal(size=(768, 256))
+p = compute_quant_params(W, 3)
+want, want_err = curvature_init(W, X, p)
+
+def child():
+    got, err = curvature_init(W, X, p)
+    same = err == want_err and all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                                   for name in ("w_q", "base", "h_tilde"))
+    raise SystemExit(0 if same else 1)
+
+proc = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+proc.start()
+proc.join(60)
+print(proc.exitcode)
+"""
+
+
+def test_forked_child_inits_on_a_pool_of_its_own(tmp_path):
+    # As above, for the curvature init's splits.
+    assert run_python(FORKED_INIT, tmp_path).split() == ["0"]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from vqround import errors, reparam
+from pools import counted_submits, refuse_pool, two_cores
+from vqround import errors, parallel, reparam
 from vqround.hessian import residual_init
 from vqround.quantize import compute_quant_params, inverse_rectified_sigmoid
 from vqround.reparam import (
@@ -567,30 +568,6 @@ class TestVqAssign:
             assert got[i] == int(np.argmin(dists))
 
 
-def two_cores(monkeypatch):
-    monkeypatch.setattr(reparam.os, "sched_getaffinity", lambda pid: {0, 1})
-
-
-def counted_submits(monkeypatch):
-    """Count the ranges a pass hands to the pool."""
-    calls = []
-    submit = reparam._submit
-
-    def counted(fn, *args):
-        calls.append(args)
-        return submit(fn, *args)
-
-    monkeypatch.setattr(reparam, "_submit", counted)
-    return calls
-
-
-def refuse_pool(monkeypatch):
-    def refused(fn, *args):
-        raise AssertionError("the pass reached the pool")
-
-    monkeypatch.setattr(reparam, "_submit", refused)
-
-
 def inline_nearest(monkeypatch, blocks, centroids):
     with monkeypatch.context() as m:
         m.setattr(reparam, "_SPLIT_K", np.inf)
@@ -656,7 +633,7 @@ class TestSplitPass:
         assert cb.centroids.shape == (256, 8)
 
     def test_one_usable_core_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(reparam.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
         refuse_pool(monkeypatch)
         rng = np.random.default_rng(28)
         blocks = rng.normal(size=(8192, 8))
