@@ -6,6 +6,11 @@ frozen at the teacher's values and only the per-layer rounding
 codebooks train, against a temperature-softened KL between student and
 teacher logits plus the rounding regularizer after warm-up. All
 gradients are computed analytically; there is no autodiff underneath.
+The codebooks train together: one quantizer holds every layer, with the
+layers' centroids stacked into one array, so a step runs one quantizer
+forward, one backward and one Adam update whatever the depth. Every
+layer's share of a step is byte for byte what a quantizer of its own
+would give.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .errors import ArchitectureMismatch, DomainError, ShapeMismatch
 from .hessian import curvature_init, residual_init
@@ -118,20 +122,33 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
     if s.ndim == 1:
         s = s[None, :]
         t = t[None, :]
-    return _kl_and_logit_grad(s.T, t.T, temperature)[0]
+    return _kl_and_logit_grad(s.T, _log_softmax(t.T / temperature), temperature)[0]
 
 
-def _kl_and_logit_grad(student_logits, teacher_logits, temperature):
+def _log_softmax(z):
+    """``scipy.special.log_softmax(z, axis=0)``, operation for operation,
+    so byte for byte, without its array-API dispatch."""
+    z_max = np.amax(z, axis=0, keepdims=True)
+    z_max[~np.isfinite(z_max)] = 0
+    tmp = z - z_max
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(tmp), axis=0, keepdims=True))
+    return tmp - out
+
+
+def _kl_and_logit_grad(student_logits, teacher_log_probs, temperature):
     """KL (mean over columns) and its gradient w.r.t. student logits.
 
-    Logits are (classes, batch) columns here, matching the forward pass.
+    Logits are (classes, batch) columns here, matching the forward pass;
+    ``teacher_log_probs`` is ``_log_softmax(teacher_logits / temperature)``,
+    which a frozen teacher computes once per batch.
     """
-    log_ps = log_softmax(student_logits / temperature, axis=0)
-    log_pt = log_softmax(teacher_logits / temperature, axis=0)
+    log_ps = _log_softmax(student_logits / temperature)
     ps = np.exp(log_ps)
-    per_col = np.sum(ps * (log_ps - log_pt), axis=0)
+    log_ratio = log_ps - teacher_log_probs
+    per_col = np.sum(ps * log_ratio, axis=0)
     batch = student_logits.shape[1]
-    grad = ps * ((log_ps - log_pt) - per_col[None, :]) / (temperature * batch)
+    grad = ps * (log_ratio - per_col[None, :]) / (temperature * batch)
     return float(np.mean(per_col)), grad
 
 
@@ -145,15 +162,21 @@ class E2EResult:
     hard_kl_final: float
 
 
-def _mean_hard_kl(teacher, student, data, cfg, spec):
-    """Hard-rounded student KL, averaged over every calibration column.
+def _student_quantizer(student: TinyNet) -> LayerQuantizer:
+    """One quantizer over every layer of the student, checked to stack."""
+    for i, layer in enumerate(student.layers):
+        if layer.codebook is None or layer.params is None:
+            raise ArchitectureMismatch(f"student layer {i} carries no codebook")
+    return LayerQuantizer([(l.weight, l.params, l.codebook, l.base) for l in student.layers])
 
-    All columns go through one batched forward per network.
-    """
-    x = np.column_stack(data)
-    y_t = forward_logits(teacher, x, spec, mode="fp")
-    y_s = forward_logits(student, x, spec, mode="hard")
-    return kl_loss(y_s.T, y_t.T, cfg.temperature)
+
+def _mean_hard_kl(quant, centroids, student, x, teacher_log_probs, temperature, spec):
+    """Hard-rounded student KL over the calibration columns ``x``, through
+    one hard forward of the run's quantizer and one batched forward of the
+    network; ``teacher_log_probs`` are the teacher's on ``x``."""
+    fwd = quant.forward(centroids, spec, hard=True)
+    logits = _activations(student, quant.layer_weights(fwd.what), x)[-1]
+    return _kl_and_logit_grad(logits, teacher_log_probs, temperature)[0]
 
 
 def e2e_step(
@@ -172,37 +195,31 @@ def e2e_step(
     layer's weights; the codebook backward that blockwise optimization
     uses takes it on into the centroids.
     """
-    return _e2e_step(_quantizers(student), student, x, forward_logits(teacher, x, spec),
-                     lam, beta, temperature, spec)
+    quant = _student_quantizer(student)
+    log_pt = _log_softmax(forward_logits(teacher, x, spec) / temperature)
+    total, kd, reg, grad = _e2e_step(quant, quant.centroids, student, x, log_pt, lam, beta,
+                                     temperature, spec)
+    return total, kd, reg, quant.layer_centroids(grad)
 
 
-def _quantizers(student: TinyNet) -> list[LayerQuantizer]:
-    return [LayerQuantizer(l.weight, l.params, l.codebook, l.base) for l in student.layers]
+def _e2e_step(quant, centroids, student, x, teacher_log_probs, lam, beta, temperature, spec):
+    """:func:`e2e_step` through ``quant``, which must be
+    ``_student_quantizer(student)``, at the stacked ``centroids``, against
+    ``teacher_log_probs``, which must be the teacher's on ``x``; returns
+    the stacked centroid gradient. ``e2e_finetune`` builds the quantizer
+    once and the log-probabilities once per sample."""
+    fwd = quant.forward(centroids, spec)
+    whats = quant.layer_weights(fwd.what)
+    acts = _activations(student, whats, x)
 
+    kd, delta = _kl_and_logit_grad(acts[-1], teacher_log_probs, temperature)
 
-def _e2e_step(quantizers, student, x, teacher_logits, lam, beta, temperature, spec):
-    """:func:`e2e_step` through ``quantizers``, which must be
-    ``_quantizers(student)``, against ``teacher_logits``, which must be
-    ``forward_logits(teacher, x)``; ``e2e_finetune`` builds both once."""
-    n_layers = len(student.layers)
-    fwds = [
-        quant.forward(layer.codebook.centroids, spec)
-        for quant, layer in zip(quantizers, student.layers)
-    ]
-    acts = _activations(student, [fwd.what for fwd in fwds], x)
-
-    kd, delta = _kl_and_logit_grad(acts[-1], teacher_logits, temperature)
-
-    regs: list[float] = [0.0] * n_layers
-    grads: list[np.ndarray] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        fwd, quant = fwds[i], quantizers[i]
-        regs[i], grads[i] = quant.backward(
-            fwd, np.matmul(delta, acts[i].T, out=quant.dwhat), lam, beta)
+    for i in range(len(whats) - 1, -1, -1):
+        np.matmul(delta, acts[i].T, out=quant.dwhats[i])
         if i > 0:
-            delta = (fwd.what.T @ delta) * (acts[i] > 0.0)
-    reg = sum(regs)
-    return kd + lam * reg, kd, reg, grads
+            delta = (whats[i].T @ delta) * (acts[i] > 0.0)
+    reg, grad = quant.backward(fwd, quant.dwhat, lam, beta)
+    return kd + lam * reg, kd, reg, grad
 
 
 def e2e_finetune(
@@ -217,55 +234,61 @@ def e2e_finetune(
     Samples are drawn round-robin, one per step. Through warm-up the
     objective is the distillation term alone; afterwards the annealed
     rounding regularizer joins with weight ``cfg.lam``. Codebook indices
-    stay frozen throughout. The teacher is frozen, so its logits are
-    computed once per sample.
+    stay frozen throughout. One quantizer serves every layer, so a step
+    runs one forward, one backward and one Adam update over the stacked
+    centroids, which are written back to the student's codebooks at the
+    end. The teacher is frozen, so its log-probabilities are computed
+    once per sample, and once for the calibration batch of the hard KL.
     """
     if teacher.dims != student.dims:
         raise ArchitectureMismatch(
             f"teacher dims {teacher.dims} != student dims {student.dims}"
         )
-    for i, layer in enumerate(student.layers):
-        if layer.codebook is None or layer.params is None:
-            raise ArchitectureMismatch(f"student layer {i} carries no codebook")
+    quant = _student_quantizer(student)
     if not data:
         raise DomainError("empty calibration data")
 
-    quantizers = _quantizers(student)
-    states = [AdamState.for_params(l.codebook.centroids) for l in student.layers]
+    centroids = quant.centroids
+    state = AdamState.for_params(centroids)
+    x_all = np.column_stack(data)
+    log_pt_all = _log_softmax(forward_logits(teacher, x_all, spec, mode="fp") / cfg.temperature)
+
+    def hard_kl():
+        return _mean_hard_kl(quant, centroids, student, x_all, log_pt_all, cfg.temperature, spec)
+
     w = warmup_steps(cfg)
     loss_trace = np.zeros(cfg.steps)
     kd_trace = np.zeros(cfg.steps)
     reg_trace = np.zeros(cfg.steps)
     hard_kl_warmup_end = np.nan
     if w == 0:
-        hard_kl_warmup_end = _mean_hard_kl(teacher, student, data, cfg, spec)
+        hard_kl_warmup_end = hard_kl()
 
-    teacher_logits = {}
+    teacher_log_probs = {}
     for t in range(1, cfg.steps + 1):
         sample = (t - 1) % len(data)
-        if sample not in teacher_logits:
-            teacher_logits[sample] = forward_logits(teacher, data[sample], spec, mode="fp")
+        if sample not in teacher_log_probs:
+            logits = forward_logits(teacher, data[sample], spec, mode="fp")
+            teacher_log_probs[sample] = _log_softmax(logits / cfg.temperature)
 
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
 
-        total, kd, reg, grads = _e2e_step(
-            quantizers, student, data[sample], teacher_logits[sample], lam_t, beta,
+        total, kd, reg, grad = _e2e_step(
+            quant, centroids, student, data[sample], teacher_log_probs[sample], lam_t, beta,
             cfg.temperature, spec,
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg
         loss_trace[t - 1] = total
-
-        for i, layer in enumerate(student.layers):
-            layer.codebook.centroids = adam_step(
-                states[i], layer.codebook.centroids, grads[i], cfg.lr
-            )
+        centroids = adam_step(state, centroids, grad, cfg.lr)
 
         if t == w:
-            hard_kl_warmup_end = _mean_hard_kl(teacher, student, data, cfg, spec)
+            hard_kl_warmup_end = hard_kl()
 
-    hard_kl_final = _mean_hard_kl(teacher, student, data, cfg, spec)
+    hard_kl_final = hard_kl()
+    for layer, layer_centroids in zip(student.layers, quant.layer_centroids(centroids)):
+        layer.codebook.centroids = layer_centroids
     return E2EResult(
         codebooks=[l.codebook for l in student.layers],
         loss_trace=loss_trace,

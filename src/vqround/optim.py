@@ -17,8 +17,12 @@ values. Every entry that gathers one centroid value shares its rounding
 decision, so the regularizer, its derivative and the stretched
 sigmoid's slope are taken once per centroid value, the regularizer
 weighted by how many blocks use the centroid. The forward and this
-backward are the methods of ``LayerQuantizer``, which a run builds once
-per layer.
+backward are the methods of ``LayerQuantizer``, which a run builds once:
+over its one layer in blockwise optimization, over every layer of the
+student in end-to-end distillation. There it stacks the layers'
+codebooks, so that a step runs one forward, one backward and one Adam
+update for all of them, with each layer's outputs byte for byte those
+of a quantizer of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, StepOutOfRange
+from .errors import ArchitectureMismatch, DomainError, ShapeMismatch, StepOutOfRange
 from scipy.sparse import csr_array
 
 from .quantize import (
@@ -149,8 +153,10 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
 class SoftQuantForward:
     """Quantizer outputs plus what the backward pass needs.
 
-    ``h`` and ``slope`` are per centroid value, (k, d); the layer's
-    rounding matrix is the gather of ``h`` through the codebook's indices.
+    ``what`` and ``clip_active`` run over every entry of the quantizer's
+    layers, layer after layer, each row-major; ``h`` and ``slope`` are
+    per centroid value, the layers' centroids stacked. A layer's rounding
+    matrix is the gather of ``h`` through its indices.
     """
 
     what: np.ndarray  # dequantized weights, a new array on every forward
@@ -160,14 +166,25 @@ class SoftQuantForward:
 
 
 class LayerQuantizer:
-    """The soft quantizer of one layer, built once per run.
+    """The soft quantizer of a run's layers, built once per run: the one
+    layer of blockwise optimization, or every layer of an e2e student.
 
-    It holds what every step over the layer shares: the checked float64
-    weights, the integer base (``floor(W / s)`` unless given), the
-    per-row zero-points and scales broadcast to W's shape, each
-    centroid's block count, the k x L scatter operator of the frozen
-    indices, and the buffers a step writes into. The centroids are passed to every forward, so one
+    ``layers`` is a sequence of ``(W, params, codebook, base)``, with
+    ``base`` None for ``floor(W / s)``; the layers must share one block
+    length and one bit width. The quantizer holds what every step shares:
+    each layer's checked float64 weights and, flat over all the layers'
+    entries, the integer bases, the per-row zero-points and scales
+    broadcast to the entries, and the buffers a step writes into. The
+    codebooks stack into one: ``centroids`` holds the layers' centroids
+    one layer after another, the indices are offset by the centroids of
+    the layers before, and the block counts and the scatter run over
+    the stack. Forward and backward take the stacked centroids, so one
     quantizer serves a run whose optimizer rebinds them.
+
+    Each step operation is elementwise, a gather or scatter that keeps
+    to each layer's own centroids, or a sum over one layer's contiguous
+    slice, so every layer's outputs are byte for byte those of a
+    quantizer built over that layer alone.
 
     The scatter is a CSR matrix whose row c holds a 1 at every block
     that uses centroid c, with the blocks in ascending order; its
@@ -176,41 +193,73 @@ class LayerQuantizer:
     ``np.bincount`` does.
     """
 
-    def __init__(self, W, p: QuantParams, cb: Codebook, base=None):
-        W = np.ascontiguousarray(W, dtype=np.float64)
-        if cb.shape != W.shape:
-            raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
-        _check_rows(W, p)
-        self.W = W
-        self.q_min, self.q_max = p.q_min, p.q_max
-        self.base = _base(W, p, base)
-        # Broadcast to W's shape: numpy runs an elementwise operation 20-70%
-        # faster against a full array than against a per-row column on rows
-        # of 64 to 1024 entries (1 BLAS thread, 2-core x86_64).
-        self.zero = np.broadcast_to(p.zero[:, None].astype(np.float64), W.shape).copy()
-        self.scale = np.broadcast_to(p.scale[:, None], W.shape).copy()
-        self.indices = cb.indices
-        self.d = cb.d
-        counts = np.bincount(cb.indices, minlength=cb.k)
+    def __init__(self, layers):
+        layers = [(np.ascontiguousarray(W, dtype=np.float64), p, cb, base)
+                  for W, p, cb, base in layers]
+        _, p0, cb0, _ = layers[0]
+        for i, (W, p, cb, _) in enumerate(layers):
+            if cb.shape != W.shape:
+                raise ShapeMismatch(f"codebook shape {cb.shape} != W shape {W.shape}")
+            _check_rows(W, p)
+            if (cb.d, p.bits) != (cb0.d, p0.bits):
+                raise ArchitectureMismatch(
+                    f"layer {i} has block length {cb.d} at {p.bits} bits, "
+                    f"layer 0 {cb0.d} at {p0.bits}: their codebooks cannot stack"
+                )
+        self.weights = [W for W, _, _, _ in layers]
+        self.d, self.q_min, self.q_max = cb0.d, p0.q_min, p0.q_max
+        ends = np.cumsum([W.size for W in self.weights]).tolist()
+        k_ends = np.cumsum([cb.k for _, _, cb, _ in layers]).tolist()
+        self._spans = list(zip([0] + ends, ends))
+        self._k_spans = list(zip([0] + k_ends, k_ends))
+        size = ends[-1]
+        # Broadcast to the entries: numpy runs an elementwise operation
+        # 20-70% faster against a full array than against a per-row column
+        # on rows of 64 to 1024 entries (1 BLAS thread, 2-core x86_64).
+        self.base, self.zero, self.scale = np.empty(size), np.empty(size), np.empty(size)
+        self.indices = np.empty(size // self.d, dtype=np.int64)
+        self.centroids = np.empty((k_ends[-1], self.d))
+        for (W, p, cb, base), base_out, zero, scale, (a, b), (k0, k1) in zip(
+                layers, self.layer_weights(self.base), self.layer_weights(self.zero),
+                self.layer_weights(self.scale), self._spans, self._k_spans):
+            _base(W, p, base, out=base_out)
+            zero[...] = p.zero[:, None]
+            scale[...] = p.scale[:, None]
+            np.add(cb.indices, k0, out=self.indices[a // self.d:b // self.d])
+            self.centroids[k0:k1] = cb.centroids
+        counts = np.bincount(self.indices, minlength=k_ends[-1])
         self.counts = counts.astype(np.float64)[:, None]
-        order = np.argsort(cb.indices, kind="stable")
+        order = np.argsort(self.indices, kind="stable")
         indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.scatter = csr_array((np.ones(order.size), order, indptr), shape=(cb.k, order.size))
+        self.scatter = csr_array((np.ones(order.size), order, indptr),
+                                 shape=(k_ends[-1], order.size))
         # Step buffers. The gathered rounding matrix becomes the clipped
         # grid values in place; dwhat takes dloss/dWhat, which the backward
-        # consumes.
-        self._v = np.empty(W.shape)
-        self._active = np.empty(W.shape, dtype=bool)
-        self._below = np.empty(W.shape, dtype=bool)
-        self.dwhat = np.empty(W.shape)
+        # consumes, each layer's part written through ``dwhats``.
+        self._v = np.empty(size)
+        self._active = np.empty(size, dtype=bool)
+        self._below = np.empty(size, dtype=bool)
+        self.dwhat = np.empty(size)
+        self.dwhats = self.layer_weights(self.dwhat)
+
+    def layer_weights(self, a) -> list[np.ndarray]:
+        """Each layer's part of ``a``, an array over all entries, as a view
+        of the layer's shape."""
+        return [a[i:j].reshape(W.shape) for (i, j), W in zip(self._spans, self.weights)]
+
+    def layer_centroids(self, a) -> list[np.ndarray]:
+        """Each layer's rows of ``a``, an array of the stacked centroids'
+        shape, as views."""
+        return [a[i:j] for i, j in self._k_spans]
 
     def forward(self, centroids, spec: RoundingSpec, hard: bool = False) -> SoftQuantForward:
-        """Quantize W with the rounding decisions of ``centroids``.
+        """Quantize every layer with the rounding decisions of the stacked
+        ``centroids``.
 
         The stretched sigmoid and its slope depend on the latent alone,
         so they are evaluated once per centroid value; only the decisions
         are gathered through the frozen indices, to quantize W. ``hard``
-        binarizes the k*d decisions before the gather, which gives the
+        binarizes the decisions before the gather, which gives the
         hard-rounded weights of evaluation; a hard decision is flat in
         the latent, so its slope is zero, and no backward reads its
         ``clip_active``, which stays None. ``clip_active`` is a buffer
@@ -225,8 +274,8 @@ class LayerQuantizer:
             slope = (spec.zeta - spec.gamma) * sig
             slope *= 1.0 - sig
             slope *= (g > 0.0) & (g < 1.0)
-        H = np.take(h, self.indices, axis=0, out=self._v.reshape(-1, self.d), mode="clip")
-        q, what = _quantize_grid(self.base, H.reshape(self.W.shape), self.zero, self.scale,
+        np.take(h, self.indices, axis=0, out=self._v.reshape(-1, self.d), mode="clip")
+        q, what = _quantize_grid(self.base, self._v, self.zero, self.scale,
                                  self.q_min, self.q_max, out=self._v)
         clip_active = None
         if not hard:
@@ -238,14 +287,17 @@ class LayerQuantizer:
 
     def backward(self, fwd: SoftQuantForward, dl_dwhat: np.ndarray, lam: float,
                  beta: float) -> tuple[float, np.ndarray]:
-        """The rounding regularizer and the centroid gradient of
-        ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat``,
-        which is overwritten.
+        """The rounding regularizer and the stacked centroid gradient of
+        ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat`` over
+        all entries, as ``fwd.what``, which is overwritten.
 
         A centroid value used by c blocks enters the regularizer c times,
-        so its term and derivative are weighted by c.
+        so its term and derivative are weighted by c. Each layer's
+        regularizer is summed over its own centroids, and the layers'
+        sums are added in layer order.
         """
-        reg = float(np.sum(self.counts * _regularizer_terms(fwd.h, beta)))
+        terms = self.counts * _regularizer_terms(fwd.h, beta)
+        reg = sum(float(np.sum(terms[i:j])) for i, j in self._k_spans)
         dl_dh = dl_dwhat
         dl_dh *= self.scale
         dl_dh *= fwd.clip_active
@@ -259,9 +311,15 @@ class LayerQuantizer:
 def soft_quant_forward(
     W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None, hard: bool = False
 ) -> SoftQuantForward:
-    """One forward of a quantizer built for it alone; see
-    :meth:`LayerQuantizer.forward`."""
-    return LayerQuantizer(W, p, cb, base).forward(cb.centroids, spec, hard)
+    """One forward of a quantizer built for this layer alone (see
+    :meth:`LayerQuantizer.forward`), with ``what`` and ``clip_active`` of
+    W's shape."""
+    fwd = LayerQuantizer([(W, p, cb, base)]).forward(cb.centroids, spec, hard)
+    shape = np.shape(W)
+    fwd.what = fwd.what.reshape(shape)
+    if not hard:
+        fwd.clip_active = fwd.clip_active.reshape(shape)
+    return fwd
 
 
 def _layer_setup(W, X, p: QuantParams, cb: Codebook, base=None):
@@ -269,22 +327,24 @@ def _layer_setup(W, X, p: QuantParams, cb: Codebook, base=None):
     X = np.asarray(X, dtype=np.float64)
     if np.shape(W)[1:] != X.shape[:1]:
         raise ShapeMismatch(f"W shape {np.shape(W)} does not take X rows {X.shape[0]}")
-    return LayerQuantizer(W, p, cb, base), X @ X.T
+    return LayerQuantizer([(W, p, cb, base)]), X @ X.T
 
 
 def _blockwise_objective(quant: LayerQuantizer, G, centroids, spec, lam,
                          beta) -> tuple[float, np.ndarray]:
-    """Blockwise loss and its centroid gradient from one forward.
+    """Blockwise loss and its centroid gradient from one forward of the
+    one-layer ``quant``.
 
     ``G = X X^T`` is fixed for a layer. The forward's ``what`` becomes
     the error and then the product the loss sums, in place.
     """
     fwd = quant.forward(centroids, spec)
-    err = np.subtract(quant.W, fwd.what, out=fwd.what)
-    err_g = np.matmul(err, G, out=quant.dwhat)
+    (W,), (err,), (err_g,) = quant.weights, quant.layer_weights(fwd.what), quant.dwhats
+    np.subtract(W, err, out=err)
+    np.matmul(err, G, out=err_g)
     loss = float(np.sum(np.multiply(err_g, err, out=err)))
     err_g *= -2.0
-    reg, grad = quant.backward(fwd, err_g, lam, beta)
+    reg, grad = quant.backward(fwd, quant.dwhat, lam, beta)
     return loss + lam * reg, grad
 
 
@@ -319,7 +379,7 @@ def optimize_blockwise(
     loss trace (evaluated at the pre-update parameters).
     """
     quant, G = _layer_setup(W, X, p, cb, base)
-    centroids = cb.centroids.astype(np.float64)
+    centroids = quant.centroids
     state = AdamState.for_params(centroids)
     w = warmup_steps(cfg)
     trace = np.zeros(cfg.steps)

@@ -182,17 +182,22 @@ def adaptive_quantize(W, p: QuantParams, H, base=None) -> tuple[np.ndarray, np.n
     return _quantize_grid(_base(W, p, base), H, p.zero[:, None], p.scale[:, None], p.q_min, p.q_max)
 
 
-def _base(W: np.ndarray, p: QuantParams, base) -> np.ndarray:
+def _base(W: np.ndarray, p: QuantParams, base, out=None) -> np.ndarray:
     """The integer base of the rounding quantizer as float64: ``floor(W/s)``,
-    or the given ``base``, checked to be of W's shape, finite and integral."""
+    or the given ``base``, checked to be of W's shape, finite and integral.
+    ``out``, an array of W's shape, takes it when given."""
     if base is None:
-        return np.floor(W / p.scale[:, None])
+        q = np.divide(W, p.scale[:, None], out=out)
+        return np.floor(q, out=q)
     base = np.asarray(base, dtype=np.float64)
     if base.shape != W.shape:
         raise ShapeMismatch(f"base shape {base.shape} != W shape {W.shape}")
     if not (np.isfinite(base).all() and np.array_equal(base, np.floor(base))):
         raise DomainError("base must hold finite integers")
-    return base
+    if out is None:
+        return base
+    out[...] = base
+    return out
 
 
 def hard_round(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:

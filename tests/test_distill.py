@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, log_softmax
 
 from vqround import distill, errors, optim, quantize, reparam
 from vqround.distill import (
@@ -76,6 +76,23 @@ class TestKlLoss:
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
             kl_loss(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape, scale, temperature", [
+        ((16, 1), 1.0, 1.0), ((16, 1), 1.0, 1.5), ((16, 256), 3.0, 1.0), ((3, 5), 1000.0, 1.0),
+        ((3, 5), 1000.0, 2.5), ((1, 4), 1.0, 1.0), ((7, 2), 1e-300, 1.0),
+    ])
+    def test_log_softmax_is_scipys_byte_for_byte(self, shape, scale, temperature):
+        z = scale * np.random.default_rng(shape[1]).normal(size=shape)
+        z[0, 0] = 1000.0 * np.sign(scale)
+        want = log_softmax(z / temperature, axis=0)
+        assert distill._log_softmax(z / temperature).tobytes() == want.tobytes()
+
+    def test_log_softmax_of_non_finite_columns_is_scipys(self):
+        z = np.array([[-np.inf, np.inf, 1.0], [-np.inf, 0.0, -np.inf]])
+        with np.errstate(invalid="ignore"):
+            want = log_softmax(z, axis=0)
+            got = distill._log_softmax(z)
+        assert got.tobytes() == want.tobytes()
 
 
 def grid_aligned_teacher(dims, seed=0, bits=3):
@@ -309,40 +326,64 @@ class TestE2EStep:
             e2e_step(teacher, student, np.ones(5), lam=0.0, beta=5.0)
 
 
+def count_forwards(monkeypatch):
+    """Record the ``hard`` flag of every quantizer forward."""
+    forward, flags = optim.LayerQuantizer.forward, []
+
+    def counted(self, centroids, spec, hard=False):
+        flags.append(hard)
+        return forward(self, centroids, spec, hard)
+
+    monkeypatch.setattr(optim.LayerQuantizer, "forward", counted)
+    return flags
+
+
+def mean_hard_kl(teacher, student, data, temperature):
+    """``_mean_hard_kl`` as ``e2e_finetune`` calls it, at the student's
+    codebooks."""
+    quant = distill._student_quantizer(student)
+    x = np.column_stack(data)
+    log_pt = distill._log_softmax(forward_logits(teacher, x) / temperature)
+    return _mean_hard_kl(quant, quant.centroids, student, x, log_pt, temperature, SPEC)
+
+
 class TestMeanHardKl:
     @pytest.mark.parametrize("temperature", [1.0, 2.5])
     def test_batched_matches_per_column_mean(self, temperature):
         teacher = random_net((6, 10, 4), seed=13)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         data = [np.random.default_rng(i).normal(size=6) for i in range(24)]
-        cfg = FinetuneConfig(temperature=temperature)
         per_column = np.mean([
             kl_loss(forward_logits(student, x, SPEC, mode="hard").T,
                     forward_logits(teacher, x, SPEC, mode="fp").T, temperature)
             for x in data
         ])
         assert per_column > 0.0
-        got = _mean_hard_kl(teacher, student, data, cfg, SPEC)
+        got = mean_hard_kl(teacher, student, data, temperature)
         assert abs(got - per_column) <= 1e-12 * per_column
 
-    def test_one_hard_forward_per_layer_and_no_latent_gather(self, monkeypatch):
+    def test_one_hard_forward_and_no_latent_gather(self, monkeypatch):
         teacher = random_net((6, 10, 8, 4), seed=15)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         data = [np.random.default_rng(i).normal(size=6) for i in range(12)]
-        forward, hard_flags = distill.soft_quant_forward, []
-
-        def counted(*args, hard=False, **kwargs):
-            hard_flags.append(hard)
-            return forward(*args, hard=hard, **kwargs)
+        hard_flags = count_forwards(monkeypatch)
 
         def no_gather(*args, **kwargs):
             raise AssertionError("hard evaluation gathered the latent matrix")
 
-        monkeypatch.setattr(distill, "soft_quant_forward", counted)
+        def no_quantizer(*args, **kwargs):
+            raise AssertionError("hard evaluation built a quantizer of its own")
+
         for mod in (distill, optim, quantize, reparam):
             monkeypatch.setattr(mod, "vq_reconstruct", no_gather, raising=False)
-        _mean_hard_kl(teacher, student, data, FinetuneConfig(), SPEC)
-        assert hard_flags == [True] * len(student.layers)
+        quant = distill._student_quantizer(student)
+        x = np.column_stack(data)
+        log_pt = distill._log_softmax(forward_logits(teacher, x))
+        monkeypatch.setattr(distill, "soft_quant_forward", no_quantizer)
+        monkeypatch.setattr(distill, "LayerQuantizer", no_quantizer)
+        _mean_hard_kl(quant, quant.centroids, student, x, log_pt, 1.0, SPEC)
+        # One hard forward of the run's quantizer covers every layer.
+        assert hard_flags == [True]
 
 
 class TestE2EFinetune:
@@ -357,6 +398,61 @@ class TestE2EFinetune:
         with pytest.raises(errors.ArchitectureMismatch):
             e2e_finetune(teacher, random_net((4, 6, 2), seed=9),
                          [np.zeros(4)], FinetuneConfig(steps=1))
+
+    def test_one_quantizer_forward_per_step_over_all_layers(self, monkeypatch):
+        teacher = random_net((6, 10, 8, 4), seed=16)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
+        data = [np.random.default_rng(i).normal(size=6) for i in range(5)]
+        cfg = FinetuneConfig(steps=12, warmup_frac=0.25)
+        built, adam_calls = [], []
+        quantizer, adam = distill.LayerQuantizer, distill.adam_step
+
+        def counted_quantizer(layers):
+            built.append(len(layers))
+            return quantizer(layers)
+
+        def counted_adam(state, params, grads, lr):
+            adam_calls.append(params.shape)
+            return adam(state, params, grads, lr)
+
+        flags = count_forwards(monkeypatch)
+        monkeypatch.setattr(distill, "LayerQuantizer", counted_quantizer)
+        monkeypatch.setattr(distill, "adam_step", counted_adam)
+        e2e_finetune(teacher, student, data, cfg)
+        w = warmup_steps(cfg)
+        # One quantizer over the three layers; per step one soft forward and
+        # one Adam update on the stacked centroids; one hard forward at the
+        # end of warm-up and one at the end.
+        assert built == [3]
+        assert flags == [False] * w + [True] + [False] * (cfg.steps - w) + [True]
+        stacked = sum(layer.codebook.k for layer in student.layers)
+        assert adam_calls == [(stacked, 4)] * cfg.steps
+
+    @pytest.mark.parametrize("entry", ["e2e_finetune", "e2e_step"])
+    @pytest.mark.parametrize("differs", ["block length", "bits"])
+    def test_layers_that_cannot_stack_are_refused_before_any_step(self, monkeypatch, entry,
+                                                                  differs):
+        teacher = random_net((6, 8, 3), seed=17)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=5, seed=0)
+        layer = student.layers[1]
+        if differs == "block length":
+            layer.codebook = reparam.kmeans_fit(
+                reparam.flatten_blocks(np.zeros(layer.weight.shape), 2), 3, iters=2,
+                shape=layer.weight.shape)
+        else:
+            layer.params = quantize.compute_quant_params(layer.weight, 4)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran on a student that cannot stack")
+
+        monkeypatch.setattr(distill, "_e2e_step", no_step)
+        monkeypatch.setattr(distill, "adam_step", no_step)
+        data = [np.zeros(6)]
+        with pytest.raises(errors.ArchitectureMismatch, match="layer 1 has"):
+            if entry == "e2e_finetune":
+                e2e_finetune(teacher, student, data, FinetuneConfig(steps=2, warmup_frac=0.0))
+            else:
+                e2e_step(teacher, student, data[0], lam=0.0, beta=5.0)
 
     def test_warmup_loss_is_pure_distillation(self):
         teacher = random_net((6, 8, 3), seed=10)
@@ -400,8 +496,9 @@ class TestE2EFinetune:
                 batches.append(np.array(x))
             return real_forward(net, x, *args, **kwargs)
 
-        def uncached_step(quantizers, student, x, teacher_logits, *rest):
-            return real_step(quantizers, student, x, real_forward(teacher, x), *rest)
+        def uncached_step(quant, centroids, student, x, log_pt, lam, beta, temperature, spec):
+            log_pt = distill._log_softmax(real_forward(teacher, x) / temperature)
+            return real_step(quant, centroids, student, x, log_pt, lam, beta, temperature, spec)
 
         monkeypatch.setattr(distill, "forward_logits", counting_forward)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)

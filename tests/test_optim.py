@@ -280,10 +280,11 @@ class TestCodebookBackward:
         indices = rng.integers(0, 10, size=64)
         indices[0] = 0
         cb = Codebook(centroids=centroids, indices=indices, shape=W.shape)
-        fwd = optim.soft_quant_forward(W, p, cb, spec)
+        quant = optim.LayerQuantizer([(W, p, cb, None)])
+        fwd = quant.forward(cb.centroids, spec)
         H = fwd.h[cb.indices].reshape(cb.shape)
         assert {0.0, 0.5, 1.0} <= set(H.ravel())
-        reg, _ = optim.LayerQuantizer(W, p, cb).backward(fwd, np.zeros(W.shape), 1.0, beta)
+        reg, _ = quant.backward(fwd, np.zeros(W.size), 1.0, beta)
         want = rounding_regularizer(H, beta)
         assert abs(reg - want) <= 1e-12 * want
 

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from vqround import distill, errors, optim
 from vqround.distill import (
@@ -199,16 +200,18 @@ class TestBlockwiseMatchesReference:
                 assert np.array_equal(got.clip_active, clip_active)
 
 
-def two_layer_student(seed, d):
+def clipped_student(seed, d, shapes=((16, 24), (8, 16))):
     layers = []
-    for i, shape in enumerate([(16, 24), (8, 16)]):
+    for i, shape in enumerate(shapes):
         W, p, cb = clipped_layer(seed + i, shape, d, 20 if d == 8 else 60)
         layers.append(Layer(weight=W, params=p, codebook=cb))
     return TinyNet(layers=layers)
 
 
 def ref_e2e(teacher, student, data, cfg):
-    """e2e_finetune's loop on the reference step, on copies of the codebooks."""
+    """e2e_finetune's loop on the reference step, on copies of the codebooks.
+    Returns the per-step loss terms, the per-step lists of per-layer
+    gradients, and the codebooks."""
     cbs = [Codebook(centroids=l.codebook.centroids.copy(), indices=l.codebook.indices,
                     shape=l.codebook.shape) for l in student.layers]
     states = [optim.AdamState.for_params(cb.centroids) for cb in cbs]
@@ -224,7 +227,8 @@ def ref_e2e(teacher, student, data, cfg):
             pre.append(fwd[0] @ a)
             a = np.maximum(pre[-1], 0.0) if i < n - 1 else pre[-1]
             acts.append(a)
-        kd, delta = _kl_and_logit_grad(acts[-1], forward_logits(teacher, x), cfg.temperature)
+        log_pt = log_softmax(forward_logits(teacher, x) / cfg.temperature, axis=0)
+        kd, delta = _kl_and_logit_grad(acts[-1], log_pt, cfg.temperature)
         regs, grads = [0.0] * n, [None] * n
         for i in range(n - 1, -1, -1):
             regs[i], grads[i] = ref_backward(fwds[i], delta @ acts[i].T, student.layers[i].params,
@@ -233,7 +237,7 @@ def ref_e2e(teacher, student, data, cfg):
                 delta = (fwds[i][0].T @ delta) * (pre[i - 1] > 0.0)
         reg = sum(regs)
         losses.append((kd + lam * reg, kd, reg))
-        grads_seen.extend(grads)
+        grads_seen.append(grads)
         for i in range(n):
             cbs[i].centroids = adam_step(states[i], cbs[i].centroids, grads[i], cfg.lr)
     return losses, grads_seen, cbs
@@ -243,7 +247,9 @@ class TestE2EMatchesReference:
     @pytest.mark.parametrize("d, lam, with_base", [(8, 0.0, False), (8, 0.05, True),
                                                    (1, 0.05, False)])
     def test_traces_gradients_and_centroids_bit_for_bit(self, monkeypatch, d, lam, with_base):
-        student = two_layer_student(7 + d, d)
+        # Three layers: two layers' regularizer sums add up alike in either
+        # order, three do not.
+        student = clipped_student(7 + d, d, shapes=((16, 24), (8, 16), (8, 8)))
         for i, layer in enumerate(student.layers):
             if with_base:
                 layer.base = np.floor(layer.weight / layer.params.scale[:, None])
@@ -258,7 +264,9 @@ class TestE2EMatchesReference:
         res = e2e_finetune(teacher, student, data, cfg)
         got_losses = list(zip(res.loss_trace, res.kd_trace, res.reg_trace))
         assert got_losses == want_losses
-        assert [c[3].tobytes() for c in calls] == [g.tobytes() for g in want_grads]
+        # One Adam update per step, on the layers' centroids stacked.
+        assert [c[3].tobytes() for c in calls] == [
+            b"".join(g.tobytes() for g in grads) for grads in want_grads]
         for got, want in zip(res.codebooks, want_cbs):
             assert got.centroids.tobytes() == want.centroids.tobytes()
 
@@ -282,7 +290,7 @@ class TestNoAliasing:
             assert np.array_equal(got, want)
 
     def test_effective_weights_survive_training(self):
-        student = two_layer_student(3, 8)
+        student = clipped_student(3, 8)
         teacher = random_net(student.dims, seed=3)
         weights = [effective_weight(l, SPEC, mode) for l in student.layers
                    for mode in ("soft", "hard")]
@@ -308,7 +316,7 @@ class TestNoAliasing:
         assert trace.tobytes() == kept[2].tobytes()
 
     def test_e2e_gradients_survive_later_steps(self, monkeypatch):
-        student = two_layer_student(4, 8)
+        student = clipped_student(4, 8)
         teacher = random_net(student.dims, seed=4)
         data = [np.random.default_rng(i).normal(size=24) for i in range(3)]
         calls = recording(monkeypatch, distill)
@@ -370,12 +378,12 @@ class TestCurvatureSeedBase:
         base = np.floor(W / p.scale[:, None])
         base[3, 5] = bad
         with pytest.raises(errors.DomainError, match="base"):
-            LayerQuantizer(W, p, cb, base)
+            LayerQuantizer([(W, p, cb, base)])
 
     def test_base_must_match_the_weights(self):
         W, p, cb = clipped_layer(7, (16, 24), 8, 12)
         with pytest.raises(errors.ShapeMismatch, match="base"):
-            LayerQuantizer(W, p, cb, np.zeros((24, 16)))
+            LayerQuantizer([(W, p, cb, np.zeros((24, 16)))])
 
 
 def step_peak(step):
@@ -419,15 +427,16 @@ class TestStepMemory:
                   for i in range(2)]
         student = TinyNet(layers)
         teacher = random_net(student.dims, seed=31)
-        quantizers = distill._quantizers(student)
-        states = [optim.AdamState.for_params(l.codebook.centroids) for l in layers]
+        quant = distill._student_quantizer(student)
+        centroids = quant.centroids
+        state = optim.AdamState.for_params(centroids)
         x = np.random.default_rng(31).normal(size=256)
-        teacher_logits = distill.forward_logits(teacher, x)
+        log_pt = distill._log_softmax(distill.forward_logits(teacher, x))
 
         def step():
-            grads = distill._e2e_step(quantizers, student, x, teacher_logits,
-                                      0.01, 10.0, 1.0, SPEC)[3]
-            for layer, state, grad in zip(layers, states, grads):
-                layer.codebook.centroids = adam_step(state, layer.codebook.centroids, grad, 1e-2)
+            nonlocal centroids
+            grad = distill._e2e_step(quant, centroids, student, x, log_pt,
+                                     0.01, 10.0, 1.0, SPEC)[3]
+            centroids = adam_step(state, centroids, grad, 1e-2)
 
         assert step_peak(step) <= 1.5 * sum(l.weight.nbytes for l in layers)
