@@ -27,6 +27,7 @@ import scipy.linalg.lapack
 from . import parallel
 from .errors import DomainError, EmptyCalibration, NotPositiveDefinite, OutOfRange, ShapeMismatch
 from .quantize import QuantParams, _check_rows, round_half_away
+from .tensor_io import _tiled_copy
 
 # Columns per block of the sweep. Only speed depends on it; the outputs
 # do not, beyond float accumulation.
@@ -164,7 +165,10 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
     # The factor is not needed for recon_err; freeing it first lowers
     # the peak by one n x n matrix.
     del upper
-    E = np.asarray(W, dtype=np.float64) - result.w_q
+    # w_q is a transposed view; the tiles read it, and W in its own
+    # dtype, without a float64 copy of W.
+    W = np.asarray(W)
+    E = _tiled_copy(np.empty(W.shape), W, minus=result.w_q)
     EH = np.empty_like(E)
     m, n = E.shape
     if not _splits(m * n * n, m, n):
@@ -206,8 +210,8 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     """
     W = np.asarray(W)
     _check_rows(W, p)
-    Wt = np.array(W.T, dtype=np.float64, order="C")
-    n, m = Wt.shape
+    m, n = W.shape
+    Wt = _tiled_copy(np.empty((n, m)), W.T)
     U = np.asarray(upper, dtype=np.float64)
     if U.shape != (n, n):
         raise ShapeMismatch(f"factor shape {U.shape} does not match {n} columns")

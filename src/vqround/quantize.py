@@ -137,12 +137,35 @@ def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndar
 
     Well-defined on the closed interval [0, 1]: with the default stretch
     the sigmoid argument stays inside [1/12, 11/12], so the logit is
-    finite even at the endpoints.
+    finite even at the endpoints. NaN, like any value outside [0, 1],
+    raises.
+
+    The latent is ``logit((H - gamma) / (zeta - gamma))`` byte for byte.
+    A saturated H, every entry 0 or 1 as in a curvature seed, skips the
+    logit: each entry takes one of the two end latents, each the logit
+    of the same value, as ``H * e1 - (H - 1) * e0``, which is exact at 0
+    and 1 while both are finite. Any other H takes the logit whole.
     """
     H = np.asarray(H, dtype=np.float64)
-    if H.size and (H.min() < 0.0 or H.max() > 1.0):
-        raise OutOfRange("rounding values must lie in [0, 1]")
-    return logit((H - spec.gamma) / (spec.zeta - spec.gamma))
+    span = spec.zeta - spec.gamma
+    if H.size:
+        lo, hi = H.min(), H.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise OutOfRange("rounding values must lie in [0, 1]")
+        # A residual seed has no entry at 0 or 1, so only the extremes
+        # are looked at before it takes the logit.
+        if not (lo > 0.0 and hi < 1.0):
+            ends = logit((np.array([0.0, 1.0]) - spec.gamma) / span)
+            soft = H > 0.0
+            soft &= H < 1.0
+            if not soft.any() and np.isfinite(ends).all():
+                e0, e1 = ends
+                A = np.multiply(H, e1)
+                below = np.subtract(H, 1.0)
+                below *= e0
+                A -= below
+                return A
+    return logit((H - spec.gamma) / span)
 
 
 def _quantize_grid(base, H, z, s, q_min, q_max, out=None):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import inspect
 import sys
@@ -207,6 +208,44 @@ class TestInit:
         code = main(["init", "--weights", w_path, "--calib", x_path,
                      "--out-prefix", str(tmp_path / "missing" / "init")])
         assert code == 2
+
+
+# sha256 of init's four files and its printed line on seeded layers: how
+# the init copies, casts and saves its arrays must not change a byte. The
+# first layer is above every split and lookahead gate, the second aligns
+# with none. The Hessian, factor and sweep go through BLAS and LAPACK, so the
+# figures are those of numpy 2.4's OpenBLAS 0.3.31 on x86-64; another
+# BLAS may round them apart.
+INIT_OUTPUTS = {
+    (512, 768, 1024, 11): ("recon_err=1938.84225\n", {
+        "_wq": "b72d8f35fc242357053faf5aaf71176ae549e094af7eba245125c44c36544b29",
+        "_b": "36af4ed984b3809b1b8eb628a6d313a410b193c91f7d568dda64bc81d60d5d36",
+        "_h": "15ad6d04d0ed2933a306f99c739565d6fd9644914a735e7548697f42f20018f9",
+        "_a": "8a42d9afc7e8e0b48ffce829aa3979f36e9766f748881bfd0a2f98dd09e7dc3c",
+    }),
+    (200, 300, 400, 12): ("recon_err=428.553376\n", {
+        "_wq": "dee7bfb928094743a3d04fcafdf881fab953509cde84266fb1de5e22bea8b26d",
+        "_b": "c5d29827e7d9f6ff4d976c24a3b05d2f1e626239be797489fb593a0005534088",
+        "_h": "bad242e10757a0c4391e9caf84145e36669cf8756e55d63b6acc0f5303a62b70",
+        "_a": "8aa59277d20adc2587b799ef3a70d7c98359468e856c053caf0606f9bf9660c6",
+    }),
+}
+
+
+@pytest.mark.parametrize("layer", list(INIT_OUTPUTS), ids=lambda k: "x".join(map(str, k[:3])))
+def test_init_outputs_are_pinned(tmp_path, capsys, layer):
+    m, n, N, seed = layer
+    rng = np.random.default_rng(seed)
+    save_tensor(rng.normal(size=(m, n)), tmp_path / "w.vqt")
+    save_tensor(rng.normal(size=(n, N)), tmp_path / "x.vqt")
+    capsys.readouterr()
+    code, prefix = run_init(tmp_path, str(tmp_path / "w.vqt"), str(tmp_path / "x.vqt"))
+    assert code == 0
+    printed, files = INIT_OUTPUTS[layer]
+    assert capsys.readouterr().out == printed
+    got = {suffix: hashlib.sha256((tmp_path / f"init{suffix}.vqt").read_bytes()).hexdigest()
+           for suffix in files}
+    assert got == files
 
 
 class TestVq:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from scipy.special import logit
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -132,11 +133,95 @@ class TestInverseRectifiedSigmoid:
         with pytest.raises(errors.OutOfRange):
             inverse_rectified_sigmoid(np.array([[1.2]]), SPEC)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rest", [[0.2], [0.0, 1.0], [0.0] * 20])
+    def test_non_finite_raises(self, bad, rest):
+        with pytest.raises(errors.OutOfRange):
+            inverse_rectified_sigmoid(np.array([rest + [bad]]), SPEC)
+
+    def test_empty(self):
+        assert inverse_rectified_sigmoid(np.zeros((0, 3)), SPEC).shape == (0, 3)
+
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, (2, 4), elements=st.floats(0.0, 1.0)))
     def test_inverse_consistency(self, H):
         back = rectified_sigmoid(inverse_rectified_sigmoid(H, SPEC), SPEC)
         assert np.max(np.abs(back - H)) <= 1e-6
+
+
+def elementwise_latent(H, spec=SPEC):
+    """The latent as one logit over every entry."""
+    return logit((np.asarray(H, dtype=np.float64) - spec.gamma) / (spec.zeta - spec.gamma))
+
+
+def seed_latents():
+    """Rounding matrices by name: saturated as a curvature seed is,
+    interior as a residual seed is, and mixtures, in several layouts."""
+    rng = np.random.default_rng(3)
+    binary = (rng.random((96, 130)) < 0.4).astype(np.float64)
+    residual = rng.random((96, 130))
+
+    def mixed(share):
+        return np.where(rng.random(binary.shape) < share, residual, binary)
+
+    sparse = mixed(0.02)
+    return {
+        "saturated": binary,
+        "residual": residual,
+        "mixed": mixed(0.5),
+        "sparse": sparse,
+        "transposed-saturated": binary.T,
+        "fortran-sparse": np.asfortranarray(sparse),
+        "strided-sparse": sparse[::2, ::-3],
+        "signed-zeros": np.where(binary > 0, 1.0, -0.0),
+        "near-ends": np.where(binary > 0, 1.0 - 2**-53, 5e-324),
+        "one-interior": np.where(np.arange(binary.size).reshape(binary.shape) == 77, 0.5, binary),
+    }
+
+
+class TestInverseRectifiedSigmoidBytes:
+    @pytest.mark.parametrize("name", list(seed_latents()))
+    @pytest.mark.parametrize("spec", [SPEC, RoundingSpec(gamma=-0.3, zeta=1.05)])
+    def test_matches_elementwise_logit(self, name, spec):
+        H = seed_latents()[name]
+        got = inverse_rectified_sigmoid(H, spec)
+        want = elementwise_latent(H, spec)
+        assert got.shape == H.shape
+        assert got.tobytes() == want.tobytes()
+        if H.flags.f_contiguous and not H.flags.c_contiguous:
+            assert got.flags.f_contiguous
+
+    def test_interior_entries_never_take_an_end_latent(self):
+        # Entries that are neither 0 nor 1 go through the logit even when
+        # every other entry is saturated.
+        values = [5e-324, 1e-300, 0.25, 0.5, 0.75, 1.0 - 2**-53]
+        H = np.zeros((40, 40))
+        H[1::2, ::2] = 1.0
+        H.flat[:len(values)] = values
+        A = inverse_rectified_sigmoid(H, SPEC)
+        ends = elementwise_latent([0.0, 1.0])
+        assert A.flat[:len(values)].tobytes() == elementwise_latent(values).tobytes()
+        assert not np.isin(A.flat[2:5], ends).any()
+        assert set(np.unique(A.flat[len(values):])) == set(ends)
+
+    def test_infinite_end_latent_takes_the_logit(self):
+        # With gamma this close to 0, (0 - gamma) / span underflows to 0
+        # and the end latent of 0 is -inf. A saturated entry of 1 must
+        # still get its finite latent, not e1 - 0 * -inf = NaN.
+        spec = RoundingSpec(gamma=-5e-324, zeta=1e300)
+        H = np.array([[0.0, 1.0], [1.0, 1.0]])
+        got = inverse_rectified_sigmoid(H, spec)
+        assert got.tobytes() == elementwise_latent(H, spec).tobytes()
+        assert np.isneginf(got[0, 0]) and np.isfinite(got[H == 1.0]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 255), st.floats(0.0, 1.0)), max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_sparse_interior_matches_elementwise_logit(self, entries, seed):
+        H = (np.random.default_rng(seed).random((16, 16)) < 0.5).astype(np.float64)
+        for index, value in entries:
+            H.flat[index] = value
+        assert inverse_rectified_sigmoid(H, SPEC).tobytes() == elementwise_latent(H).tobytes()
 
 
 class TestAdaptiveQuantize:

@@ -1,7 +1,10 @@
 import builtins
 import errno
 import functools
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +129,153 @@ class TestFileLayout:
     def test_nan_rejected_at_save(self, tmp_path):
         with pytest.raises(errors.NonFiniteValue):
             tensor_io.save_tensor(np.array([[np.nan]]), tmp_path / "t.vqt")
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+    def test_beyond_float32_rejected_at_save(self, tmp_path, value):
+        # A finite float64 that float32 cannot hold would be written as
+        # inf, which load_tensor refuses. The cast raises no warning.
+        path = tmp_path / "t.vqt"
+        with np.errstate(all="raise"):
+            with pytest.raises(errors.NonFiniteValue):
+                tensor_io.save_tensor(np.array([[value, 1.0]]), path)
+            with pytest.raises(errors.NonFiniteValue):
+                tensor_io.save_tensor(np.array([[value, 1.0], [2.0, 3.0]]).T, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_float32_saves(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        assert np.array_equal(roundtrip(np.array([[big, -big]]), tmp_path), [[big, -big]])
+
+
+def header(rows, cols):
+    return struct.pack("<4sIIQQB", b"VQRT", 1, 2, rows, cols, 0)
+
+
+def peak_alloc(fn):
+    """Bytes allocated at the peak of ``fn()`` above what was in use before."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class _ShortRead:
+    """File stand-in whose ``readinto`` fills only half of the buffer, as
+    a file that shrinks between the size check and the read would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def readinto(self, buf):
+        return self.fh.readinto(memoryview(buf)[: len(buf) // 2])
+
+
+class TestOneCopyLoad:
+    def test_huge_header_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "t.vqt"
+        path.write_bytes(header(2**40, 3) + b"\0" * 64)
+
+        def load():
+            with pytest.raises(errors.TruncatedPayload):
+                tensor_io.load_tensor(path)
+
+        assert peak_alloc(load) < 2**20
+
+    def test_short_read_is_truncated(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.vqt"
+        tensor_io.save_tensor(np.ones((4, 4)), path)
+        monkeypatch.setattr(tensor_io, "open", lambda *a, **k: _ShortRead(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(errors.TruncatedPayload):
+            tensor_io.load_tensor(path)
+
+    def test_load_allocates_one_payload(self, tmp_path):
+        path = tmp_path / "t.vqt"
+        t = np.random.default_rng(0).normal(size=(2048, 512)).astype(np.float32)
+        tensor_io.save_tensor(t, path)
+        out = []
+        assert peak_alloc(lambda: out.append(tensor_io.load_tensor(path))) <= t.nbytes + 2**20
+        assert out[0].tobytes() == t.tobytes()
+        assert out[0].flags.c_contiguous and out[0].flags.writeable
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("extra, error", [(0, None), (-4, errors.TruncatedPayload),
+                                              (4, errors.TensorFormatError)])
+    def test_load_through_a_pipe(self, tmp_path, extra, error):
+        # A pipe has no size: it is read whole, then checked as a file is.
+        t = np.arange(12, dtype=np.float32).reshape(3, 4)
+        blob = header(3, 4) + t.tobytes()
+        blob = blob[:extra] if extra < 0 else blob + b"\0" * extra
+        fifo = tmp_path / "pipe.vqt"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            if error is None:
+                assert tensor_io.load_tensor(fifo).tobytes() == t.tobytes()
+            else:
+                with pytest.raises(error):
+                    tensor_io.load_tensor(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def whole_cast_bytes(t):
+    """The file a whole-array cast to float32 writes for ``t``."""
+    rows, cols = t.shape
+    return header(rows, cols) + np.ascontiguousarray(t, "<f4").tobytes()
+
+
+def layouts(a):
+    """``a`` itself and views of it in other layouts, by name."""
+    return {
+        "c": a,
+        "f": np.asfortranarray(a),
+        "transposed": a.T,
+        "strided": a[::2, ::3],
+        "negative": a[::-1, ::-2],
+        "transposed-negative": a.T[::-1],
+    }
+
+
+class TestSaveBytes:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 200), (200, 1), (65, 130), (130, 65), (64, 64),
+                                       (3, 2)])
+    def test_bytes_match_whole_array_cast(self, tmp_path, shape, dtype):
+        a = np.random.default_rng(0).normal(scale=100.0, size=shape).astype(dtype)
+        path = tmp_path / "t.vqt"
+        for name, view in layouts(a).items():
+            tensor_io.save_tensor(view, path)
+            assert path.read_bytes() == whole_cast_bytes(view), name
+
+    def test_tiled_copy_of_every_layout(self):
+        a = np.random.default_rng(1).normal(size=(130, 200))
+        for name, view in layouts(a).items():
+            got = tensor_io._tiled_copy(np.empty(view.shape, np.float32), view)
+            assert got.tobytes() == view.astype(np.float32).tobytes(), name
+            got = tensor_io._tiled_copy(np.empty(view.shape), view.astype(np.float32), minus=view)
+            want = np.asarray(view.astype(np.float32), dtype=np.float64) - view
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestIndicesSidecar:
