@@ -16,11 +16,14 @@ import itertools
 import numpy as np
 
 from vqround.hessian import residual_init
-from vqround.optim import FinetuneConfig, optimize_blockwise, soft_quant_forward
+from vqround.optim import FinetuneConfig, optimize_blockwise
 from vqround.quantize import (
     RoundingSpec,
+    adaptive_quantize,
     compute_quant_params,
+    hard_round,
     inverse_rectified_sigmoid,
+    rectified_sigmoid,
     rtn_quantize,
 )
 from vqround.reparam import fit_codebook, vq_reconstruct
@@ -55,7 +58,8 @@ def main() -> None:
         return float(np.sum(((W - what) @ X) ** 2))
 
     def hardened(cb):
-        return soft_quant_forward(W, p, cb, spec, hard=True).what
+        H = hard_round(rectified_sigmoid(vq_reconstruct(cb), spec), spec)
+        return adaptive_quantize(W, p, H)[1]
 
     rtn_err = output_mse(rtn_quantize(W, p)[1])
     print(f"rtn_output_mse={rtn_err:.2f}")

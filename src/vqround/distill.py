@@ -10,7 +10,9 @@ The codebooks train together: one quantizer holds every layer, with the
 layers' centroids stacked into one array, so a step runs one quantizer
 forward, one backward and one Adam update whatever the depth. Every
 layer's share of a step is byte for byte what a quantizer of its own
-would give.
+would give. Hard evaluation runs through the same stacked quantizer:
+the run's own for the hard KL, one built over the net for
+``forward_logits(mode="hard")``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .optim import (
     LayerQuantizer,
     adam_step,
     anneal_beta,
-    soft_quant_forward,
     warmup_steps,
 )
 from .quantize import (
@@ -75,16 +76,6 @@ def random_net(dims: tuple[int, ...], seed: int = 0) -> TinyNet:
     return TinyNet(layers=layers)
 
 
-def effective_weight(layer: Layer, spec: RoundingSpec, mode: str) -> np.ndarray:
-    """Layer weight under a given rounding mode: fp, soft, or hard."""
-    if mode == "fp" or layer.codebook is None:
-        return np.asarray(layer.weight, dtype=np.float64)
-    if mode not in ("soft", "hard"):
-        raise DomainError(f"unknown weight mode {mode!r}")
-    return soft_quant_forward(layer.weight, layer.params, layer.codebook, spec, layer.base,
-                              hard=mode == "hard").what
-
-
 def _activations(net: TinyNet, weights, x) -> list[np.ndarray]:
     """Every layer's output for input columns x of shape (n0, batch), run
     through ``weights``, one per layer of ``net``: the input first, as
@@ -104,9 +95,16 @@ def _activations(net: TinyNet, weights, x) -> list[np.ndarray]:
 
 
 def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: str = "fp") -> np.ndarray:
-    """Logits for input columns x of shape (n0, batch)."""
-    weights = (effective_weight(layer, spec, mode) for layer in net.layers)
-    return _activations(net, weights, x)[-1]
+    """Logits for input columns x of shape (n0, batch), through the layers'
+    float64 weights (``"fp"``) or one hard forward of the net's stacked
+    quantizer (``"hard"``), which needs a codebook on every layer."""
+    if mode not in ("fp", "hard"):
+        raise DomainError(f"unknown weight mode {mode!r}")
+    if mode == "fp":
+        weights = (np.asarray(l.weight, dtype=np.float64) for l in net.layers)
+        return _activations(net, weights, x)[-1]
+    quant = _student_quantizer(net)
+    return _hard_logits(quant, quant.centroids, net, x, spec)
 
 
 def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
@@ -170,12 +168,19 @@ def _student_quantizer(student: TinyNet) -> LayerQuantizer:
     return LayerQuantizer([(l.weight, l.params, l.codebook, l.base) for l in student.layers])
 
 
+def _hard_logits(quant, centroids, net, x, spec):
+    """Logits of ``net`` on ``x`` with every layer hard-rounded, through one
+    hard forward of ``quant``, the net's quantizer, at the stacked
+    ``centroids``."""
+    fwd = quant.forward(centroids, spec, hard=True)
+    return _activations(net, quant.layer_weights(fwd.what), x)[-1]
+
+
 def _mean_hard_kl(quant, centroids, student, x, teacher_log_probs, temperature, spec):
     """Hard-rounded student KL over the calibration columns ``x``, through
     one hard forward of the run's quantizer and one batched forward of the
     network; ``teacher_log_probs`` are the teacher's on ``x``."""
-    fwd = quant.forward(centroids, spec, hard=True)
-    logits = _activations(student, quant.layer_weights(fwd.what), x)[-1]
+    logits = _hard_logits(quant, centroids, student, x, spec)
     return _kl_and_logit_grad(logits, teacher_log_probs, temperature)[0]
 
 

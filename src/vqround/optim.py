@@ -22,7 +22,9 @@ over its one layer in blockwise optimization, over every layer of the
 student in end-to-end distillation. There it stacks the layers'
 codebooks, so that a step runs one forward, one backward and one Adam
 update for all of them, with each layer's outputs byte for byte those
-of a quantizer of its own.
+of a quantizer of its own. Hard evaluation is the same forward with
+binarized decisions; a single layer hardens without a quantizer through
+``quantize.adaptive_quantize``.
 """
 
 from __future__ import annotations
@@ -306,20 +308,6 @@ class LayerQuantizer:
             grad += lam * self.counts * regularizer_grad(fwd.h, beta)
         grad *= fwd.slope
         return reg, grad
-
-
-def soft_quant_forward(
-    W, p: QuantParams, cb: Codebook, spec: RoundingSpec, base=None, hard: bool = False
-) -> SoftQuantForward:
-    """One forward of a quantizer built for this layer alone (see
-    :meth:`LayerQuantizer.forward`), with ``what`` and ``clip_active`` of
-    W's shape."""
-    fwd = LayerQuantizer([(W, p, cb, base)]).forward(cb.centroids, spec, hard)
-    shape = np.shape(W)
-    fwd.what = fwd.what.reshape(shape)
-    if not hard:
-        fwd.clip_active = fwd.clip_active.reshape(shape)
-    return fwd
 
 
 def _layer_setup(W, X, p: QuantParams, cb: Codebook, base=None):

@@ -95,12 +95,13 @@ def compute_quant_params(W, bits: int) -> QuantParams:
     quantization is lossless.
     """
     _check_bits(bits)
-    W = np.asarray(W, dtype=np.float64)
+    W = np.asarray(W)
     if W.ndim != 2:
         raise ShapeMismatch(f"expected 2-d weights, got shape {W.shape}")
     q_max = 2 ** int(bits) - 1
-    lo = np.minimum(0.0, W.min(axis=1))
-    hi = np.maximum(0.0, W.max(axis=1))
+    # Row extremes are exact in W's own dtype: only they widen to float64.
+    lo = np.minimum(0.0, W.min(axis=1).astype(np.float64))
+    hi = np.maximum(0.0, W.max(axis=1).astype(np.float64))
     span = hi - lo
     scale = span / q_max
     # Constant rows and subnormal spans (where the division underflows)

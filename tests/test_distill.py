@@ -12,12 +12,11 @@ from vqround.distill import (
     build_student,
     e2e_finetune,
     e2e_step,
-    effective_weight,
     forward_logits,
     kl_loss,
     random_net,
 )
-from vqround.optim import FinetuneConfig, soft_quant_forward, warmup_steps
+from vqround.optim import FinetuneConfig, warmup_steps
 from vqround.quantize import QuantParams, RoundingSpec, inverse_rectified_sigmoid
 from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
 
@@ -162,7 +161,17 @@ def gathered_chain_weight(layer, mode):
     return s * (np.clip(v, p.q_min, p.q_max) - z), masks
 
 
+def quantizer_weight(layer, mode):
+    """The layer's weight from one forward of a quantizer over it alone."""
+    quant = optim.LayerQuantizer([(layer.weight, layer.params, layer.codebook, layer.base)])
+    fwd = quant.forward(layer.codebook.centroids, SPEC, hard=mode == "hard")
+    return fwd.what.reshape(layer.weight.shape)
+
+
 class TestEffectiveWeight:
+    """A layer's weight under a rounding mode: the quantizer's soft or hard
+    forward, and the logits ``forward_logits`` takes through it."""
+
     @pytest.mark.parametrize("mode", ["soft", "hard"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_gathered_chain(self, seed, mode):
@@ -170,21 +179,47 @@ class TestEffectiveWeight:
         want, masks = gathered_chain_weight(layer, mode)
         for name, mask in masks.items():
             assert mask.any(), f"no {name} entries exercised"
-        assert np.array_equal(effective_weight(layer, SPEC, mode), want)
+        assert np.array_equal(quantizer_weight(layer, mode), want)
+        if mode == "hard":
+            x = np.random.default_rng(seed).normal(size=(24, 5))
+            got = forward_logits(TinyNet([layer]), x, SPEC, "hard")
+            assert got.tobytes() == (quantizer_weight(layer, mode) @ x).tobytes()
 
     def test_fp_is_the_weight(self):
         layer = clipped_saturated_layer(2)
-        assert np.array_equal(effective_weight(layer, SPEC, "fp"), layer.weight)
+        x = np.random.default_rng(2).normal(size=(24, 5))
+        want = layer.weight @ x
+        assert forward_logits(TinyNet([layer]), x, SPEC, "fp").tobytes() == want.tobytes()
+        assert forward_logits(TinyNet([layer]), x).tobytes() == want.tobytes()
 
-    def test_unknown_mode(self):
-        with pytest.raises(errors.DomainError):
-            effective_weight(clipped_saturated_layer(3), SPEC, "soft-ish")
+    def test_unknown_mode(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an unknown mode ran the network")
+
+        monkeypatch.setattr(distill, "_activations", no_forward)
+        # With codebooks and without: a net of weights alone is refused too.
+        for net in (TinyNet([clipped_saturated_layer(3)]), random_net((24, 8, 3), seed=1)):
+            for mode in ("soft-ish", "soft", "bogus", "HARD", ""):
+                with pytest.raises(errors.DomainError, match="mode"):
+                    forward_logits(net, np.zeros((24, 2)), SPEC, mode)
 
     def test_codebook_shape_mismatch(self):
         layer = clipped_saturated_layer(4)
         layer.weight = layer.weight[:, :16]
         with pytest.raises(errors.ShapeMismatch):
-            effective_weight(layer, SPEC, "hard")
+            forward_logits(TinyNet([layer]), np.zeros((16, 2)), SPEC, "hard")
+
+    @pytest.mark.parametrize("bare", [[0], [1], [0, 1]])
+    def test_hard_mode_needs_a_codebook_on_every_layer(self, bare):
+        teacher = random_net((6, 8, 3), seed=18)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=5, seed=0)
+        for i in bare:
+            student.layers[i].codebook = None
+        x = np.zeros((6, 2))
+        with pytest.raises(errors.ArchitectureMismatch, match=f"layer {bare[0]}"):
+            forward_logits(student, x, SPEC, "hard")
+        # The weights alone still run.
+        assert forward_logits(student, x).shape == (3, 2)
 
 
 def masks_stable_under(student, x, li, i, j, h):
@@ -192,14 +227,14 @@ def masks_stable_under(student, x, li, i, j, h):
     saturation, and ReLU mask unchanged."""
 
     def snapshot():
-        masks = []
+        quant = distill._student_quantizer(student)
+        fwd = quant.forward(quant.centroids, SPEC)
+        masks = [fwd.clip_active.copy()]
         a = np.asarray(x, dtype=np.float64)[:, None]
-        for idx, layer in enumerate(student.layers):
-            fwd = soft_quant_forward(layer.weight, layer.params, layer.codebook, SPEC)
+        for idx, (layer, what) in enumerate(zip(student.layers, quant.layer_weights(fwd.what))):
             g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(vq_reconstruct(layer.codebook))
-            masks.append(((g > 0) & (g < 1)).copy())
-            masks.append(fwd.clip_active.copy())
-            z = fwd.what @ a
+            masks.append((g > 0) & (g < 1))
+            z = what @ a
             if idx < len(student.layers) - 1:
                 masks.append(z > 0)
                 a = np.maximum(z, 0.0)
@@ -379,7 +414,6 @@ class TestMeanHardKl:
         quant = distill._student_quantizer(student)
         x = np.column_stack(data)
         log_pt = distill._log_softmax(forward_logits(teacher, x))
-        monkeypatch.setattr(distill, "soft_quant_forward", no_quantizer)
         monkeypatch.setattr(distill, "LayerQuantizer", no_quantizer)
         _mean_hard_kl(quant, quant.centroids, student, x, log_pt, 1.0, SPEC)
         # One hard forward of the run's quantizer covers every layer.

@@ -292,10 +292,11 @@ class TestCodebookBackward:
 class TestSoftQuantForward:
     def test_hard_mode_builds_no_clip_mask(self):
         W, _, p, cb = interior_codebook(seed=3)
-        hard = optim.soft_quant_forward(W, p, cb, SPEC, hard=True)
-        soft = optim.soft_quant_forward(W, p, cb, SPEC)
+        quant = optim.LayerQuantizer([(W, p, cb, None)])
+        hard = quant.forward(cb.centroids, SPEC, hard=True)
+        soft = quant.forward(cb.centroids, SPEC)
         assert hard.clip_active is None
-        assert soft.clip_active.shape == W.shape
+        assert soft.clip_active.shape == (W.size,)
         assert not hard.slope.any()
 
 

@@ -119,7 +119,7 @@ UNCALLED_PUBLIC_NAMES = {
     "cli.entry",  # the console script in pyproject.toml
     "distill.e2e_step",  # acceptance test 08's finite-difference check goes through it
     "quantize.rounding_regularizer",  # the reference the backward's tests compare against
-    "reparam.rearrange_inverse",  # kept for the trained low-rank comparison (ROADMAP item 4)
+    "reparam.rearrange_inverse",  # kept for the trained low-rank comparison (ROADMAP item 7)
 }
 
 
@@ -156,6 +156,30 @@ def run_python(code, cwd):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+BENCHMARK_IMPORTS = """
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {perfbench!r})
+import tracer, workloads
+import vqround
+tracer_ = tracer.Tracer()
+tracer_.install()
+tracer_.uninstall()
+print(vqround.__file__)
+print(" ".join(workloads.WORKLOADS))
+"""
+
+
+def test_benchmark_imports_this_checkout(tmp_path):
+    # The benchmark imports the package's public names and wraps its
+    # modules' functions; a change that drops one fails here rather than
+    # in every benchmark run.
+    code = BENCHMARK_IMPORTS.format(perfbench=str(REPO_DIR / "perfbench"))
+    package, names = run_python(code, tmp_path).splitlines()
+    assert Path(package).resolve().parent == PACKAGE_DIR.resolve()
+    assert names.split() == ["layer-256", "vq-512", "e2e-toy", "init-2048"]
 
 
 HELP_THREADS = """

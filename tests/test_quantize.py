@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,37 @@ class TestQuantParams:
         p = compute_quant_params(W, bits)
         assert np.all(p.scale > 0)
         assert np.all((0 <= p.zero) & (p.zero <= p.q_max))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_float32_weights_match_their_float64_copy(self, layout):
+        # Positive-only, negative-only, constant and subnormal-span rows
+        # beside mixed ones, in a float32 array of each layout.
+        W = np.random.default_rng(4).normal(size=(9, 40)).astype(np.float32)
+        W[1] = np.abs(W[1])
+        W[2] = -np.abs(W[2])
+        W[3] = 0.25
+        W[4] = np.float32(1e-44) * np.arange(40)
+        W[5] *= np.float32(1e37)
+        if layout == "F":
+            W = np.asfortranarray(W)
+        elif layout == "strided":
+            W = W[:, ::2]
+        for bits in (2, 3, 8):
+            got = compute_quant_params(W, bits)
+            want = compute_quant_params(W.astype(np.float64), bits)
+            assert got.scale.tobytes() == want.scale.tobytes()
+            assert got.zero.tobytes() == want.zero.tobytes()
+
+    def test_does_not_copy_float32_weights_to_float64(self):
+        W = np.random.default_rng(5).normal(size=(512, 512)).astype(np.float32)
+        compute_quant_params(W, 3)
+        tracemalloc.start()
+        try:
+            compute_quant_params(W, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < W.nbytes // 4
 
 
 class TestRtn:

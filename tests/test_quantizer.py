@@ -20,7 +20,6 @@ from vqround.distill import (
     _kl_and_logit_grad,
     build_student,
     e2e_finetune,
-    effective_weight,
     forward_logits,
     kl_loss,
     random_net,
@@ -32,7 +31,6 @@ from vqround.optim import (
     adam_step,
     anneal_beta,
     optimize_blockwise,
-    soft_quant_forward,
     warmup_steps,
 )
 from vqround.quantize import (
@@ -188,8 +186,9 @@ class TestBlockwiseMatchesReference:
 
     def test_hard_forward_matches_reference(self):
         W, p, cb = clipped_layer(3, (16, 24), 8, 12, "strided")
+        quant = LayerQuantizer([(W, p, cb, None)])
         for hard in (False, True):
-            got = soft_quant_forward(W, p, cb, SPEC, hard=hard)
+            got = quant.forward(cb.centroids, SPEC, hard=hard)
             what, clip_active, h, slope = ref_forward(W, p, cb, SPEC, hard=hard)
             assert got.what.tobytes() == what.tobytes()
             assert got.h.tobytes() == h.tobytes()
@@ -197,7 +196,7 @@ class TestBlockwiseMatchesReference:
             if hard:
                 assert got.clip_active is None
             else:
-                assert np.array_equal(got.clip_active, clip_active)
+                assert np.array_equal(got.clip_active.reshape(W.shape), clip_active)
 
 
 def clipped_student(seed, d, shapes=((16, 24), (8, 16))):
@@ -206,6 +205,20 @@ def clipped_student(seed, d, shapes=((16, 24), (8, 16))):
         W, p, cb = clipped_layer(seed + i, shape, d, 20 if d == 8 else 60)
         layers.append(Layer(weight=W, params=p, codebook=cb))
     return TinyNet(layers=layers)
+
+
+def with_bases(student):
+    """Give every layer a base one step off ``floor(W / s)`` here and there."""
+    for i, layer in enumerate(student.layers):
+        layer.base = np.floor(layer.weight / layer.params.scale[:, None])
+        layer.base += np.random.default_rng(i).integers(-1, 2, size=layer.base.shape)
+    return student
+
+
+def hard_weight(W, p, cb, base=None):
+    """The layer's hard-rounded weights from a quantizer over it alone."""
+    fwd = LayerQuantizer([(W, p, cb, base)]).forward(cb.centroids, SPEC, hard=True)
+    return fwd.what.reshape(np.shape(W))
 
 
 def ref_e2e(teacher, student, data, cfg):
@@ -250,10 +263,9 @@ class TestE2EMatchesReference:
         # Three layers: two layers' regularizer sums add up alike in either
         # order, three do not.
         student = clipped_student(7 + d, d, shapes=((16, 24), (8, 16), (8, 8)))
-        for i, layer in enumerate(student.layers):
-            if with_base:
-                layer.base = np.floor(layer.weight / layer.params.scale[:, None])
-                layer.base += np.random.default_rng(i).integers(-1, 2, size=layer.base.shape)
+        if with_base:
+            with_bases(student)
+        for layer in student.layers:
             assert all(exercised(layer.weight, layer.params, layer.codebook, layer.base).values())
         teacher = random_net(student.dims, seed=d)
         data = [np.random.default_rng(i).normal(size=24) for i in range(5)]
@@ -276,30 +288,67 @@ class TestE2EMatchesReference:
         want_kl = kl_loss(forward_logits(TinyNet(hard), x).T, forward_logits(teacher, x).T,
                           cfg.temperature)
         assert res.hard_kl_final == want_kl
+        # The trained student's hard logits give the same KL.
+        got_kl = kl_loss(forward_logits(student, x, SPEC, "hard").T, forward_logits(teacher, x).T,
+                         cfg.temperature)
+        assert got_kl == res.hard_kl_final
+
+
+class TestHardLogits:
+    @pytest.mark.parametrize("d, with_base", [(8, False), (8, True), (1, True)])
+    def test_match_a_quantizer_per_layer(self, d, with_base):
+        student = clipped_student(11 + d, d, shapes=((16, 24), (8, 16), (8, 8)))
+        if with_base:
+            with_bases(student)
+        for layer in student.layers:
+            assert all(exercised(layer.weight, layer.params, layer.codebook, layer.base).values())
+        x = np.random.default_rng(d).normal(size=(24, 7))
+        a = x
+        for i, l in enumerate(student.layers):
+            what = hard_weight(l.weight, l.params, l.codebook, l.base)
+            want = ref_forward(l.weight, l.params, l.codebook, SPEC, l.base, hard=True)[0]
+            assert what.tobytes() == want.tobytes()
+            a = what @ a
+            if i < len(student.layers) - 1:
+                a = np.maximum(a, 0.0)
+        assert forward_logits(student, x, SPEC, "hard").tobytes() == a.tobytes()
 
 
 class TestNoAliasing:
     def test_forward_outputs_survive_later_forwards(self):
         W, p, cb = clipped_layer(1, (16, 24), 8, 12)
-        first = soft_quant_forward(W, p, cb, SPEC)
-        kept = [first.what.copy(), first.clip_active.copy(), first.h.copy(), first.slope.copy()]
-        moved = Codebook(centroids=-cb.centroids, indices=cb.indices, shape=cb.shape)
-        soft_quant_forward(W, p, moved, SPEC)
-        soft_quant_forward(W, p, moved, SPEC, hard=True)
-        for got, want in zip([first.what, first.clip_active, first.h, first.slope], kept):
+        centroids = cb.centroids.copy()
+        quant = LayerQuantizer([(W, p, cb, None)])
+        first = quant.forward(cb.centroids, SPEC)
+        kept = [first.what.copy(), first.h.copy(), first.slope.copy()]
+        clip_kept = first.clip_active.copy()
+        # The clip mask is the quantizer's buffer, which only its next soft
+        # forward overwrites.
+        other = LayerQuantizer([(W, p, cb, None)])
+        other.forward(-cb.centroids, SPEC)
+        other.forward(-cb.centroids, SPEC, hard=True)
+        quant.forward(-cb.centroids, SPEC, hard=True)
+        assert np.array_equal(first.clip_active, clip_kept)
+        quant.forward(-cb.centroids, SPEC)
+        for got, want in zip([first.what, first.h, first.slope], kept):
             assert np.array_equal(got, want)
+        assert cb.centroids.tobytes() == centroids.tobytes()
 
-    def test_effective_weights_survive_training(self):
+    def test_hard_and_soft_weights_survive_training(self):
         student = clipped_student(3, 8)
         teacher = random_net(student.dims, seed=3)
-        weights = [effective_weight(l, SPEC, mode) for l in student.layers
-                   for mode in ("soft", "hard")]
-        kept = [w.copy() for w in weights]
+        x = np.random.default_rng(3).normal(size=(24, 4))
+        quant = distill._student_quantizer(student)
+        outputs = [quant.forward(quant.centroids, SPEC, hard).what for hard in (False, True)]
+        outputs.append(forward_logits(student, x, SPEC, "hard"))
+        kept = [out.copy() for out in outputs]
         data = [np.random.default_rng(i).normal(size=24) for i in range(3)]
         e2e_finetune(teacher, student, data, FinetuneConfig(steps=6))
-        [effective_weight(l, SPEC, "soft") for l in student.layers]
-        for got, want in zip(weights, kept):
+        quant.forward(quant.centroids, SPEC)
+        trained = forward_logits(student, x, SPEC, "hard")
+        for got, want in zip(outputs, kept):
             assert got.tobytes() == want.tobytes()
+        assert trained.tobytes() != kept[-1].tobytes()
 
     def test_gradients_and_results_survive_later_steps(self, monkeypatch):
         W, p, cb = clipped_layer(2, (16, 24), 8, 12)
@@ -341,10 +390,10 @@ class TestCurvatureSeedBase:
         p = compute_quant_params(W, 3)
         init, _ = curvature_init(W, X, p)
         cb = exact_codebook(init.h_tilde, 8)
-        got = soft_quant_forward(W, p, cb, SPEC, base=init.base, hard=True).what
+        got = hard_weight(W, p, cb, init.base)
         assert got.tobytes() == np.ascontiguousarray(init.w_q).tobytes()
         # The floor of W itself is not the sweep's base.
-        floor = soft_quant_forward(W, p, cb, SPEC, hard=True).what
+        floor = hard_weight(W, p, cb)
         assert not np.array_equal(floor, init.w_q)
         _, explicit = adaptive_quantize(W, p, hard_round(init.h_tilde, SPEC), base=init.base)
         assert explicit.tobytes() == got.tobytes()
@@ -354,13 +403,17 @@ class TestCurvatureSeedBase:
         calib = np.random.default_rng(6).normal(size=(16, 96))
         student = build_student(teacher, bits=3, k=10**9, d=4, kmeans_iters=10, seed=0,
                                 init="hessian", calib=calib)
-        x = calib
-        for i, (t_layer, layer) in enumerate(zip(teacher.layers, student.layers)):
+        quant = distill._student_quantizer(student)
+        hardened = quant.layer_weights(quant.forward(quant.centroids, SPEC, hard=True).what)
+        x, w_qs = calib, []
+        for t_layer, layer, got in zip(teacher.layers, student.layers, hardened):
             init, _ = curvature_init(t_layer.weight, x, layer.params)
             assert layer.base.tobytes() == init.base.tobytes()
-            got = effective_weight(layer, SPEC, "hard")
-            assert got.tobytes() == np.ascontiguousarray(init.w_q).tobytes()
+            w_qs.append(np.ascontiguousarray(init.w_q))
+            assert got.tobytes() == w_qs[-1].tobytes()
             x = np.maximum(t_layer.weight @ x, 0.0)
+        want = forward_logits(TinyNet([Layer(weight=w) for w in w_qs]), calib)
+        assert forward_logits(student, calib, SPEC, "hard").tobytes() == want.tobytes()
 
     def test_optimize_blockwise_takes_the_base(self):
         W, p, cb = clipped_layer(5, (16, 24), 8, 12)
