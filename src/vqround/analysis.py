@@ -245,15 +245,6 @@ def singular_spectrum(W) -> np.ndarray:
     return np.linalg.svd(W, compute_uv=False)
 
 
-def matrix_norms(E) -> tuple[float, float, float]:
-    """(max-abs, spectral, Frobenius) norms of an error matrix."""
-    E = np.asarray(E, dtype=np.float64)
-    inf = float(np.max(np.abs(E))) if E.size else 0.0
-    two = float(np.linalg.norm(E, 2))
-    fro = float(np.linalg.norm(E, "fro"))
-    return inf, two, fro
-
-
 @dataclass
 class MethodNorms:
     method: str
@@ -298,11 +289,15 @@ def budgeted_approximations(
 
 
 def compare_methods(A, approximations: dict) -> list[MethodNorms]:
-    """Error norms per method, asserting max-abs <= spectral <= Frobenius."""
+    """Max-abs, spectral and Frobenius error norms per method, asserting
+    max-abs <= spectral <= Frobenius."""
     A = np.asarray(A, dtype=np.float64)
     rows = []
     for method, (params, approx) in approximations.items():
-        inf, two, fro = matrix_norms(A - np.asarray(approx, dtype=np.float64))
+        E = A - np.asarray(approx, dtype=np.float64)
+        inf = float(np.max(np.abs(E))) if E.size else 0.0
+        two = float(np.linalg.norm(E, 2))
+        fro = float(np.linalg.norm(E, "fro"))
         if inf > two * (1.0 + DETERMINISTIC_TOL) + 1e-12 or two > fro * (1.0 + DETERMINISTIC_TOL) + 1e-12:
             raise TheoremViolation(
                 f"{method}: norm chain broken: inf={inf}, two={two}, fro={fro}"
@@ -310,16 +305,3 @@ def compare_methods(A, approximations: dict) -> list[MethodNorms]:
         rows.append(MethodNorms(method=method, params=int(params),
                                 norm_inf=inf, norm_2=two, norm_fro=fro))
     return rows
-
-
-def inf_norm_comparison(
-    A,
-    param_budget: int,
-    *,
-    d: int = 8,
-    kmeans_iters: int = 100,
-    seed: int = 0,
-) -> list[MethodNorms]:
-    """Budget-matched worst-case-error comparison across methods."""
-    approx = budgeted_approximations(A, param_budget, d=d, kmeans_iters=kmeans_iters, seed=seed)
-    return compare_methods(A, approx)

@@ -227,7 +227,8 @@ def cmd_analyze(args) -> int:
     rows = None
     if args.budget is not None:
         seed = 0 if args.seed is None else args.seed
-        rows = analysis.inf_norm_comparison(A, args.budget, seed=seed)
+        rows = analysis.compare_methods(
+            A, analysis.budgeted_approximations(A, args.budget, seed=seed))
     rep = analysis.theory_report(A, At)
     os.makedirs(args.report_dir, exist_ok=True)
     tensor_io.write_csv(

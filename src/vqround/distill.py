@@ -12,7 +12,9 @@ forward, one backward and one Adam update whatever the depth. Every
 layer's share of a step is byte for byte what a quantizer of its own
 would give. Hard evaluation runs through the same stacked quantizer:
 the run's own for the hard KL, one built over the net for
-``forward_logits(mode="hard")``.
+``forward_logits(mode="hard")``. The stacked quantizer carries the
+student's weights, so the internals that run a step or a hard
+evaluation take it alone, without the net.
 """
 
 from __future__ import annotations
@@ -76,16 +78,16 @@ def random_net(dims: tuple[int, ...], seed: int = 0) -> TinyNet:
     return TinyNet(layers=layers)
 
 
-def _activations(net: TinyNet, weights, x) -> list[np.ndarray]:
+def _activations(weights, x) -> list[np.ndarray]:
     """Every layer's output for input columns x of shape (n0, batch), run
-    through ``weights``, one per layer of ``net``: the input first, as
-    float64 columns, then each layer's ReLU output, then the logits."""
+    through the list of layer ``weights``: the input first, as float64
+    columns, then each layer's ReLU output, then the logits."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
-    if a.shape[0] != net.dims[0]:
-        raise ShapeMismatch(f"input dim {a.shape[0]} != network input {net.dims[0]}")
-    last = len(net.layers) - 1
+    if a.shape[0] != weights[0].shape[1]:
+        raise ShapeMismatch(f"input dim {a.shape[0]} != network input {weights[0].shape[1]}")
+    last = len(weights) - 1
     acts = [a]
     for i, w in enumerate(weights):
         z = w @ a
@@ -101,10 +103,10 @@ def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: s
     if mode not in ("fp", "hard"):
         raise DomainError(f"unknown weight mode {mode!r}")
     if mode == "fp":
-        weights = (np.asarray(l.weight, dtype=np.float64) for l in net.layers)
-        return _activations(net, weights, x)[-1]
+        weights = [np.asarray(l.weight, dtype=np.float64) for l in net.layers]
+        return _activations(weights, x)[-1]
     quant = _student_quantizer(net)
-    return _hard_logits(quant, quant.centroids, net, x, spec)
+    return _hard_logits(quant, quant.centroids, x, spec)
 
 
 def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
@@ -160,6 +162,12 @@ class E2EResult:
     hard_kl_final: float
 
 
+def _check_pair(teacher: TinyNet, student: TinyNet) -> None:
+    """Refuse a student whose layer dims are not the teacher's."""
+    if teacher.dims != student.dims:
+        raise ArchitectureMismatch(f"teacher dims {teacher.dims} != student dims {student.dims}")
+
+
 def _student_quantizer(student: TinyNet) -> LayerQuantizer:
     """One quantizer over every layer of the student, checked to stack."""
     for i, layer in enumerate(student.layers):
@@ -168,20 +176,11 @@ def _student_quantizer(student: TinyNet) -> LayerQuantizer:
     return LayerQuantizer([(l.weight, l.params, l.codebook, l.base) for l in student.layers])
 
 
-def _hard_logits(quant, centroids, net, x, spec):
-    """Logits of ``net`` on ``x`` with every layer hard-rounded, through one
-    hard forward of ``quant``, the net's quantizer, at the stacked
-    ``centroids``."""
+def _hard_logits(quant, centroids, x, spec):
+    """Logits on ``x`` of the net that ``quant`` holds, every layer
+    hard-rounded, through one hard forward at the stacked ``centroids``."""
     fwd = quant.forward(centroids, spec, hard=True)
-    return _activations(net, quant.layer_weights(fwd.what), x)[-1]
-
-
-def _mean_hard_kl(quant, centroids, student, x, teacher_log_probs, temperature, spec):
-    """Hard-rounded student KL over the calibration columns ``x``, through
-    one hard forward of the run's quantizer and one batched forward of the
-    network; ``teacher_log_probs`` are the teacher's on ``x``."""
-    logits = _hard_logits(quant, centroids, student, x, spec)
-    return _kl_and_logit_grad(logits, teacher_log_probs, temperature)[0]
+    return _activations(quant.layer_weights(fwd.what), x)[-1]
 
 
 def e2e_step(
@@ -200,22 +199,23 @@ def e2e_step(
     layer's weights; the codebook backward that blockwise optimization
     uses takes it on into the centroids.
     """
+    _check_pair(teacher, student)
     quant = _student_quantizer(student)
     log_pt = _log_softmax(forward_logits(teacher, x, spec) / temperature)
-    total, kd, reg, grad = _e2e_step(quant, quant.centroids, student, x, log_pt, lam, beta,
-                                     temperature, spec)
+    total, kd, reg, grad = _e2e_step(quant, quant.centroids, x, log_pt, lam, beta, temperature,
+                                     spec)
     return total, kd, reg, quant.layer_centroids(grad)
 
 
-def _e2e_step(quant, centroids, student, x, teacher_log_probs, lam, beta, temperature, spec):
-    """:func:`e2e_step` through ``quant``, which must be
-    ``_student_quantizer(student)``, at the stacked ``centroids``, against
-    ``teacher_log_probs``, which must be the teacher's on ``x``; returns
-    the stacked centroid gradient. ``e2e_finetune`` builds the quantizer
-    once and the log-probabilities once per sample."""
+def _e2e_step(quant, centroids, x, teacher_log_probs, lam, beta, temperature, spec):
+    """:func:`e2e_step` of the student that ``quant`` holds, at the stacked
+    ``centroids``, against ``teacher_log_probs``, which must be the
+    teacher's on ``x``; returns the stacked centroid gradient.
+    ``e2e_finetune`` builds the quantizer once and the log-probabilities
+    once per sample."""
     fwd = quant.forward(centroids, spec)
     whats = quant.layer_weights(fwd.what)
-    acts = _activations(student, whats, x)
+    acts = _activations(whats, x)
 
     kd, delta = _kl_and_logit_grad(acts[-1], teacher_log_probs, temperature)
 
@@ -223,7 +223,7 @@ def _e2e_step(quant, centroids, student, x, teacher_log_probs, lam, beta, temper
         np.matmul(delta, acts[i].T, out=quant.dwhats[i])
         if i > 0:
             delta = (whats[i].T @ delta) * (acts[i] > 0.0)
-    reg, grad = quant.backward(fwd, quant.dwhat, lam, beta)
+    reg, grad = quant.backward(fwd, lam, beta)
     return kd + lam * reg, kd, reg, grad
 
 
@@ -245,13 +245,14 @@ def e2e_finetune(
     end. The teacher is frozen, so its log-probabilities are computed
     once per sample, and once for the calibration batch of the hard KL.
     """
-    if teacher.dims != student.dims:
-        raise ArchitectureMismatch(
-            f"teacher dims {teacher.dims} != student dims {student.dims}"
-        )
+    _check_pair(teacher, student)
     quant = _student_quantizer(student)
     if not data:
         raise DomainError("empty calibration data")
+    for i, sample in enumerate(data):
+        if np.ndim(sample) not in (1, 2) or np.shape(sample)[0] != teacher.dims[0]:
+            raise ShapeMismatch(f"sample {i} of shape {np.shape(sample)} does not feed "
+                                f"input dim {teacher.dims[0]}")
 
     centroids = quant.centroids
     state = AdamState.for_params(centroids)
@@ -259,7 +260,8 @@ def e2e_finetune(
     log_pt_all = _log_softmax(forward_logits(teacher, x_all, spec, mode="fp") / cfg.temperature)
 
     def hard_kl():
-        return _mean_hard_kl(quant, centroids, student, x_all, log_pt_all, cfg.temperature, spec)
+        logits = _hard_logits(quant, centroids, x_all, spec)
+        return _kl_and_logit_grad(logits, log_pt_all, cfg.temperature)[0]
 
     w = warmup_steps(cfg)
     loss_trace = np.zeros(cfg.steps)
@@ -280,7 +282,7 @@ def e2e_finetune(
         lam_t = 0.0 if t <= w else cfg.lam
 
         total, kd, reg, grad = _e2e_step(
-            quant, centroids, student, data[sample], teacher_log_probs[sample], lam_t, beta,
+            quant, centroids, data[sample], teacher_log_probs[sample], lam_t, beta,
             cfg.temperature, spec,
         )
         kd_trace[t - 1] = kd

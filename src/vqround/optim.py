@@ -10,7 +10,9 @@ gradient w.r.t. ``What`` is ``-2 E G``, so a step costs one
 are.
 
 One backward, shared with the end-to-end distillation, carries a
-gradient w.r.t. ``What`` into the centroids. Only the quantizer's part
+gradient w.r.t. ``What`` into the centroids. An objective writes that
+gradient into the quantizer's ``dwhats`` after the forward and then
+calls the backward, which reads it there. Only the quantizer's part
 of it (scale inside the active clip region, zero at and beyond the
 boundaries) is per entry; it is scattered onto the k x d centroid
 values. Every entry that gathers one centroid value shares its rounding
@@ -287,11 +289,11 @@ class LayerQuantizer:
             clip_active &= np.less(q, self.q_max, out=self._below)
         return SoftQuantForward(what=what, clip_active=clip_active, h=h, slope=slope)
 
-    def backward(self, fwd: SoftQuantForward, dl_dwhat: np.ndarray, lam: float,
-                 beta: float) -> tuple[float, np.ndarray]:
+    def backward(self, fwd: SoftQuantForward, lam: float, beta: float) -> tuple[float, np.ndarray]:
         """The rounding regularizer and the stacked centroid gradient of
-        ``loss + lam * regularizer``, given ``dl_dwhat = dloss/dWhat`` over
-        all entries, as ``fwd.what``, which is overwritten.
+        ``loss + lam * regularizer``. The objective writes ``dloss/dWhat``
+        into ``dwhat``, each layer's part through ``dwhats``, after the
+        forward ``fwd`` and before this call, which overwrites it.
 
         A centroid value used by c blocks enters the regularizer c times,
         so its term and derivative are weighted by c. Each layer's
@@ -300,7 +302,7 @@ class LayerQuantizer:
         """
         terms = self.counts * _regularizer_terms(fwd.h, beta)
         reg = sum(float(np.sum(terms[i:j])) for i, j in self._k_spans)
-        dl_dh = dl_dwhat
+        dl_dh = self.dwhat
         dl_dh *= self.scale
         dl_dh *= fwd.clip_active
         grad = self.scatter @ dl_dh.reshape(-1, self.d)
@@ -332,7 +334,7 @@ def _blockwise_objective(quant: LayerQuantizer, G, centroids, spec, lam,
     np.matmul(err, G, out=err_g)
     loss = float(np.sum(np.multiply(err_g, err, out=err)))
     err_g *= -2.0
-    reg, grad = quant.backward(fwd, quant.dwhat, lam, beta)
+    reg, grad = quant.backward(fwd, lam, beta)
     return loss + lam * reg, grad
 
 

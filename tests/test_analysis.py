@@ -7,7 +7,6 @@ from vqround.analysis import (
     clipping_check,
     compare_methods,
     error_histograms,
-    inf_norm_comparison,
     lipschitz_constant,
     margins,
     singular_spectrum,
@@ -208,29 +207,32 @@ class TestInfNormComparison:
         # Budget large enough for a full-rank truncation and a
         # one-centroid-per-block codebook: both are exact.
         A = np.random.default_rng(9).normal(size=(8, 8))
-        rows = {r.method: r for r in inf_norm_comparison(A, 128, d=8, kmeans_iters=30, seed=0)}
+        approx = budgeted_approximations(A, 128, d=8, kmeans_iters=30, seed=0)
+        rows = {r.method: r for r in compare_methods(A, approx)}
         assert rows["lowrank"].norm_fro == pytest.approx(0.0, abs=1e-9)
         assert rows["vq"].norm_fro == pytest.approx(0.0, abs=1e-9)
 
     def test_norm_chain_on_random_instances(self):
         for seed in range(5):
             A = np.random.default_rng(seed).normal(size=(16, 16))
-            for row in inf_norm_comparison(A, 64, d=4, kmeans_iters=20, seed=seed):
+            approx = budgeted_approximations(A, 64, d=4, kmeans_iters=20, seed=seed)
+            for row in compare_methods(A, approx):
                 assert row.norm_inf <= row.norm_2 + 1e-9
                 assert row.norm_2 <= row.norm_fro + 1e-9
 
     def test_budget_infeasible(self):
         with pytest.raises(errors.BudgetInfeasible):
-            inf_norm_comparison(np.zeros((64, 64)), 4, d=8)
+            budgeted_approximations(np.zeros((64, 64)), 4, d=8)
 
     @pytest.mark.parametrize("d", [0, -8])
     def test_non_positive_block_length(self, d):
         with pytest.raises(errors.DomainError, match="block length"):
-            inf_norm_comparison(np.zeros((8, 8)), 64, d=d)
+            budgeted_approximations(np.zeros((8, 8)), 64, d=d)
 
     def test_params_within_budget(self):
         A = np.random.default_rng(10).normal(size=(16, 16))
-        for row in inf_norm_comparison(A, 80, d=4, kmeans_iters=10, seed=0):
+        for row in compare_methods(A, budgeted_approximations(A, 80, d=4, kmeans_iters=10,
+                                                              seed=0)):
             assert row.params <= 80
 
     def test_compare_methods_validates_chain(self):
@@ -238,3 +240,14 @@ class TestInfNormComparison:
         approx = {"fake": (1, A.copy())}
         rows = compare_methods(A, approx)
         assert rows[0].norm_fro == 0.0
+
+    def test_reported_norms_are_those_of_the_error_matrix(self):
+        # Against zeros the error matrix is A itself, bit for bit. The
+        # diagonal one has known norms: max-abs 4, spectral 4, Frobenius 5.
+        for E in (np.random.default_rng(12).standard_t(3, size=(24, 40)), np.diag([3.0, -4.0])):
+            (row,) = compare_methods(E, {"zeros": (7, np.zeros_like(E))})
+            assert (row.method, row.params) == ("zeros", 7)
+            assert row.norm_inf == np.max(np.abs(E))
+            assert row.norm_2 == np.linalg.norm(E, 2)
+            assert row.norm_fro == np.linalg.norm(E, "fro")
+        assert (row.norm_inf, row.norm_2, row.norm_fro) == pytest.approx((4.0, 4.0, 5.0))

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import hashlib
 import importlib
 import inspect
+import io
+import os
 import sys
 import threading
 
@@ -11,10 +14,11 @@ import pytest
 from pools import counted_submits, refuse_pool, two_cores
 from vqround import analysis, cli, optim, parallel
 from vqround.cli import main
+from vqround.distill import random_net
 from vqround.hessian import curvature_init
 from vqround.optim import FinetuneConfig, optimize_blockwise
 from vqround.quantize import QuantParams, compute_quant_params
-from vqround.reparam import load_codebook
+from vqround.reparam import load_codebook, vq_reconstruct
 from vqround.tensor_io import load_tensor, save_tensor
 
 
@@ -246,6 +250,141 @@ def test_init_outputs_are_pinned(tmp_path, capsys, layer):
     got = {suffix: hashlib.sha256((tmp_path / f"init{suffix}.vqt").read_bytes()).hexdigest()
            for suffix in files}
     assert got == files
+
+
+def _printed(*argv) -> str:
+    """Run the CLI, which must succeed, and return what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _hashes(d, inputs) -> dict:
+    """sha256 of every file under ``d`` but the ``inputs``, by relative path."""
+    return {str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(d.rglob("*")) if p.is_file() and p.name not in inputs}
+
+
+def layer_chain(d, m, n, N, seed) -> tuple[dict, dict]:
+    """init → vq of init's latent → blockwise optimize, from floor(W/s) and
+    from init's base → analyze --budget of init's latent against the
+    optimized codebook's, on a seeded m×n layer with N calibration columns.
+    Returns each command's printed text and the sha256 of what it wrote."""
+    rng = np.random.default_rng(seed)
+    w, x, a = str(d / "w.vqt"), str(d / "x.vqt"), str(d / "init_a.vqt")
+    save_tensor(rng.normal(size=(m, n)), w)
+    save_tensor(rng.normal(size=(n, N)), x)
+    printed = {
+        "init": _printed("init", "--weights", w, "--calib", x, "--out-prefix", str(d / "init")),
+        "vq": _printed("vq", "--latent", a, "--k", "16", "--iters", "10",
+                       "--seed", str(seed), "--out", str(d / "cb")),
+    }
+    for name, base in (("opt", []), ("opt_base", ["--base", str(d / "init_b.vqt")])):
+        printed[name] = _printed("optimize", "--mode", "blockwise", "--weights", w, "--calib", x,
+                                 "--codebook", str(d / "cb"), *base, "--steps", "40",
+                                 "--out", str(d / name), "--trace", str(d / f"{name}.csv"))
+    approx = str(d / "approx.vqt")
+    save_tensor(vq_reconstruct(load_codebook(str(d / "opt"), (m, n))), approx)
+    printed["analyze"] = _printed("analyze", "--latent", a, "--approx", approx,
+                                  "--report-dir", str(d / "reports"), "--budget", "512")
+    return printed, _hashes(d, {"w.vqt", "x.vqt", "approx.vqt"})
+
+
+def e2e_chain(d, dims, samples, seed) -> tuple[str, dict]:
+    """``optimize --mode e2e`` on a seeded net; returns its printed text
+    and the sha256 of what it wrote."""
+    layers = [str(d / f"l{i}.vqt") for i in range(len(dims) - 1)]
+    for layer, path in zip(random_net(dims, seed=seed).layers, layers):
+        save_tensor(layer.weight, path)
+    x = str(d / "x.vqt")
+    save_tensor(np.random.default_rng(seed).normal(size=(dims[0], samples)), x)
+    printed = _printed("optimize", "--mode", "e2e", "--layers", *layers, "--calib", x,
+                       "--bits", "3", "--k", "64", "--kmeans-iters", "20", "--steps", "120",
+                       "--seed", str(seed), "--out", str(d / "e2e"),
+                       "--trace", str(d / "e2e.csv"))
+    return printed, _hashes(d, {"x.vqt", *(os.path.basename(p) for p in layers)})
+
+
+# sha256 of what the rest of the CLI chain writes, and its printed lines, on
+# the seeded inputs of ``layer_chain`` and ``e2e_chain``: one layer aligned
+# to the 128-column split gates and one aligned to none. How the chain's
+# stages compute must not change a byte. The figures are those of numpy
+# 2.4's OpenBLAS 0.3.31 on x86-64, as INIT_OUTPUTS's are.
+CHAIN_OUTPUTS = {
+    (256, 256, 512, 21): ({
+        "init": "recon_err=549.119288\n",
+        "vq": "wcss=204575.934\n",
+        "opt": "initial_loss=800467.958\nfinal_loss=646055.523\nsteps=40\n",
+        "opt_base": "initial_loss=527553.927\nfinal_loss=445797.529\nsteps=40\n",
+        "analyze": ("vq: params=512 inf=4.41574688\n"
+                    "lowrank: params=512 inf=4.67024606\n"
+                    "kronecker: params=512 inf=4.43178345\n"
+                    "clip_rate=0\n"),
+    }, {
+        "cb.centroids.vqt": "bdbf5d138050341dd326ec7156a81fdf9e84c1ffc2c5bc3beb2a643e0cd2e741",
+        "cb.indices.u32": "7d50d8037e99e14f301bf32eaa9c88beb56ebedebfb822bdfe414b775e1b5794",
+        "init_a.vqt": "552a5f23792a2283d8a740159c4ade329a982565416fdad4a2acef1e87f95739",
+        "init_b.vqt": "13f1cbba2320473d28cc6e7672fda53025517cc6826877ff135df293223eebe9",
+        "init_h.vqt": "d4f5c808731fed4d17dbfae00f44d192797292ab552b4b3d834777f8166dba05",
+        "init_wq.vqt": "2d4b84264204a67dd57e2cfae54f4326ee7970cbb12c28e9d76c82866b70f54b",
+        "opt.centroids.vqt": "43492f4f2453e010fb049863c0d5d0f6683136e64fd8cb38c89f3a6857462eb0",
+        "opt.csv": "2f65786975d0b63f1414192cdc116896bbefacbf6b4d7bc923f53759b62e6d3c",
+        "opt.indices.u32": "7d50d8037e99e14f301bf32eaa9c88beb56ebedebfb822bdfe414b775e1b5794",
+        "opt_base.centroids.vqt": "9a5e51c1a0d1fe153411d0616d299fcdac93fb03deec2e236a1b182b6dbf9214",
+        "opt_base.csv": "0e34ee11401641453d4cf028122b5abed7eec2dea21ab07a99f2e425fb38efe9",
+        "opt_base.indices.u32": "7d50d8037e99e14f301bf32eaa9c88beb56ebedebfb822bdfe414b775e1b5794",
+        "reports/histograms.csv": "f393e5181361ff1b55d43314a9cc8d7acd10b6f6f33bd9af77ef49dc8de21f6b",
+        "reports/norms.csv": "1cf5817f435715401035f662ea240a4f3194dc907196a998e7dfa66242abdf5b",
+        "reports/spectrum.csv": "f9c573c0f3111fc6beee6d1014e0fee116c45c14df5e46d16e400aac46f5fac7",
+        "reports/theory.csv": "a26abb8b9d5318aeee7add8bc9c50c1c185df97455bda58c4c6f93fc079a5b5a",
+    }),
+    (200, 200, 400, 22): ({
+        "init": "recon_err=367.532499\n",
+        "vq": "wcss=125291.788\n",
+        "opt": "initial_loss=359266.965\nfinal_loss=292450.875\nsteps=40\n",
+        "opt_base": "initial_loss=234740.138\nfinal_loss=199493.183\nsteps=40\n",
+        "analyze": ("vq: params=512 inf=4.4532342\n"
+                    "lowrank: params=400 inf=4.62346874\n"
+                    "kronecker: params=500 inf=4.80046359\n"
+                    "clip_rate=0\n"),
+    }, {
+        "cb.centroids.vqt": "6edf255b43d02db342ae4818f38f1d67d0b37b3f50b93ea67f09798dfd50031d",
+        "cb.indices.u32": "ef123258c8339b9f0b05a4a37f9222314b011d2980f9e10a03c6661bc1fb78fc",
+        "init_a.vqt": "226d802a07bbac26efcca4d8df71b6c7cb83fe336a1fb67d9dcab5b77ed70404",
+        "init_b.vqt": "feca3dd95f58174911210d46296d83c2d59bb8349789ed0373563d7c9cfa3ce1",
+        "init_h.vqt": "fd5924accd3f08896674f460cf079ac7414afc4d31bfb334333cdf339e7fdd8e",
+        "init_wq.vqt": "88ec8dee0d04a971e8337d359e9f139f4ec3cd8274a3a5f4365c254c249cf7dd",
+        "opt.centroids.vqt": "5c11a0d359bca213bc9e8b52ff89f6cd95b7eedd74b2ad9e6199f8359b56eb7c",
+        "opt.csv": "bd7f2875612349fed04eae0b2352b6ef9e8c7e7d8ca9e5559568cdbdfd8c5a54",
+        "opt.indices.u32": "ef123258c8339b9f0b05a4a37f9222314b011d2980f9e10a03c6661bc1fb78fc",
+        "opt_base.centroids.vqt": "94e4ec54a505d05956275bf862b2aa929dad3cb36d89039157185c74e1fd88cf",
+        "opt_base.csv": "0fb4589c0e791dcc7729d1b4dca62bc0a65b48170f05b07539b8979d66962d61",
+        "opt_base.indices.u32": "ef123258c8339b9f0b05a4a37f9222314b011d2980f9e10a03c6661bc1fb78fc",
+        "reports/histograms.csv": "24bbdf41ee1f32f18024bc887439c90560eaf99872ab153bc93c63cf2575de27",
+        "reports/norms.csv": "6d889c58889ab09df6771736f695f398188f5f8ad5663f6dc8628c296c5de948",
+        "reports/spectrum.csv": "0a79cdae83f74b5f80d08f0f5fd3233753026468217d14e15381ca3f6fb6e005",
+        "reports/theory.csv": "46f7f2a36fbd498d438fc31309c97aab9694685a525932b8c363a67e6018ee1f",
+    }),
+}
+E2E_OUTPUTS = ("hard_kl_warmup_end=0.0152565119\nhard_kl_final=0.0117832743\nsteps=120\n", {
+    "e2e.csv": "4547ee4042261fc7b85e43a3e45892b78f800095fa371d5d15c3b23b4515550b",
+    "e2e_layer0.centroids.vqt": "1f22aa48a699a7df521c9e5309477beadaa4dd13a137e47d4943964ba2dac44b",
+    "e2e_layer0.indices.u32": "277a110f8a17e44b9c9535146694909b0cdd9cceb6d64e39a2e85fa021ed115f",
+    "e2e_layer1.centroids.vqt": "30103a6b5b7db8644fb3f31f9c09a4231c1844116d794c41de1fde282f8dbece",
+    "e2e_layer1.indices.u32": "2cf030735e63625c2fdfe89e51b9b45b5574944ae5c6fbd7866ffd130ee8c7f7",
+    "e2e_layer2.centroids.vqt": "033409071c62c62a234ff33eef251c4c1c2604f8a7efce43869ac7213df9ada1",
+    "e2e_layer2.indices.u32": "07af4a8c1f7d1616127e2d93d6c44d6cd15a9fda50c6c7c3e637ebf4cfca9f24",
+})
+
+
+@pytest.mark.parametrize("layer", list(CHAIN_OUTPUTS), ids=lambda k: "x".join(map(str, k[:3])))
+def test_layer_chain_outputs_are_pinned(tmp_path, layer):
+    assert layer_chain(tmp_path, *layer) == CHAIN_OUTPUTS[layer]
+
+
+def test_e2e_outputs_are_pinned(tmp_path):
+    assert e2e_chain(tmp_path, (32, 64, 64, 8), 64, 23) == E2E_OUTPUTS
 
 
 class TestVq:
@@ -711,13 +850,13 @@ class TestAnalyze:
         a_path = tmp_path / "a.vqt"
         save_tensor(A, a_path)
         seeds = []
-        compare = analysis.inf_norm_comparison
+        approximations = analysis.budgeted_approximations
 
-        def recording_compare(*args, seed):
+        def recording_approximations(*args, seed):
             seeds.append(seed)
-            return compare(*args, seed=seed)
+            return approximations(*args, seed=seed)
 
-        monkeypatch.setattr(analysis, "inf_norm_comparison", recording_compare)
+        monkeypatch.setattr(analysis, "budgeted_approximations", recording_approximations)
         code = main([
             "analyze", "--latent", str(a_path), "--approx", str(a_path),
             "--report-dir", str(tmp_path / "r"), "--budget", "64",

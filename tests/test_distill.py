@@ -8,7 +8,6 @@ from vqround import distill, errors, optim, quantize, reparam
 from vqround.distill import (
     Layer,
     TinyNet,
-    _mean_hard_kl,
     build_student,
     e2e_finetune,
     e2e_step,
@@ -373,13 +372,23 @@ def count_forwards(monkeypatch):
     return flags
 
 
+def count_quantizers(monkeypatch):
+    """Record the layer count of every quantizer ``distill`` builds."""
+    quantizer, built = distill.LayerQuantizer, []
+
+    def counted(layers):
+        built.append(len(layers))
+        return quantizer(layers)
+
+    monkeypatch.setattr(distill, "LayerQuantizer", counted)
+    return built
+
+
 def mean_hard_kl(teacher, student, data, temperature):
-    """``_mean_hard_kl`` as ``e2e_finetune`` calls it, at the student's
-    codebooks."""
-    quant = distill._student_quantizer(student)
-    x = np.column_stack(data)
-    log_pt = distill._log_softmax(forward_logits(teacher, x) / temperature)
-    return _mean_hard_kl(quant, quant.centroids, student, x, log_pt, temperature, SPEC)
+    """The hard KL that ``e2e_finetune`` reports, at the student's
+    codebooks: a run of no steps takes it there."""
+    cfg = FinetuneConfig(steps=0, temperature=temperature)
+    return e2e_finetune(teacher, student, data, cfg).hard_kl_final
 
 
 class TestMeanHardKl:
@@ -406,18 +415,25 @@ class TestMeanHardKl:
         def no_gather(*args, **kwargs):
             raise AssertionError("hard evaluation gathered the latent matrix")
 
-        def no_quantizer(*args, **kwargs):
-            raise AssertionError("hard evaluation built a quantizer of its own")
-
         for mod in (distill, optim, quantize, reparam):
             monkeypatch.setattr(mod, "vq_reconstruct", no_gather, raising=False)
-        quant = distill._student_quantizer(student)
-        x = np.column_stack(data)
-        log_pt = distill._log_softmax(forward_logits(teacher, x))
-        monkeypatch.setattr(distill, "LayerQuantizer", no_quantizer)
-        _mean_hard_kl(quant, quant.centroids, student, x, log_pt, 1.0, SPEC)
-        # One hard forward of the run's quantizer covers every layer.
-        assert hard_flags == [True]
+        built = count_quantizers(monkeypatch)
+        # A run of no steps has no warm-up, so it takes the hard KL twice,
+        # at the end of warm-up and at the end, each through one hard
+        # forward of the run's one quantizer over every layer.
+        mean_hard_kl(teacher, student, data, 1.0)
+        assert built == [3]
+        assert hard_flags == [True, True]
+
+
+def refuse_work(monkeypatch):
+    """Make any network forward, quantizer forward or step fail."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran on inputs that should have been refused")
+
+    for name in ("_activations", "_e2e_step", "adam_step"):
+        monkeypatch.setattr(distill, name, no_work)
+    monkeypatch.setattr(optim.LayerQuantizer, "forward", no_work)
 
 
 class TestE2EFinetune:
@@ -426,6 +442,33 @@ class TestE2EFinetune:
         student = build_student(random_net((4, 8, 2), seed=8), bits=3, k=4, d=4)
         with pytest.raises(errors.ArchitectureMismatch):
             e2e_finetune(teacher, student, [np.zeros(4)], FinetuneConfig(steps=1))
+
+    @pytest.mark.parametrize("entry", ["e2e_finetune", "e2e_step"])
+    def test_output_dims_mismatch_refused_before_any_forward(self, monkeypatch, entry):
+        # Equal input dims, so only the dims check can tell the two apart.
+        teacher = random_net((6, 8, 4), seed=8)
+        student = build_student(random_net((6, 8, 3), seed=8), bits=3, k=4, d=4)
+        refuse_work(monkeypatch)
+        with pytest.raises(errors.ArchitectureMismatch, match=r"\(6, 8, 4\) != .*\(6, 8, 3\)"):
+            if entry == "e2e_finetune":
+                e2e_finetune(teacher, student, [np.zeros(6)], FinetuneConfig(steps=1))
+            else:
+                e2e_step(teacher, student, np.zeros(6), lam=0.0, beta=5.0)
+
+    @pytest.mark.parametrize("shapes, bad", [
+        ([(6,), (5,)], 1),
+        ([(5,), (6,), (6,)], 0),
+        ([(6, 2), (6,), (7, 2)], 2),
+        ([(6,), ()], 1),
+        ([(6,), (6, 2, 2)], 1),
+    ])
+    def test_sample_of_another_length_refused_before_any_step(self, monkeypatch, shapes, bad):
+        teacher = random_net((6, 8, 3), seed=18)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=5, seed=0)
+        refuse_work(monkeypatch)
+        data = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(errors.ShapeMismatch, match=f"sample {bad} of shape"):
+            e2e_finetune(teacher, student, data, FinetuneConfig(steps=4, warmup_frac=0.0))
 
     def test_student_without_codebooks_rejected(self):
         teacher = random_net((4, 6, 2), seed=9)
@@ -438,19 +481,14 @@ class TestE2EFinetune:
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         data = [np.random.default_rng(i).normal(size=6) for i in range(5)]
         cfg = FinetuneConfig(steps=12, warmup_frac=0.25)
-        built, adam_calls = [], []
-        quantizer, adam = distill.LayerQuantizer, distill.adam_step
-
-        def counted_quantizer(layers):
-            built.append(len(layers))
-            return quantizer(layers)
+        adam_calls, adam = [], distill.adam_step
 
         def counted_adam(state, params, grads, lr):
             adam_calls.append(params.shape)
             return adam(state, params, grads, lr)
 
         flags = count_forwards(monkeypatch)
-        monkeypatch.setattr(distill, "LayerQuantizer", counted_quantizer)
+        built = count_quantizers(monkeypatch)
         monkeypatch.setattr(distill, "adam_step", counted_adam)
         e2e_finetune(teacher, student, data, cfg)
         w = warmup_steps(cfg)
@@ -476,11 +514,7 @@ class TestE2EFinetune:
         else:
             layer.params = quantize.compute_quant_params(layer.weight, 4)
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step ran on a student that cannot stack")
-
-        monkeypatch.setattr(distill, "_e2e_step", no_step)
-        monkeypatch.setattr(distill, "adam_step", no_step)
+        refuse_work(monkeypatch)
         data = [np.zeros(6)]
         with pytest.raises(errors.ArchitectureMismatch, match="layer 1 has"):
             if entry == "e2e_finetune":
@@ -530,9 +564,9 @@ class TestE2EFinetune:
                 batches.append(np.array(x))
             return real_forward(net, x, *args, **kwargs)
 
-        def uncached_step(quant, centroids, student, x, log_pt, lam, beta, temperature, spec):
+        def uncached_step(quant, centroids, x, log_pt, lam, beta, temperature, spec):
             log_pt = distill._log_softmax(real_forward(teacher, x) / temperature)
-            return real_step(quant, centroids, student, x, log_pt, lam, beta, temperature, spec)
+            return real_step(quant, centroids, x, log_pt, lam, beta, temperature, spec)
 
         monkeypatch.setattr(distill, "forward_logits", counting_forward)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)

@@ -284,7 +284,8 @@ class TestCodebookBackward:
         fwd = quant.forward(cb.centroids, spec)
         H = fwd.h[cb.indices].reshape(cb.shape)
         assert {0.0, 0.5, 1.0} <= set(H.ravel())
-        reg, _ = quant.backward(fwd, np.zeros(W.size), 1.0, beta)
+        quant.dwhat[...] = 0.0
+        reg, _ = quant.backward(fwd, 1.0, beta)
         want = rounding_regularizer(H, beta)
         assert abs(reg - want) <= 1e-12 * want
 

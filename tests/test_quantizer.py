@@ -488,8 +488,7 @@ class TestStepMemory:
 
         def step():
             nonlocal centroids
-            grad = distill._e2e_step(quant, centroids, student, x, log_pt,
-                                     0.01, 10.0, 1.0, SPEC)[3]
+            grad = distill._e2e_step(quant, centroids, x, log_pt, 0.01, 10.0, 1.0, SPEC)[3]
             centroids = adam_step(state, centroids, grad, 1e-2)
 
         assert step_peak(step) <= 1.5 * sum(l.weight.nbytes for l in layers)
