@@ -18,7 +18,6 @@ import numpy as np
 from vqround.hessian import residual_init
 from vqround.optim import FinetuneConfig, optimize_blockwise
 from vqround.quantize import (
-    RoundingSpec,
     adaptive_quantize,
     compute_quant_params,
     hard_round,
@@ -50,15 +49,14 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     W = rng.normal(size=(args.rows, args.cols))
     X = rng.normal(size=(args.cols, args.samples))
-    spec = RoundingSpec()
     p = compute_quant_params(W, args.bits)
-    latent = inverse_rectified_sigmoid(residual_init(W, p), spec)
+    latent = inverse_rectified_sigmoid(residual_init(W, p))
 
     def output_mse(what):
         return float(np.sum(((W - what) @ X) ** 2))
 
     def hardened(cb):
-        H = hard_round(rectified_sigmoid(vq_reconstruct(cb), spec), spec)
+        H = hard_round(rectified_sigmoid(vq_reconstruct(cb)))
         return adaptive_quantize(W, p, H)[1]
 
     rtn_err = output_mse(rtn_quantize(W, p)[1])
@@ -76,7 +74,7 @@ def main() -> None:
         cb = fit_codebook(latent, d, k, iters=args.kmeans_iters, seed=args.seed)
         err = latent - vq_reconstruct(cb)
         out_err = output_mse(hardened(cb))
-        opt_err = output_mse(hardened(optimize_blockwise(W, X, p, cb, FINETUNE, spec)[0]))
+        opt_err = output_mse(hardened(optimize_blockwise(W, X, p, cb, FINETUNE)[0]))
         rows.append([
             k, d, k * d,
             float(np.max(np.abs(err))),

@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
     TheoremViolation,
 )
-from .quantize import RoundingSpec, _stretched_sigmoid, rectified_sigmoid
+from .quantize import GAMMA, ZETA, _stretched_sigmoid, rectified_sigmoid
 from .reparam import (
     balanced_factors,
     flatten_blocks,
@@ -35,18 +35,17 @@ from .reparam import (
 DETERMINISTIC_TOL = 1e-9
 
 
-def lipschitz_constant(spec: RoundingSpec = RoundingSpec()) -> float:
-    """Global contraction constant of the stretched sigmoid: (zeta-gamma)/4."""
-    return (spec.zeta - spec.gamma) / 4.0
+#: Global contraction constant of the stretched sigmoid, the largest
+#: slope of ``GAMMA + (ZETA - GAMMA) * sigmoid(a)``, at a = 0.
+LIPSCHITZ = (ZETA - GAMMA) / 4.0
 
 
 @dataclass
 class LipschitzCheck:
-    constant: float
     max_elementwise_ratio: float  # nan when every latent delta is zero
 
 
-def verify_lipschitz(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> LipschitzCheck:
+def verify_lipschitz(A, A_tilde) -> LipschitzCheck:
     """Assert |dH| <= L * |dA| elementwise and in sup-norm.
 
     Entries with dA == 0 are skipped in the ratio (0/0); the sup-norm
@@ -56,9 +55,9 @@ def verify_lipschitz(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> Lipschi
     At = np.asarray(A_tilde, dtype=np.float64)
     if A.shape != At.shape:
         raise ShapeMismatch(f"shapes differ: {A.shape} vs {At.shape}")
-    L = lipschitz_constant(spec)
+    L = LIPSCHITZ
     dA = np.abs(At - A)
-    dH = np.abs(rectified_sigmoid(At, spec) - rectified_sigmoid(A, spec))
+    dH = np.abs(rectified_sigmoid(At) - rectified_sigmoid(A))
 
     nz = dA > 0.0
     max_ratio = float(np.max(dH[nz] / dA[nz])) if np.any(nz) else float("nan")
@@ -73,16 +72,16 @@ def verify_lipschitz(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> Lipschi
         raise TheoremViolation(
             f"sup-norm {sup_dh} exceeds {L} * {sup_da} + {DETERMINISTIC_TOL}"
         )
-    return LipschitzCheck(constant=L, max_elementwise_ratio=max_ratio)
+    return LipschitzCheck(max_elementwise_ratio=max_ratio)
 
 
-def margins(A, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
+def margins(A) -> np.ndarray:
     """Distance of each pre-clip value to its nearest saturation boundary.
 
     Zero where the entry is already saturated (pre-clip value outside
     (0, 1)).
     """
-    _, g = _stretched_sigmoid(A, spec)
+    _, g = _stretched_sigmoid(A)
     return np.maximum(np.minimum(g, 1.0 - g), 0.0)
 
 
@@ -92,7 +91,7 @@ class ClippingCheck:
     clip_bound: float  # fraction with displacement beyond margin/constant
 
 
-def clipping_check(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> ClippingCheck:
+def clipping_check(A, A_tilde) -> ClippingCheck:
     """Check the saturation/displacement relation on initially interior
     entries.
 
@@ -102,7 +101,7 @@ def clipping_check(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> ClippingC
     The converse is false -- the slope near the boundaries is below the
     global constant, so a displacement beyond margin/L need not reach a
     boundary (A = 0, A~ = 2 travels 2 > 5/3 yet stays interior under
-    the default constants). Aggregated, the inclusion gives
+    the fixed stretch). Aggregated, the inclusion gives
     clip_rate <= clip_bound on the same samples, up to entries landing
     exactly on a boundary (measure zero for continuous perturbations).
     """
@@ -110,15 +109,15 @@ def clipping_check(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> ClippingC
     At = np.asarray(A_tilde, dtype=np.float64)
     if A.shape != At.shape:
         raise ShapeMismatch(f"shapes differ: {A.shape} vs {At.shape}")
-    L = lipschitz_constant(spec)
-    _, g0 = _stretched_sigmoid(A, spec)
+    L = LIPSCHITZ
+    _, g0 = _stretched_sigmoid(A)
     interior = (g0 > 0.0) & (g0 < 1.0)
     if not np.any(interior):
         return ClippingCheck(clip_rate=0.0, clip_bound=0.0)
 
-    delta = margins(A, spec)[interior]
+    delta = margins(A)[interior]
     dA = np.abs(At - A)[interior]
-    _, g1 = _stretched_sigmoid(At, spec)
+    _, g1 = _stretched_sigmoid(At)
     g1 = g1[interior]
     saturated = (g1 <= 0.0) | (g1 >= 1.0)
     beyond = dA > delta / L
@@ -172,15 +171,15 @@ class TheoryReport:
 _EPS_GRID = np.linspace(0.01, 1.0, 20)
 
 
-def theory_report(A, A_tilde, spec: RoundingSpec = RoundingSpec()) -> TheoryReport:
+def theory_report(A, A_tilde) -> TheoryReport:
     """Run all checks on one latent pair and collect the measurements."""
-    lip = verify_lipschitz(A, A_tilde, spec)
-    clip = clipping_check(A, A_tilde, spec)
+    lip = verify_lipschitz(A, A_tilde)
+    clip = clipping_check(A, A_tilde)
     dA = np.asarray(A_tilde, dtype=np.float64) - np.asarray(A, dtype=np.float64)
-    dH = rectified_sigmoid(A_tilde, spec) - rectified_sigmoid(A, spec)
-    tail = tail_transfer(dA, dH, _EPS_GRID, lip.constant)
+    dH = rectified_sigmoid(A_tilde) - rectified_sigmoid(A)
+    tail = tail_transfer(dA, dH, _EPS_GRID, LIPSCHITZ)
     return TheoryReport(
-        lipschitz_L=lip.constant,
+        lipschitz_L=LIPSCHITZ,
         max_observed_ratio=lip.max_elementwise_ratio,
         epsilon_grid=[row[0] for row in tail],
         tail_lhs=[row[1] for row in tail],
@@ -208,7 +207,6 @@ def _symmetric_edges(deltas: list[np.ndarray], bins: int) -> np.ndarray:
 def error_histograms(
     A,
     approximations: dict,
-    spec: RoundingSpec = RoundingSpec(),
     bins: int = 64,
 ) -> HistogramReport:
     """Normalized error densities of the latent and rounding matrices.
@@ -217,14 +215,14 @@ def error_histograms(
     densities are directly comparable; each integrates to 1.
     """
     A = np.asarray(A, dtype=np.float64)
-    H = rectified_sigmoid(A, spec)
+    H = rectified_sigmoid(A)
     d_a, d_h = {}, {}
     for name, At in approximations.items():
         At = np.asarray(At, dtype=np.float64)
         if At.shape != A.shape:
             raise ShapeMismatch(f"{name}: shape {At.shape} != {A.shape}")
         d_a[name] = (A - At).ravel()
-        d_h[name] = (H - rectified_sigmoid(At, spec)).ravel()
+        d_h[name] = (H - rectified_sigmoid(At)).ravel()
     edges_a = _symmetric_edges(list(d_a.values()), bins)
     edges_h = _symmetric_edges(list(d_h.values()), bins)
     dens_a = {n: np.histogram(v, bins=edges_a, density=True)[0] for n, v in d_a.items()}

@@ -78,15 +78,22 @@ def random_net(dims: tuple[int, ...], seed: int = 0) -> TinyNet:
     return TinyNet(layers=layers)
 
 
+def _check_input(x, n0: int, name: str = "input") -> None:
+    """Refuse ``x`` unless it is one input column of length ``n0`` or a
+    2-D batch of them."""
+    if np.ndim(x) not in (1, 2) or np.shape(x)[0] != n0:
+        raise ShapeMismatch(f"{name} of shape {np.shape(x)} is not 1-D or 2-D with "
+                            f"leading dim {n0}")
+
+
 def _activations(weights, x) -> list[np.ndarray]:
     """Every layer's output for input columns x of shape (n0, batch), run
     through the list of layer ``weights``: the input first, as float64
     columns, then each layer's ReLU output, then the logits."""
     a = np.asarray(x, dtype=np.float64)
+    _check_input(a, weights[0].shape[1])
     if a.ndim == 1:
         a = a[:, None]
-    if a.shape[0] != weights[0].shape[1]:
-        raise ShapeMismatch(f"input dim {a.shape[0]} != network input {weights[0].shape[1]}")
     last = len(weights) - 1
     acts = [a]
     for i, w in enumerate(weights):
@@ -99,14 +106,18 @@ def _activations(weights, x) -> list[np.ndarray]:
 def forward_logits(net: TinyNet, x, spec: RoundingSpec = RoundingSpec(), mode: str = "fp") -> np.ndarray:
     """Logits for input columns x of shape (n0, batch), through the layers'
     float64 weights (``"fp"``) or one hard forward of the net's stacked
-    quantizer (``"hard"``), which needs a codebook on every layer."""
+    quantizer (``"hard"``), which needs a codebook on every layer. ``spec``
+    is unread, but a third argument that is not a ``RoundingSpec``, such
+    as a mode passed positionally, is refused."""
+    if not isinstance(spec, RoundingSpec):
+        raise DomainError(f"expected a RoundingSpec, got {spec!r}; pass the mode as mode=")
     if mode not in ("fp", "hard"):
         raise DomainError(f"unknown weight mode {mode!r}")
     if mode == "fp":
         weights = [np.asarray(l.weight, dtype=np.float64) for l in net.layers]
         return _activations(weights, x)[-1]
     quant = _student_quantizer(net)
-    return _hard_logits(quant, quant.centroids, x, spec)
+    return _hard_logits(quant, quant.centroids, x)
 
 
 def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
@@ -176,10 +187,10 @@ def _student_quantizer(student: TinyNet) -> LayerQuantizer:
     return LayerQuantizer([(l.weight, l.params, l.codebook, l.base) for l in student.layers])
 
 
-def _hard_logits(quant, centroids, x, spec):
+def _hard_logits(quant, centroids, x):
     """Logits on ``x`` of the net that ``quant`` holds, every layer
     hard-rounded, through one hard forward at the stacked ``centroids``."""
-    fwd = quant.forward(centroids, spec, hard=True)
+    fwd = quant.forward(centroids, hard=True)
     return _activations(quant.layer_weights(fwd.what), x)[-1]
 
 
@@ -190,7 +201,6 @@ def e2e_step(
     lam: float,
     beta: float,
     temperature: float = 1.0,
-    spec: RoundingSpec = RoundingSpec(),
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """Loss terms and per-layer codebook gradients for one batch.
 
@@ -201,19 +211,18 @@ def e2e_step(
     """
     _check_pair(teacher, student)
     quant = _student_quantizer(student)
-    log_pt = _log_softmax(forward_logits(teacher, x, spec) / temperature)
-    total, kd, reg, grad = _e2e_step(quant, quant.centroids, x, log_pt, lam, beta, temperature,
-                                     spec)
+    log_pt = _log_softmax(forward_logits(teacher, x) / temperature)
+    total, kd, reg, grad = _e2e_step(quant, quant.centroids, x, log_pt, lam, beta, temperature)
     return total, kd, reg, quant.layer_centroids(grad)
 
 
-def _e2e_step(quant, centroids, x, teacher_log_probs, lam, beta, temperature, spec):
+def _e2e_step(quant, centroids, x, teacher_log_probs, lam, beta, temperature):
     """:func:`e2e_step` of the student that ``quant`` holds, at the stacked
     ``centroids``, against ``teacher_log_probs``, which must be the
     teacher's on ``x``; returns the stacked centroid gradient.
     ``e2e_finetune`` builds the quantizer once and the log-probabilities
     once per sample."""
-    fwd = quant.forward(centroids, spec)
+    fwd = quant.forward(centroids)
     whats = quant.layer_weights(fwd.what)
     acts = _activations(whats, x)
 
@@ -232,7 +241,6 @@ def e2e_finetune(
     student: TinyNet,
     data: list,
     cfg: FinetuneConfig,
-    spec: RoundingSpec = RoundingSpec(),
 ) -> E2EResult:
     """Distill the student's codebooks against the frozen teacher.
 
@@ -250,17 +258,15 @@ def e2e_finetune(
     if not data:
         raise DomainError("empty calibration data")
     for i, sample in enumerate(data):
-        if np.ndim(sample) not in (1, 2) or np.shape(sample)[0] != teacher.dims[0]:
-            raise ShapeMismatch(f"sample {i} of shape {np.shape(sample)} does not feed "
-                                f"input dim {teacher.dims[0]}")
+        _check_input(sample, teacher.dims[0], f"sample {i}")
 
     centroids = quant.centroids
     state = AdamState.for_params(centroids)
     x_all = np.column_stack(data)
-    log_pt_all = _log_softmax(forward_logits(teacher, x_all, spec, mode="fp") / cfg.temperature)
+    log_pt_all = _log_softmax(forward_logits(teacher, x_all) / cfg.temperature)
 
     def hard_kl():
-        logits = _hard_logits(quant, centroids, x_all, spec)
+        logits = _hard_logits(quant, centroids, x_all)
         return _kl_and_logit_grad(logits, log_pt_all, cfg.temperature)[0]
 
     w = warmup_steps(cfg)
@@ -275,7 +281,7 @@ def e2e_finetune(
     for t in range(1, cfg.steps + 1):
         sample = (t - 1) % len(data)
         if sample not in teacher_log_probs:
-            logits = forward_logits(teacher, data[sample], spec, mode="fp")
+            logits = forward_logits(teacher, data[sample])
             teacher_log_probs[sample] = _log_softmax(logits / cfg.temperature)
 
         beta = anneal_beta(t, cfg)
@@ -283,7 +289,7 @@ def e2e_finetune(
 
         total, kd, reg, grad = _e2e_step(
             quant, centroids, data[sample], teacher_log_probs[sample], lam_t, beta,
-            cfg.temperature, spec,
+            cfg.temperature,
         )
         kd_trace[t - 1] = kd
         reg_trace[t - 1] = reg
@@ -313,7 +319,6 @@ def build_student(
     d: int,
     kmeans_iters: int = 100,
     seed: int = 0,
-    spec: RoundingSpec = RoundingSpec(),
     init: str = "residual",
     calib=None,
 ) -> TinyNet:
@@ -349,7 +354,7 @@ def build_student(
         else:
             h_seed = residual_init(W, p)
 
-        blocks = flatten_blocks(inverse_rectified_sigmoid(h_seed, spec), d)
+        blocks = flatten_blocks(inverse_rectified_sigmoid(h_seed), d)
         cb = kmeans_fit(blocks, min(k, len(blocks)), iters=kmeans_iters, seed=seed + li,
                         shape=W.shape)
         layers.append(Layer(weight=W.copy(), params=p, codebook=cb, base=base))

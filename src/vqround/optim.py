@@ -40,8 +40,9 @@ from .errors import ArchitectureMismatch, DomainError, ShapeMismatch, StepOutOfR
 from scipy.sparse import csr_array
 
 from .quantize import (
+    GAMMA,
+    ZETA,
     QuantParams,
-    RoundingSpec,
     _base,
     _check_rows,
     _quantize_grid,
@@ -256,7 +257,7 @@ class LayerQuantizer:
         shape, as views."""
         return [a[i:j] for i, j in self._k_spans]
 
-    def forward(self, centroids, spec: RoundingSpec, hard: bool = False) -> SoftQuantForward:
+    def forward(self, centroids, hard: bool = False) -> SoftQuantForward:
         """Quantize every layer with the rounding decisions of the stacked
         ``centroids``.
 
@@ -269,13 +270,13 @@ class LayerQuantizer:
         ``clip_active``, which stays None. ``clip_active`` is a buffer
         that the next forward overwrites.
         """
-        sig, g = _stretched_sigmoid(centroids, spec)
+        sig, g = _stretched_sigmoid(centroids)
         h = np.clip(g, 0.0, 1.0)
         if hard:
-            h = hard_round(h, spec)
+            h = hard_round(h)
             slope = np.zeros_like(sig)
         else:
-            slope = (spec.zeta - spec.gamma) * sig
+            slope = (ZETA - GAMMA) * sig
             slope *= 1.0 - sig
             slope *= (g > 0.0) & (g < 1.0)
         np.take(h, self.indices, axis=0, out=self._v.reshape(-1, self.d), mode="clip")
@@ -320,7 +321,7 @@ def _layer_setup(W, X, p: QuantParams, cb: Codebook, base=None):
     return LayerQuantizer([(W, p, cb, base)]), X @ X.T
 
 
-def _blockwise_objective(quant: LayerQuantizer, G, centroids, spec, lam,
+def _blockwise_objective(quant: LayerQuantizer, G, centroids, lam,
                          beta) -> tuple[float, np.ndarray]:
     """Blockwise loss and its centroid gradient from one forward of the
     one-layer ``quant``.
@@ -328,7 +329,7 @@ def _blockwise_objective(quant: LayerQuantizer, G, centroids, spec, lam,
     ``G = X X^T`` is fixed for a layer. The forward's ``what`` becomes
     the error and then the product the loss sums, in place.
     """
-    fwd = quant.forward(centroids, spec)
+    fwd = quant.forward(centroids)
     (W,), (err,), (err_g,) = quant.weights, quant.layer_weights(fwd.what), quant.dwhats
     np.subtract(W, err, out=err)
     np.matmul(err, G, out=err_g)
@@ -343,13 +344,12 @@ def blockwise_loss(
     X,
     p: QuantParams,
     cb: Codebook,
-    spec: RoundingSpec = RoundingSpec(),
     lam: float = 1e-2,
     beta: float = 20.0,
 ) -> float:
     """||W X - What X||_F^2 + lam * regularizer, What from the codebook."""
     quant, G = _layer_setup(W, X, p, cb)
-    return _blockwise_objective(quant, G, cb.centroids, spec, lam, beta)[0]
+    return _blockwise_objective(quant, G, cb.centroids, lam, beta)[0]
 
 
 def optimize_blockwise(
@@ -358,7 +358,6 @@ def optimize_blockwise(
     p: QuantParams,
     cb: Codebook,
     cfg: FinetuneConfig,
-    spec: RoundingSpec = RoundingSpec(),
     base=None,
 ) -> tuple[Codebook, np.ndarray]:
     """Run Adam on the centroids against the blockwise objective.
@@ -376,6 +375,6 @@ def optimize_blockwise(
     for t in range(1, cfg.steps + 1):
         beta = anneal_beta(t, cfg)
         lam_t = 0.0 if t <= w else cfg.lam
-        trace[t - 1], grad = _blockwise_objective(quant, G, centroids, spec, lam_t, beta)
+        trace[t - 1], grad = _blockwise_objective(quant, G, centroids, lam_t, beta)
         centroids = adam_step(state, centroids, grad, cfg.lr)
     return Codebook(centroids=centroids, indices=cb.indices.copy(), shape=cb.shape), trace

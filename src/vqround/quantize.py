@@ -6,7 +6,8 @@ Round-to-nearest uses round-half-away-from-zero. The adaptive path
 replaces the nearest-grid decision with a rounding matrix ``H`` in
 ``[0, 1]`` produced by a stretched sigmoid of a latent matrix, so the
 up/down decision of every entry can be optimized by gradient descent
-and hardened to binary afterwards.
+and hardened to binary afterwards. The stretch and the threshold are
+AdaRound's, fixed as ``GAMMA``, ``ZETA`` and ``HARD_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -19,24 +20,17 @@ from scipy.special import expit, logit
 from .errors import BitsOutOfRange, DomainError, OutOfRange, ShapeMismatch
 
 
+#: AdaRound's constants (Nagel et al., 2020): the sigmoid stretches to
+#: (GAMMA, ZETA), past [0, 1] so that both ends are reached at finite
+#: latents, and a decision at HARD_THRESHOLD or above hardens to 1.
+GAMMA, ZETA, HARD_THRESHOLD = -0.1, 1.1, 0.5
+
+
 @dataclass(frozen=True)
 class RoundingSpec:
-    """Constants of the stretched sigmoid and the hardening threshold.
-
-    The stretch past [0, 1] (gamma < 0 < 1 < zeta) keeps both endpoints
-    reachable at finite latent values, so exact round-up/round-down
-    decisions have finite preimages under the inverse transform.
-    """
-
-    gamma: float = -0.1
-    zeta: float = 1.1
-    hard_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not (self.gamma < 0.0 < 1.0 < self.zeta):
-            raise DomainError(
-                f"need gamma < 0 < 1 < zeta, got gamma={self.gamma}, zeta={self.zeta}"
-            )
+    """No settings: the rounding constants are GAMMA, ZETA and
+    HARD_THRESHOLD. The class exists only because the benchmark passes
+    an instance as the third argument of ``distill.forward_logits``."""
 
 
 def _check_bits(bits: int) -> None:
@@ -121,34 +115,36 @@ def rtn_quantize(W, p: QuantParams) -> tuple[np.ndarray, np.ndarray]:
     return q.astype(np.int64), s * (q - z)
 
 
-def _stretched_sigmoid(A, spec: RoundingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(A) and the stretched ``gamma + (zeta - gamma) * sigmoid(A)``,
+def _stretched_sigmoid(A) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(A) and the stretched ``GAMMA + (ZETA - GAMMA) * sigmoid(A)``,
     the rounding values before their clip to [0, 1]."""
     sig = expit(np.asarray(A, dtype=np.float64))
-    return sig, spec.gamma + (spec.zeta - spec.gamma) * sig
+    return sig, GAMMA + (ZETA - GAMMA) * sig
 
 
-def rectified_sigmoid(A, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
-    """H = clip(gamma + (zeta - gamma) * sigmoid(A), 0, 1), elementwise."""
-    return np.clip(_stretched_sigmoid(A, spec)[1], 0.0, 1.0)
+def rectified_sigmoid(A) -> np.ndarray:
+    """H = clip(GAMMA + (ZETA - GAMMA) * sigmoid(A), 0, 1), elementwise."""
+    return np.clip(_stretched_sigmoid(A)[1], 0.0, 1.0)
 
 
-def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
+# The latents of the rounding values 0 and 1 (about -2.3979 and 2.3979).
+_END_LATENTS = logit((np.array([0.0, 1.0]) - GAMMA) / (ZETA - GAMMA))
+
+
+def inverse_rectified_sigmoid(H) -> np.ndarray:
     """Latent preimage of a rounding matrix.
 
-    Well-defined on the closed interval [0, 1]: with the default stretch
-    the sigmoid argument stays inside [1/12, 11/12], so the logit is
-    finite even at the endpoints. NaN, like any value outside [0, 1],
-    raises.
+    Well-defined on the closed interval [0, 1]: the sigmoid argument
+    stays inside [1/12, 11/12], so the logit is finite even at the
+    endpoints. NaN, like any value outside [0, 1], raises.
 
-    The latent is ``logit((H - gamma) / (zeta - gamma))`` byte for byte.
+    The latent is ``logit((H - GAMMA) / (ZETA - GAMMA))`` byte for byte.
     A saturated H, every entry 0 or 1 as in a curvature seed, skips the
     logit: each entry takes one of the two end latents, each the logit
     of the same value, as ``H * e1 - (H - 1) * e0``, which is exact at 0
-    and 1 while both are finite. Any other H takes the logit whole.
+    and 1. Any other H takes the logit whole.
     """
     H = np.asarray(H, dtype=np.float64)
-    span = spec.zeta - spec.gamma
     if H.size:
         lo, hi = H.min(), H.max()
         if not (lo >= 0.0 and hi <= 1.0):
@@ -156,17 +152,16 @@ def inverse_rectified_sigmoid(H, spec: RoundingSpec = RoundingSpec()) -> np.ndar
         # A residual seed has no entry at 0 or 1, so only the extremes
         # are looked at before it takes the logit.
         if not (lo > 0.0 and hi < 1.0):
-            ends = logit((np.array([0.0, 1.0]) - spec.gamma) / span)
             soft = H > 0.0
             soft &= H < 1.0
-            if not soft.any() and np.isfinite(ends).all():
-                e0, e1 = ends
+            if not soft.any():
+                e0, e1 = _END_LATENTS
                 A = np.multiply(H, e1)
                 below = np.subtract(H, 1.0)
                 below *= e0
                 A -= below
                 return A
-    return logit((H - spec.gamma) / span)
+    return logit((H - GAMMA) / (ZETA - GAMMA))
 
 
 def _quantize_grid(base, H, z, s, q_min, q_max, out=None):
@@ -224,10 +219,10 @@ def _base(W: np.ndarray, p: QuantParams, base, out=None) -> np.ndarray:
     return out
 
 
-def hard_round(H, spec: RoundingSpec = RoundingSpec()) -> np.ndarray:
-    """Binarize soft decisions; values at the threshold round up."""
+def hard_round(H) -> np.ndarray:
+    """Binarize soft decisions; values at HARD_THRESHOLD round up."""
     H = np.asarray(H, dtype=np.float64)
-    return np.where(H >= spec.hard_threshold, 1.0, 0.0)
+    return np.where(H >= HARD_THRESHOLD, 1.0, 0.0)
 
 
 def _regularizer_terms(H, beta: float) -> np.ndarray:

@@ -18,7 +18,8 @@ from vqround.distill import build_student, e2e_finetune, random_net
 from vqround.hessian import curvature_init, residual_init
 from vqround.optim import FinetuneConfig, optimize_blockwise, warmup_steps
 from vqround.quantize import (
-    RoundingSpec,
+    GAMMA,
+    ZETA,
     adaptive_quantize,
     compute_quant_params,
     hard_round,
@@ -37,7 +38,6 @@ from vqround.reparam import (
     wcss,
 )
 
-SPEC = RoundingSpec()
 L_CONST = 0.3
 N_SAMPLES = 10**5
 SIGMAS = (0.1, 1.0, 10.0)
@@ -63,7 +63,7 @@ def test_01_contraction_bound_per_pair(gaussian_pairs):
     start = time.monotonic()
     for sigma, (A, At) in gaussian_pairs.items():
         dA = np.abs(At - A)
-        dH = np.abs(rectified_sigmoid(At, SPEC) - rectified_sigmoid(A, SPEC))
+        dH = np.abs(rectified_sigmoid(At) - rectified_sigmoid(A))
         violations = np.sum(dH > L_CONST * dA + 1e-9)
         assert violations == 0, f"sigma={sigma}: {violations} violations"
     elapsed = time.monotonic() - start
@@ -75,7 +75,7 @@ def test_02_tail_transfer_event_inclusion(gaussian_pairs):
     eps_grid = np.linspace(0.01, 1.0, 20)
     for sigma, (A, At) in gaussian_pairs.items():
         dA = At - A
-        dH = rectified_sigmoid(At, SPEC) - rectified_sigmoid(A, SPEC)
+        dH = rectified_sigmoid(At) - rectified_sigmoid(A)
         rows = tail_transfer(dA, dH, eps_grid, L_CONST)  # raises on inversion
         for _, lhs, rhs in rows:
             assert lhs <= rhs
@@ -92,16 +92,16 @@ def test_03_saturation_implies_margin_displacement(gaussian_pairs):
     # inclusion.
     total = 0
     for sigma, (A, At) in gaussian_pairs.items():
-        g0 = SPEC.gamma + (SPEC.zeta - SPEC.gamma) / (1.0 + np.exp(-A))
+        g0 = GAMMA + (ZETA - GAMMA) / (1.0 + np.exp(-A))
         interior = (g0 > 0.0) & (g0 < 1.0)
-        delta = margins(A, SPEC)[interior]
+        delta = margins(A)[interior]
         dA = np.abs(At - A)[interior]
-        Ht = rectified_sigmoid(At, SPEC)[interior]
+        Ht = rectified_sigmoid(At)[interior]
         saturated = (Ht == 0.0) | (Ht == 1.0)
         violations = np.sum(saturated & (dA < delta / L_CONST - 1e-9))
         assert violations == 0, f"sigma={sigma}: {violations} violations"
         total += int(np.sum(interior))
-        check = clipping_check(A, At, SPEC)  # also raises per entry
+        check = clipping_check(A, At)  # also raises per entry
         assert check.clip_rate <= check.clip_bound + 1e-12
     assert total >= N_SAMPLES
     ok(f"03 saturation-implies-displacement ({total} interior entries, 0 violations)")
@@ -114,8 +114,8 @@ def test_04_hard_residual_reproduces_rtn():
         for bits in (3, 4):
             p = compute_quant_params(W, bits)
             resid = residual_init(W, p)
-            latent = inverse_rectified_sigmoid(resid, SPEC)
-            hb = hard_round(rectified_sigmoid(latent, SPEC), SPEC)
+            latent = inverse_rectified_sigmoid(resid)
+            hb = hard_round(rectified_sigmoid(latent))
             q_a, w_a = adaptive_quantize(W, p, hb)
             q_r, w_r = rtn_quantize(W, p)
             assert np.array_equal(q_a, q_r.astype(np.float64))
@@ -183,7 +183,7 @@ def test_08_gradients_match_finite_differences():
         X = rng.normal(size=(8, 16))
         p = compute_quant_params(W, 4)
         resid = np.clip(residual_init(W, p), 0.02, 0.98)
-        cb = fit_codebook(inverse_rectified_sigmoid(resid, SPEC), d=4, k=8,
+        cb = fit_codebook(inverse_rectified_sigmoid(resid), d=4, k=8,
                           iters=50, seed=seed)
         # Probe step small enough that the oracle's own truncation error
         # sits well below the 1e-4 tolerance it certifies.
@@ -217,15 +217,15 @@ def test_09_blockwise_run_improves_over_rtn():
     X = rng.normal(size=(64, 256))
     p = compute_quant_params(W, 3)
 
-    latent = inverse_rectified_sigmoid(residual_init(W, p), SPEC)
+    latent = inverse_rectified_sigmoid(residual_init(W, p))
     k = min(4096, latent.size // 8)
     cb = fit_codebook(latent, d=8, k=k, iters=100, seed=0)
     cfg = FinetuneConfig(steps=500)  # lr, lam, beta, warm-up at defaults
-    out_cb, trace = optimize_blockwise(W, X, p, cb, cfg, SPEC)
+    out_cb, trace = optimize_blockwise(W, X, p, cb, cfg)
     assert trace[-1] < trace[0]
 
     def hard_output_mse(codebook):
-        H = hard_round(rectified_sigmoid(vq_reconstruct(codebook), SPEC), SPEC)
+        H = hard_round(rectified_sigmoid(vq_reconstruct(codebook)))
         _, what = adaptive_quantize(W, p, H)
         return float(np.sum(((W - what) @ X) ** 2))
 

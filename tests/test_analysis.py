@@ -3,84 +3,76 @@ import pytest
 
 from vqround import errors
 from vqround.analysis import (
+    LIPSCHITZ,
     budgeted_approximations,
     clipping_check,
     compare_methods,
     error_histograms,
-    lipschitz_constant,
     margins,
     singular_spectrum,
     tail_transfer,
     theory_report,
     verify_lipschitz,
 )
-from vqround.quantize import RoundingSpec, inverse_rectified_sigmoid, rectified_sigmoid
-
-SPEC = RoundingSpec()
+from vqround.quantize import inverse_rectified_sigmoid, rectified_sigmoid
 
 
 class TestLipschitzConstant:
     def test_default_stretch(self):
-        assert lipschitz_constant(RoundingSpec()) == pytest.approx(0.3)
-
-    def test_plain_sigmoid(self):
-        assert lipschitz_constant(RoundingSpec(gamma=-1e-12, zeta=1.0 + 1e-12)) == pytest.approx(0.25)
-
-    def test_wide_stretch(self):
-        assert lipschitz_constant(RoundingSpec(gamma=-1.0, zeta=3.0)) == pytest.approx(1.0)
+        assert LIPSCHITZ == pytest.approx(0.3)
 
 
 class TestVerifyLipschitz:
     def test_identical_inputs(self):
         A = np.random.default_rng(0).normal(size=(4, 4))
-        check = verify_lipschitz(A, A, SPEC)
+        check = verify_lipschitz(A, A)
         assert np.isnan(check.max_elementwise_ratio)
 
     def test_bound_tight_at_origin(self):
         # The slope peaks at the origin: 1.2 * sigma'(0) = 0.3.
         eps = 1e-6
-        check = verify_lipschitz(np.array([[0.0]]), np.array([[eps]]), SPEC)
+        check = verify_lipschitz(np.array([[0.0]]), np.array([[eps]]))
         assert check.max_elementwise_ratio == pytest.approx(0.3, abs=1e-3)
 
     def test_monte_carlo_sweep(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=10**5)
         At = rng.normal(size=10**5)
-        check = verify_lipschitz(A.reshape(250, 400), At.reshape(250, 400), SPEC)
+        check = verify_lipschitz(A.reshape(250, 400), At.reshape(250, 400))
         assert check.max_elementwise_ratio <= 0.3 + 1e-9
 
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
-            verify_lipschitz(np.zeros((2, 2)), np.zeros((2, 3)), SPEC)
+            verify_lipschitz(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestMargins:
     def test_center(self):
-        assert margins(np.array([[0.0]]), SPEC)[0, 0] == pytest.approx(0.5)
+        assert margins(np.array([[0.0]]))[0, 0] == pytest.approx(0.5)
 
     def test_near_boundary(self):
         # Latent preimage of 0.9 sits 0.1 from the upper boundary.
-        a = inverse_rectified_sigmoid(np.array([[0.9]]), SPEC)
-        assert margins(a, SPEC)[0, 0] == pytest.approx(0.1, rel=1e-9)
+        a = inverse_rectified_sigmoid(np.array([[0.9]]))
+        assert margins(a)[0, 0] == pytest.approx(0.1, rel=1e-9)
 
     def test_saturated_is_zero(self):
-        assert margins(np.array([[20.0]]), SPEC)[0, 0] == 0.0
+        assert margins(np.array([[20.0]]))[0, 0] == 0.0
 
     def test_interior_range(self):
         rng = np.random.default_rng(1)
-        delta = margins(rng.normal(size=(10, 10)), SPEC)
+        delta = margins(rng.normal(size=(10, 10)))
         assert np.all((0.0 <= delta) & (delta <= 0.5))
 
 
 class TestClippingCheck:
     def test_identical_inputs_no_clipping(self):
         A = np.random.default_rng(2).normal(size=(8, 8))
-        check = clipping_check(A, A, SPEC)
+        check = clipping_check(A, A)
         assert check.clip_rate == 0.0
 
     def test_large_displacement_saturates(self):
         # g(10) = -0.1 + 1.2*sigma(10) > 1: clipped.
-        check = clipping_check(np.array([[0.0]]), np.array([[10.0]]), SPEC)
+        check = clipping_check(np.array([[0.0]]), np.array([[10.0]]))
         assert check.clip_rate == 1.0
         assert check.clip_bound == 1.0
 
@@ -90,7 +82,7 @@ class TestClippingCheck:
         # lands at g(2) ~ 0.957, still interior. The per-entry assertion
         # therefore runs as saturation => displacement, never the
         # reverse; this pin fails if that orientation changes.
-        check = clipping_check(np.array([[0.0]]), np.array([[2.0]]), SPEC)
+        check = clipping_check(np.array([[0.0]]), np.array([[2.0]]))
         assert check.clip_rate == 0.0
         assert check.clip_bound == 1.0
 
@@ -98,7 +90,7 @@ class TestClippingCheck:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(400, 250))
         At = A + rng.normal(scale=3.0, size=A.shape)
-        check = clipping_check(A, At, SPEC)
+        check = clipping_check(A, At)
         assert check.clip_rate <= check.clip_bound + 1e-12
         assert 0.0 < check.clip_rate < 1.0
 
@@ -122,7 +114,7 @@ class TestTailTransfer:
         A = rng.normal(size=50_000)
         At = A + rng.normal(size=A.size)
         dA = At - A
-        dH = rectified_sigmoid(At, SPEC) - rectified_sigmoid(A, SPEC)
+        dH = rectified_sigmoid(At) - rectified_sigmoid(A)
         rows = tail_transfer(dA, dH, np.linspace(0.01, 1.0, 20), 0.3)
         for _, lhs, rhs in rows:
             assert lhs <= rhs
@@ -138,7 +130,7 @@ class TestTheoryReport:
         rng = np.random.default_rng(5)
         A = rng.normal(size=(32, 32))
         At = A + 0.1 * rng.normal(size=A.shape)
-        rep = theory_report(A, At, SPEC)
+        rep = theory_report(A, At)
         assert rep.lipschitz_L == pytest.approx(0.3)
         assert len(rep.epsilon_grid) == 20
         assert all(l <= r for l, r in zip(rep.tail_lhs, rep.tail_rhs))
@@ -148,7 +140,7 @@ class TestTheoryReport:
 class TestErrorHistograms:
     def test_exact_approximation_masses_zero_bin(self):
         A = np.random.default_rng(6).normal(size=(8, 8))
-        rep = error_histograms(A, {"exact": A.copy()}, SPEC, bins=9)
+        rep = error_histograms(A, {"exact": A.copy()}, bins=9)
         dens = rep.densities_delta_a["exact"]
         widths = np.diff(rep.edges_delta_a)
         mass = dens * widths
@@ -159,7 +151,7 @@ class TestErrorHistograms:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(16, 16))
         At = A + 0.3 * rng.normal(size=A.shape)
-        rep = error_histograms(A, {"m": At}, SPEC, bins=32)
+        rep = error_histograms(A, {"m": At}, bins=32)
         for edges, dens in (
             (rep.edges_delta_a, rep.densities_delta_a["m"]),
             (rep.edges_delta_h, rep.densities_delta_h["m"]),
@@ -173,7 +165,7 @@ class TestErrorHistograms:
         wins = 0
         for A, approx in heavy_tail_sweep:
             rep = error_histograms(
-                A, {m: a for m, (_, a) in approx.items()}, SPEC, bins=64
+                A, {m: a for m, (_, a) in approx.items()}, bins=64
             )
             zb = np.searchsorted(rep.edges_delta_a, 0.0) - 1
             wins += (

@@ -794,7 +794,7 @@ class TestAnalyze:
         save_tensor(A, a_path)
         save_tensor(A + 0.01, t_path)
         monkeypatch.setattr(analysis, "rectified_sigmoid",
-                            lambda A, spec=None: 10.0 * np.asarray(A, dtype=np.float64))
+                            lambda A: 10.0 * np.asarray(A, dtype=np.float64))
         code = main([
             "analyze", "--latent", str(a_path), "--approx", str(t_path),
             "--report-dir", str(tmp_path / "r"),

@@ -16,10 +16,15 @@ from vqround.distill import (
     random_net,
 )
 from vqround.optim import FinetuneConfig, warmup_steps
-from vqround.quantize import QuantParams, RoundingSpec, inverse_rectified_sigmoid
+from vqround.quantize import (
+    GAMMA,
+    HARD_THRESHOLD,
+    ZETA,
+    QuantParams,
+    RoundingSpec,
+    inverse_rectified_sigmoid,
+)
 from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
-
-SPEC = RoundingSpec()
 
 
 class TestTinyNet:
@@ -148,10 +153,10 @@ def clipped_saturated_layer(seed, shape=(16, 24)):
 def gathered_chain_weight(layer, mode):
     """Weights by the element-wise chain: gather the latent matrix, apply
     the stretched sigmoid, harden, then quantize with floor(W/s) + H."""
-    g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(vq_reconstruct(layer.codebook))
+    g = GAMMA + (ZETA - GAMMA) * expit(vq_reconstruct(layer.codebook))
     H = np.clip(g, 0.0, 1.0)
     if mode == "hard":
-        H = np.where(H >= SPEC.hard_threshold, 1.0, 0.0)
+        H = np.where(H >= HARD_THRESHOLD, 1.0, 0.0)
     p = layer.params
     s, z = p.scale[:, None], p.zero[:, None]
     v = np.floor(layer.weight / s) + H + z
@@ -163,7 +168,7 @@ def gathered_chain_weight(layer, mode):
 def quantizer_weight(layer, mode):
     """The layer's weight from one forward of a quantizer over it alone."""
     quant = optim.LayerQuantizer([(layer.weight, layer.params, layer.codebook, layer.base)])
-    fwd = quant.forward(layer.codebook.centroids, SPEC, hard=mode == "hard")
+    fwd = quant.forward(layer.codebook.centroids, hard=mode == "hard")
     return fwd.what.reshape(layer.weight.shape)
 
 
@@ -181,14 +186,14 @@ class TestEffectiveWeight:
         assert np.array_equal(quantizer_weight(layer, mode), want)
         if mode == "hard":
             x = np.random.default_rng(seed).normal(size=(24, 5))
-            got = forward_logits(TinyNet([layer]), x, SPEC, "hard")
+            got = forward_logits(TinyNet([layer]), x, mode="hard")
             assert got.tobytes() == (quantizer_weight(layer, mode) @ x).tobytes()
 
     def test_fp_is_the_weight(self):
         layer = clipped_saturated_layer(2)
         x = np.random.default_rng(2).normal(size=(24, 5))
         want = layer.weight @ x
-        assert forward_logits(TinyNet([layer]), x, SPEC, "fp").tobytes() == want.tobytes()
+        assert forward_logits(TinyNet([layer]), x, mode="fp").tobytes() == want.tobytes()
         assert forward_logits(TinyNet([layer]), x).tobytes() == want.tobytes()
 
     def test_unknown_mode(self, monkeypatch):
@@ -200,13 +205,30 @@ class TestEffectiveWeight:
         for net in (TinyNet([clipped_saturated_layer(3)]), random_net((24, 8, 3), seed=1)):
             for mode in ("soft-ish", "soft", "bogus", "HARD", ""):
                 with pytest.raises(errors.DomainError, match="mode"):
-                    forward_logits(net, np.zeros((24, 2)), SPEC, mode)
+                    forward_logits(net, np.zeros((24, 2)), mode=mode)
+
+    def test_mode_in_place_of_the_spec_is_refused(self, monkeypatch):
+        # The third parameter is the RoundingSpec that the benchmark
+        # passes; a mode given there would otherwise be ignored and run
+        # the fp forward.
+        net = TinyNet([clipped_saturated_layer(3)])
+        x = np.random.default_rng(3).normal(size=(24, 2))
+        want = forward_logits(net, x, mode="hard")
+        assert forward_logits(net, x, RoundingSpec(), mode="hard").tobytes() == want.tobytes()
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a misplaced mode ran the network")
+
+        monkeypatch.setattr(distill, "_activations", no_forward)
+        for mode in ("hard", "fp"):
+            with pytest.raises(errors.DomainError, match="RoundingSpec"):
+                forward_logits(net, x, mode)
 
     def test_codebook_shape_mismatch(self):
         layer = clipped_saturated_layer(4)
         layer.weight = layer.weight[:, :16]
         with pytest.raises(errors.ShapeMismatch):
-            forward_logits(TinyNet([layer]), np.zeros((16, 2)), SPEC, "hard")
+            forward_logits(TinyNet([layer]), np.zeros((16, 2)), mode="hard")
 
     @pytest.mark.parametrize("bare", [[0], [1], [0, 1]])
     def test_hard_mode_needs_a_codebook_on_every_layer(self, bare):
@@ -216,7 +238,7 @@ class TestEffectiveWeight:
             student.layers[i].codebook = None
         x = np.zeros((6, 2))
         with pytest.raises(errors.ArchitectureMismatch, match=f"layer {bare[0]}"):
-            forward_logits(student, x, SPEC, "hard")
+            forward_logits(student, x, mode="hard")
         # The weights alone still run.
         assert forward_logits(student, x).shape == (3, 2)
 
@@ -227,11 +249,11 @@ def masks_stable_under(student, x, li, i, j, h):
 
     def snapshot():
         quant = distill._student_quantizer(student)
-        fwd = quant.forward(quant.centroids, SPEC)
+        fwd = quant.forward(quant.centroids)
         masks = [fwd.clip_active.copy()]
         a = np.asarray(x, dtype=np.float64)[:, None]
         for idx, (layer, what) in enumerate(zip(student.layers, quant.layer_weights(fwd.what))):
-            g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(vq_reconstruct(layer.codebook))
+            g = GAMMA + (ZETA - GAMMA) * expit(vq_reconstruct(layer.codebook))
             masks.append((g > 0) & (g < 1))
             z = what @ a
             if idx < len(student.layers) - 1:
@@ -251,7 +273,7 @@ def masks_stable_under(student, x, li, i, j, h):
 
 
 def fd_check_e2e(teacher, student, x, lam, beta, temperature=1.0, h=1e-4):
-    _, _, _, grads = e2e_step(teacher, student, x, lam, beta, temperature, SPEC)
+    _, _, _, grads = e2e_step(teacher, student, x, lam, beta, temperature)
     checked, worst = 0, 0.0
     for li, layer in enumerate(student.layers):
         cb = layer.codebook
@@ -260,9 +282,9 @@ def fd_check_e2e(teacher, student, x, lam, beta, temperature=1.0, h=1e-4):
                 if not masks_stable_under(student, x, li, i, j, h):
                     continue
                 cb.centroids[i, j] += h
-                lp, _, _, _ = e2e_step(teacher, student, x, lam, beta, temperature, SPEC)
+                lp, _, _, _ = e2e_step(teacher, student, x, lam, beta, temperature)
                 cb.centroids[i, j] -= 2 * h
-                lm, _, _, _ = e2e_step(teacher, student, x, lam, beta, temperature, SPEC)
+                lm, _, _, _ = e2e_step(teacher, student, x, lam, beta, temperature)
                 cb.centroids[i, j] += h
                 fd = (lp - lm) / (2 * h)
                 rel = abs(grads[li][i, j] - fd) / max(abs(fd), 1e-10)
@@ -279,7 +301,7 @@ def direct_e2e(student, teacher_logits, x, lam, beta, temperature):
     for i, layer in enumerate(student.layers):
         cb, p = layer.codebook, layer.params
         sig = expit(cb.centroids[cb.indices].reshape(layer.weight.shape))
-        g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * sig
+        g = GAMMA + (ZETA - GAMMA) * sig
         H = np.clip(g, 0.0, 1.0)
         s, z = p.scale[:, None], p.zero[:, None]
         v = np.floor(layer.weight / s) + H + z
@@ -305,7 +327,7 @@ def direct_e2e(student, teacher_logits, x, lam, beta, temperature):
         reg += np.sum(1.0 - np.abs(t) ** beta)
         d_h = (delta @ acts[i].T) * p.scale[:, None] * ((v > p.q_min) & (v < p.q_max))
         d_h = d_h + lam * -2.0 * beta * np.sign(t) * np.abs(t) ** (beta - 1.0)
-        d_a = d_h * (SPEC.zeta - SPEC.gamma) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
+        d_a = d_h * (ZETA - GAMMA) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
         grads[i] = np.zeros_like(cb.centroids)
         for block, c in enumerate(cb.indices):
             grads[i][c] += d_a.reshape(-1, cb.d)[block]
@@ -330,7 +352,7 @@ class TestE2EStep:
         for layer_masks in masks:
             for name, mask in layer_masks.items():
                 assert mask.any(), f"no {name} entries exercised"
-        total, kd, reg, grads = e2e_step(teacher, student, x, lam, beta, temperature, SPEC)
+        total, kd, reg, grads = e2e_step(teacher, student, x, lam, beta, temperature)
         assert abs(kd - want_kd) <= 1e-12 * want_kd
         assert abs(reg - want_reg) <= 1e-12 * want_reg
         assert total == kd + lam * reg
@@ -356,17 +378,33 @@ class TestE2EStep:
     def test_input_of_wrong_length_raises_shape_mismatch(self):
         teacher = random_net((6, 10, 4), seed=3)
         student = build_student(teacher, bits=4, k=6, d=4, kmeans_iters=5, seed=3)
-        with pytest.raises(errors.ShapeMismatch, match="input dim 5"):
+        with pytest.raises(errors.ShapeMismatch,
+                           match=r"shape \(5,\) is not 1-D or 2-D with leading dim 6"):
             e2e_step(teacher, student, np.ones(5), lam=0.0, beta=5.0)
+
+    @pytest.mark.parametrize("shape", [(), (6, 2, 2), (6, 8, 2)])
+    @pytest.mark.parametrize("entry", ["fp", "hard", "e2e_step"])
+    def test_input_that_is_not_columns_raises_shape_mismatch(self, entry, shape):
+        # A 0-d input has no leading dim, and a 3-D one with leading dim 6
+        # passes a check of that dim alone; both must fail as
+        # ShapeMismatch, not as numpy's IndexError or matmul ValueError.
+        teacher = random_net((6, 8, 3), seed=18)
+        student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=5, seed=0)
+        x = np.zeros(shape)
+        with pytest.raises(errors.ShapeMismatch, match="is not 1-D or 2-D with leading dim 6"):
+            if entry == "e2e_step":
+                e2e_step(teacher, student, x, lam=0.0, beta=5.0)
+            else:
+                forward_logits(student, x, mode=entry)
 
 
 def count_forwards(monkeypatch):
     """Record the ``hard`` flag of every quantizer forward."""
     forward, flags = optim.LayerQuantizer.forward, []
 
-    def counted(self, centroids, spec, hard=False):
+    def counted(self, centroids, hard=False):
         flags.append(hard)
-        return forward(self, centroids, spec, hard)
+        return forward(self, centroids, hard)
 
     monkeypatch.setattr(optim.LayerQuantizer, "forward", counted)
     return flags
@@ -398,8 +436,8 @@ class TestMeanHardKl:
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)
         data = [np.random.default_rng(i).normal(size=6) for i in range(24)]
         per_column = np.mean([
-            kl_loss(forward_logits(student, x, SPEC, mode="hard").T,
-                    forward_logits(teacher, x, SPEC, mode="fp").T, temperature)
+            kl_loss(forward_logits(student, x, mode="hard").T,
+                    forward_logits(teacher, x, mode="fp").T, temperature)
             for x in data
         ])
         assert per_column > 0.0
@@ -564,9 +602,9 @@ class TestE2EFinetune:
                 batches.append(np.array(x))
             return real_forward(net, x, *args, **kwargs)
 
-        def uncached_step(quant, centroids, x, log_pt, lam, beta, temperature, spec):
+        def uncached_step(quant, centroids, x, log_pt, lam, beta, temperature):
             log_pt = distill._log_softmax(real_forward(teacher, x) / temperature)
-            return real_step(quant, centroids, x, log_pt, lam, beta, temperature, spec)
+            return real_step(quant, centroids, x, log_pt, lam, beta, temperature)
 
         monkeypatch.setattr(distill, "forward_logits", counting_forward)
         student = build_student(teacher, bits=3, k=6, d=4, kmeans_iters=20, seed=0)

@@ -17,7 +17,6 @@ from vqround.hessian import (
     residual_init,
 )
 from vqround.quantize import (
-    RoundingSpec,
     adaptive_quantize,
     compute_quant_params,
     hard_round,
@@ -26,8 +25,6 @@ from vqround.quantize import (
     round_half_away,
     rtn_quantize,
 )
-
-SPEC = RoundingSpec()
 
 
 def random_spd(n, seed):
@@ -197,7 +194,7 @@ class TestHessianAwareInit:
         _, w_rtn = rtn_quantize(W, p)
         assert np.allclose(res.w_q, w_rtn)
         # Hardening the seed reproduces the same rounding decisions.
-        hb = hard_round(res.h_tilde, SPEC)
+        hb = hard_round(res.h_tilde)
         q_adaptive, w_adaptive = adaptive_quantize(W, p, hb)
         q_rtn, _ = rtn_quantize(W, p)
         assert np.array_equal(q_adaptive, q_rtn.astype(np.float64))
@@ -381,7 +378,7 @@ class TestResidualInit:
         # which hardens to the same decisions as the plain residual.
         plain = residual_init(W, p)
         assert np.array_equal(
-            hard_round(res.h_tilde, SPEC), hard_round(plain, SPEC)
+            hard_round(res.h_tilde), hard_round(plain)
         )
 
 

@@ -14,15 +14,14 @@ from vqround.optim import (
     warmup_steps,
 )
 from vqround.quantize import (
+    GAMMA,
+    ZETA,
     QuantParams,
-    RoundingSpec,
     compute_quant_params,
     inverse_rectified_sigmoid,
     rounding_regularizer,
 )
 from vqround.reparam import Codebook, fit_codebook, vq_reconstruct
-
-SPEC = RoundingSpec()
 
 
 class TestAnnealBeta:
@@ -134,10 +133,10 @@ class TestAdam:
             adam_step(state, np.zeros(2), np.zeros(3), lr=0.1)
 
 
-def blockwise_grad(W, X, p, cb, spec, lam, beta):
+def blockwise_grad(W, X, p, cb, lam, beta):
     """Gradient of :func:`blockwise_loss` w.r.t. the centroids (k, d)."""
     quant, G = optim._layer_setup(W, X, p, cb)
-    return optim._blockwise_objective(quant, G, cb.centroids, spec, lam, beta)[1]
+    return optim._blockwise_objective(quant, G, cb.centroids, lam, beta)[1]
 
 
 def grid_aligned_layer(seed=0, shape=(4, 6), bits=3):
@@ -148,7 +147,7 @@ def grid_aligned_layer(seed=0, shape=(4, 6), bits=3):
     grid = rng.integers(0, q_max + 1, size=shape)
     W = scale[:, None] * grid
     p = QuantParams(bits=bits, scale=scale, zero=np.zeros(shape[0], dtype=np.int64))
-    A0 = inverse_rectified_sigmoid(residual_init(W, p), SPEC)
+    A0 = inverse_rectified_sigmoid(residual_init(W, p))
     cb = fit_codebook(A0, d=shape[1], k=shape[0], iters=10, seed=0)
     return W, p, cb
 
@@ -160,23 +159,23 @@ class TestBlockwiseLoss:
         # Residual is 0 on the grid -> binary rounding matrix -> exact
         # weights and zero regularizer.
         # The regularizer leaves ~1e-15 of float residue at the grid.
-        assert blockwise_loss(W, X, p, cb, SPEC, lam=1e-2, beta=5.0) == pytest.approx(0.0, abs=1e-12)
+        assert blockwise_loss(W, X, p, cb, lam=1e-2, beta=5.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_without_regularizer(self):
         W, p, cb = grid_aligned_layer(seed=2)
         X = np.random.default_rng(3).normal(size=(6, 10))
-        assert blockwise_loss(W, X, p, cb, SPEC, lam=0.0, beta=5.0) == pytest.approx(0.0, abs=1e-15)
+        assert blockwise_loss(W, X, p, cb, lam=0.0, beta=5.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_after_perturbation(self):
         W, p, cb = grid_aligned_layer(seed=4)
         X = np.random.default_rng(5).normal(size=(6, 10))
         cb.centroids = cb.centroids + 0.5
-        assert blockwise_loss(W, X, p, cb, SPEC, lam=0.0, beta=5.0) > 0.0
+        assert blockwise_loss(W, X, p, cb, lam=0.0, beta=5.0) > 0.0
 
     def test_shape_mismatch(self):
         W, p, cb = grid_aligned_layer(seed=6)
         with pytest.raises(errors.ShapeMismatch):
-            blockwise_loss(W, np.zeros((5, 4)), p, cb, SPEC)
+            blockwise_loss(W, np.zeros((5, 4)), p, cb)
 
 
 def interior_codebook(seed, shape=(8, 8), d=4, k=8, bits=4):
@@ -186,7 +185,7 @@ def interior_codebook(seed, shape=(8, 8), d=4, k=8, bits=4):
     X = rng.normal(size=(shape[1], 2 * shape[1]))
     p = compute_quant_params(W, bits)
     resid = np.clip(residual_init(W, p), 0.02, 0.98)
-    A0 = inverse_rectified_sigmoid(resid, SPEC)
+    A0 = inverse_rectified_sigmoid(resid)
     cb = fit_codebook(A0, d=d, k=k, iters=50, seed=seed)
     return W, X, p, cb
 
@@ -196,7 +195,7 @@ def fd_check_blockwise(W, X, p, cb, lam, beta, h=1e-3):
     stable under the probe; returns (checked, worst relative error)."""
     m, n = W.shape
     d = cb.d
-    analytic = blockwise_grad(W, X, p, cb, SPEC, lam, beta)
+    analytic = blockwise_grad(W, X, p, cb, lam, beta)
 
     def local_masks_ok(i, j):
         flat = np.flatnonzero(cb.indices == i) * d + j
@@ -205,7 +204,7 @@ def fd_check_blockwise(W, X, p, cb, lam, beta, h=1e-3):
             c2 = Codebook(centroids=cb.centroids.copy(), indices=cb.indices, shape=cb.shape)
             c2.centroids[i, j] += delta
             A = vq_reconstruct(c2)
-            g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * expit(A[rr, cc])
+            g = GAMMA + (ZETA - GAMMA) * expit(A[rr, cc])
             if np.any((g <= 0.0) | (g >= 1.0)):
                 return False
             v = np.floor(W[rr, cc] / p.scale[rr]) + g + p.zero[rr]
@@ -223,8 +222,8 @@ def fd_check_blockwise(W, X, p, cb, lam, beta, h=1e-3):
             cm = Codebook(centroids=cb.centroids.copy(), indices=cb.indices, shape=cb.shape)
             cm.centroids[i, j] -= h
             fd = (
-                blockwise_loss(W, X, p, cp, SPEC, lam, beta)
-                - blockwise_loss(W, X, p, cm, SPEC, lam, beta)
+                blockwise_loss(W, X, p, cp, lam, beta)
+                - blockwise_loss(W, X, p, cm, lam, beta)
             ) / (2 * h)
             rel = abs(analytic[i, j] - fd) / max(abs(fd), 1e-10)
             worst = max(worst, rel)
@@ -238,7 +237,7 @@ class TestBlockwiseGrad:
         X = np.random.default_rng(8).normal(size=(6, 10))
         # At the optimum the latent sits on the saturation boundary,
         # where the subgradient convention gives exactly zero.
-        g = blockwise_grad(W, X, p, cb, SPEC, lam=0.0, beta=5.0)
+        g = blockwise_grad(W, X, p, cb, lam=0.0, beta=5.0)
         assert np.array_equal(g, np.zeros_like(g))
 
     def test_matches_finite_differences(self):
@@ -254,34 +253,33 @@ class TestBlockwiseGrad:
         W = np.array([[0.3, 0.7, 0.4, 0.6]])
         p = QuantParams(bits=4, scale=np.array([1.0]), zero=np.array([0]))
         X = np.random.default_rng(9).normal(size=(4, 6))
-        A0 = inverse_rectified_sigmoid(residual_init(W, p), SPEC)
+        A0 = inverse_rectified_sigmoid(residual_init(W, p))
         center = A0.reshape(2, 2).mean(axis=0)
         shared = Codebook(centroids=center[None, :], indices=np.array([0, 0]), shape=(1, 4))
         split = Codebook(
             centroids=np.vstack([center, center]), indices=np.array([0, 1]), shape=(1, 4)
         )
-        g_shared = blockwise_grad(W, X, p, shared, SPEC, lam=0.0, beta=2.0)
-        g_split = blockwise_grad(W, X, p, split, SPEC, lam=0.0, beta=2.0)
+        g_shared = blockwise_grad(W, X, p, shared, lam=0.0, beta=2.0)
+        g_split = blockwise_grad(W, X, p, split, lam=0.0, beta=2.0)
         assert np.allclose(g_shared[0], g_split[0] + g_split[1], atol=1e-12)
 
 
 class TestCodebookBackward:
     @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
     def test_regularizer_matches_gathered_rounding_matrix(self, beta):
-        # With zeta - gamma = 1.5 a zero latent maps to h = 1/2 exactly;
-        # latents of -20 and 20 saturate to 0 and 1. Centroids 10 and 11
-        # are used by no block.
-        spec = RoundingSpec(gamma=-0.25, zeta=1.25)
+        # A latent of -5.55e-16 maps to h = 1/2 exactly (a zero latent
+        # gives 0.5000000000000001); latents of -20 and 20 saturate to 0
+        # and 1. Centroids 10 and 11 are used by no block.
         rng = np.random.default_rng(15)
         W = rng.normal(size=(16, 32))
         p = compute_quant_params(W, 3)
         centroids = rng.normal(size=(12, 8))
-        centroids[0, :3] = [-20.0, 0.0, 20.0]
+        centroids[0, :3] = [-20.0, -5.55e-16, 20.0]
         indices = rng.integers(0, 10, size=64)
         indices[0] = 0
         cb = Codebook(centroids=centroids, indices=indices, shape=W.shape)
         quant = optim.LayerQuantizer([(W, p, cb, None)])
-        fwd = quant.forward(cb.centroids, spec)
+        fwd = quant.forward(cb.centroids)
         H = fwd.h[cb.indices].reshape(cb.shape)
         assert {0.0, 0.5, 1.0} <= set(H.ravel())
         quant.dwhat[...] = 0.0
@@ -294,8 +292,8 @@ class TestSoftQuantForward:
     def test_hard_mode_builds_no_clip_mask(self):
         W, _, p, cb = interior_codebook(seed=3)
         quant = optim.LayerQuantizer([(W, p, cb, None)])
-        hard = quant.forward(cb.centroids, SPEC, hard=True)
-        soft = quant.forward(cb.centroids, SPEC)
+        hard = quant.forward(cb.centroids, hard=True)
+        soft = quant.forward(cb.centroids)
         assert hard.clip_active is None
         assert soft.clip_active.shape == (W.size,)
         assert not hard.slope.any()
@@ -324,7 +322,7 @@ class TestOptimizeBlockwise:
         out, _ = optimize_blockwise(W, X, p, cb, cfg)
         from vqround.quantize import rectified_sigmoid
 
-        H = rectified_sigmoid(vq_reconstruct(out), SPEC)
+        H = rectified_sigmoid(vq_reconstruct(out))
         near_binary = np.minimum(H, 1.0 - H) <= 0.05
         assert np.mean(near_binary) >= 0.95
 
@@ -358,7 +356,7 @@ def direct_objective(W, X, p, cb, lam, beta):
     backward pass."""
     A = cb.centroids[cb.indices].reshape(W.shape)
     sig = expit(A)
-    g = SPEC.gamma + (SPEC.zeta - SPEC.gamma) * sig
+    g = GAMMA + (ZETA - GAMMA) * sig
     H = np.clip(g, 0.0, 1.0)
     s, z = p.scale[:, None], p.zero[:, None]
     v = np.floor(W / s) + H + z
@@ -370,7 +368,7 @@ def direct_objective(W, X, p, cb, lam, beta):
     d_what = -2.0 * resid @ X.T
     d_h = d_what * s * ((v > p.q_min) & (v < p.q_max))
     d_h = d_h + lam * -2.0 * beta * np.sign(t) * np.abs(t) ** (beta - 1.0)
-    d_a = d_h * (SPEC.zeta - SPEC.gamma) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
+    d_a = d_h * (ZETA - GAMMA) * sig * (1.0 - sig) * ((g > 0.0) & (g < 1.0))
     grad = np.zeros_like(cb.centroids)
     for block, c in enumerate(cb.indices):
         grad[c] += d_a.reshape(-1, cb.d)[block]
@@ -390,8 +388,8 @@ class TestFusedObjective:
         want_loss, want_grad, masks = direct_objective(W, X, p, cb, lam, beta)
         for name, mask in masks.items():
             assert mask.any(), f"no {name} entries exercised"
-        loss = blockwise_loss(W, X, p, cb, SPEC, lam, beta)
-        grad = blockwise_grad(W, X, p, cb, SPEC, lam, beta)
+        loss = blockwise_loss(W, X, p, cb, lam, beta)
+        grad = blockwise_grad(W, X, p, cb, lam, beta)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import vqround
+from vqround.quantize import RoundingSpec
 
 PACKAGE_DIR = Path(vqround.__file__).parent
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -74,6 +76,23 @@ def test_every_config_field_has_a_reader():
     reads = set().union(*(_attribute_reads(tree) for tree in readers))
     assert {"FinetuneConfig", "LipschitzCheck"} <= {cls for cls, _ in fields}
     assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []
+
+
+def test_rounding_constants_are_not_parameters():
+    # The stretch and the threshold are fixed (quantize.GAMMA, ZETA and
+    # HARD_THRESHOLD). forward_logits keeps its third parameter, an empty
+    # RoundingSpec, only because the benchmark passes one positionally.
+    takers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "spec" for p in params):
+                    takers.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == ["distill.forward_logits"]
+    assert dataclasses.fields(RoundingSpec) == ()
 
 
 def _imported_names(tree):

@@ -34,8 +34,9 @@ from vqround.optim import (
     warmup_steps,
 )
 from vqround.quantize import (
+    GAMMA,
+    ZETA,
     QuantParams,
-    RoundingSpec,
     _regularizer_terms,
     _stretched_sigmoid,
     adaptive_quantize,
@@ -46,17 +47,15 @@ from vqround.quantize import (
 )
 from vqround.reparam import Codebook, flatten_blocks
 
-SPEC = RoundingSpec()
 
-
-def ref_forward(W, p, cb, spec, base=None, hard=False):
-    sig, g = _stretched_sigmoid(cb.centroids, spec)
+def ref_forward(W, p, cb, base=None, hard=False):
+    sig, g = _stretched_sigmoid(cb.centroids)
     h = np.clip(g, 0.0, 1.0)
     if hard:
-        h = hard_round(h, spec)
+        h = hard_round(h)
         slope = np.zeros_like(sig)
     else:
-        slope = (spec.zeta - spec.gamma) * sig
+        slope = (ZETA - GAMMA) * sig
         slope *= 1.0 - sig
         slope *= (g > 0.0) & (g < 1.0)
     H = h[cb.indices].reshape(cb.shape)
@@ -88,8 +87,8 @@ def ref_backward(fwd, dl_dwhat, p, cb, lam, beta):
     return reg, grad
 
 
-def ref_objective(W, G, base, p, cb, spec, lam, beta):
-    fwd = ref_forward(W, p, cb, spec, base)
+def ref_objective(W, G, base, p, cb, lam, beta):
+    fwd = ref_forward(W, p, cb, base)
     err = W - fwd[0]
     err_g = err @ G
     loss = float(np.sum(err_g * err))
@@ -119,7 +118,7 @@ def clipped_layer(seed, shape, d, k, layout="float64"):
 def exercised(W, p, cb, base=None):
     """The clip and saturation cases the layer's first forward reaches."""
     W64 = np.asarray(W, dtype=np.float64)
-    sig, g = _stretched_sigmoid(cb.centroids, SPEC)
+    sig, g = _stretched_sigmoid(cb.centroids)
     H = np.clip(g, 0.0, 1.0)[cb.indices].reshape(cb.shape)
     b = np.floor(W64 / p.scale[:, None]) if base is None else base
     v = b + H + p.zero[:, None]
@@ -169,7 +168,7 @@ class TestBlockwiseMatchesReference:
         cfg = FinetuneConfig(steps=24, lam=lam, warmup_frac=0.25)
 
         calls = recording(monkeypatch, optim)
-        out, trace = optimize_blockwise(W, X, p, cb, cfg, SPEC,
+        out, trace = optimize_blockwise(W, X, p, cb, cfg,
                                         base=base if with_base else None)
 
         G = X @ X.T
@@ -177,7 +176,7 @@ class TestBlockwiseMatchesReference:
         work = Codebook(centroids=cb.centroids.copy(), indices=cb.indices, shape=cb.shape)
         for t in range(1, cfg.steps + 1):
             lam_t = 0.0 if t <= warmup_steps(cfg) else cfg.lam
-            loss, grad = ref_objective(W64, G, base, p, work, SPEC, lam_t, anneal_beta(t, cfg))
+            loss, grad = ref_objective(W64, G, base, p, work, lam_t, anneal_beta(t, cfg))
             assert trace[t - 1] == loss
             assert calls[t - 1][3].tobytes() == grad.tobytes()
             work.centroids = adam_step(state, work.centroids, grad, cfg.lr)
@@ -188,8 +187,8 @@ class TestBlockwiseMatchesReference:
         W, p, cb = clipped_layer(3, (16, 24), 8, 12, "strided")
         quant = LayerQuantizer([(W, p, cb, None)])
         for hard in (False, True):
-            got = quant.forward(cb.centroids, SPEC, hard=hard)
-            what, clip_active, h, slope = ref_forward(W, p, cb, SPEC, hard=hard)
+            got = quant.forward(cb.centroids, hard=hard)
+            what, clip_active, h, slope = ref_forward(W, p, cb, hard=hard)
             assert got.what.tobytes() == what.tobytes()
             assert got.h.tobytes() == h.tobytes()
             assert got.slope.tobytes() == slope.tobytes()
@@ -217,7 +216,7 @@ def with_bases(student):
 
 def hard_weight(W, p, cb, base=None):
     """The layer's hard-rounded weights from a quantizer over it alone."""
-    fwd = LayerQuantizer([(W, p, cb, base)]).forward(cb.centroids, SPEC, hard=True)
+    fwd = LayerQuantizer([(W, p, cb, base)]).forward(cb.centroids, hard=True)
     return fwd.what.reshape(np.shape(W))
 
 
@@ -233,7 +232,7 @@ def ref_e2e(teacher, student, data, cfg):
     for t in range(1, cfg.steps + 1):
         x = np.asarray(data[(t - 1) % len(data)], dtype=np.float64)[:, None]
         lam, beta = (0.0 if t <= warmup_steps(cfg) else cfg.lam), anneal_beta(t, cfg)
-        fwds = [ref_forward(l.weight, l.params, cb, SPEC, l.base)
+        fwds = [ref_forward(l.weight, l.params, cb, l.base)
                 for l, cb in zip(student.layers, cbs)]
         acts, pre, a = [x], [], x
         for i, fwd in enumerate(fwds):
@@ -283,13 +282,13 @@ class TestE2EMatchesReference:
             assert got.centroids.tobytes() == want.centroids.tobytes()
 
         x = np.column_stack(data)
-        hard = [Layer(weight=ref_forward(l.weight, l.params, l.codebook, SPEC, l.base, True)[0])
+        hard = [Layer(weight=ref_forward(l.weight, l.params, l.codebook, l.base, True)[0])
                 for l in student.layers]
         want_kl = kl_loss(forward_logits(TinyNet(hard), x).T, forward_logits(teacher, x).T,
                           cfg.temperature)
         assert res.hard_kl_final == want_kl
         # The trained student's hard logits give the same KL.
-        got_kl = kl_loss(forward_logits(student, x, SPEC, "hard").T, forward_logits(teacher, x).T,
+        got_kl = kl_loss(forward_logits(student, x, mode="hard").T, forward_logits(teacher, x).T,
                          cfg.temperature)
         assert got_kl == res.hard_kl_final
 
@@ -306,12 +305,12 @@ class TestHardLogits:
         a = x
         for i, l in enumerate(student.layers):
             what = hard_weight(l.weight, l.params, l.codebook, l.base)
-            want = ref_forward(l.weight, l.params, l.codebook, SPEC, l.base, hard=True)[0]
+            want = ref_forward(l.weight, l.params, l.codebook, l.base, hard=True)[0]
             assert what.tobytes() == want.tobytes()
             a = what @ a
             if i < len(student.layers) - 1:
                 a = np.maximum(a, 0.0)
-        assert forward_logits(student, x, SPEC, "hard").tobytes() == a.tobytes()
+        assert forward_logits(student, x, mode="hard").tobytes() == a.tobytes()
 
 
 class TestNoAliasing:
@@ -319,17 +318,17 @@ class TestNoAliasing:
         W, p, cb = clipped_layer(1, (16, 24), 8, 12)
         centroids = cb.centroids.copy()
         quant = LayerQuantizer([(W, p, cb, None)])
-        first = quant.forward(cb.centroids, SPEC)
+        first = quant.forward(cb.centroids)
         kept = [first.what.copy(), first.h.copy(), first.slope.copy()]
         clip_kept = first.clip_active.copy()
         # The clip mask is the quantizer's buffer, which only its next soft
         # forward overwrites.
         other = LayerQuantizer([(W, p, cb, None)])
-        other.forward(-cb.centroids, SPEC)
-        other.forward(-cb.centroids, SPEC, hard=True)
-        quant.forward(-cb.centroids, SPEC, hard=True)
+        other.forward(-cb.centroids)
+        other.forward(-cb.centroids, hard=True)
+        quant.forward(-cb.centroids, hard=True)
         assert np.array_equal(first.clip_active, clip_kept)
-        quant.forward(-cb.centroids, SPEC)
+        quant.forward(-cb.centroids)
         for got, want in zip([first.what, first.h, first.slope], kept):
             assert np.array_equal(got, want)
         assert cb.centroids.tobytes() == centroids.tobytes()
@@ -339,13 +338,13 @@ class TestNoAliasing:
         teacher = random_net(student.dims, seed=3)
         x = np.random.default_rng(3).normal(size=(24, 4))
         quant = distill._student_quantizer(student)
-        outputs = [quant.forward(quant.centroids, SPEC, hard).what for hard in (False, True)]
-        outputs.append(forward_logits(student, x, SPEC, "hard"))
+        outputs = [quant.forward(quant.centroids, hard).what for hard in (False, True)]
+        outputs.append(forward_logits(student, x, mode="hard"))
         kept = [out.copy() for out in outputs]
         data = [np.random.default_rng(i).normal(size=24) for i in range(3)]
         e2e_finetune(teacher, student, data, FinetuneConfig(steps=6))
-        quant.forward(quant.centroids, SPEC)
-        trained = forward_logits(student, x, SPEC, "hard")
+        quant.forward(quant.centroids)
+        trained = forward_logits(student, x, mode="hard")
         for got, want in zip(outputs, kept):
             assert got.tobytes() == want.tobytes()
         assert trained.tobytes() != kept[-1].tobytes()
@@ -377,7 +376,7 @@ class TestNoAliasing:
 
 def exact_codebook(h_tilde, d):
     """One centroid per block of the seed's latent preimage."""
-    blocks = flatten_blocks(inverse_rectified_sigmoid(h_tilde, SPEC), d)
+    blocks = flatten_blocks(inverse_rectified_sigmoid(h_tilde), d)
     return Codebook(centroids=blocks.copy(), indices=np.arange(len(blocks)),
                     shape=h_tilde.shape)
 
@@ -395,7 +394,7 @@ class TestCurvatureSeedBase:
         # The floor of W itself is not the sweep's base.
         floor = hard_weight(W, p, cb)
         assert not np.array_equal(floor, init.w_q)
-        _, explicit = adaptive_quantize(W, p, hard_round(init.h_tilde, SPEC), base=init.base)
+        _, explicit = adaptive_quantize(W, p, hard_round(init.h_tilde), base=init.base)
         assert explicit.tobytes() == got.tobytes()
 
     def test_student_layers_harden_to_init(self):
@@ -404,7 +403,7 @@ class TestCurvatureSeedBase:
         student = build_student(teacher, bits=3, k=10**9, d=4, kmeans_iters=10, seed=0,
                                 init="hessian", calib=calib)
         quant = distill._student_quantizer(student)
-        hardened = quant.layer_weights(quant.forward(quant.centroids, SPEC, hard=True).what)
+        hardened = quant.layer_weights(quant.forward(quant.centroids, hard=True).what)
         x, w_qs = calib, []
         for t_layer, layer, got in zip(teacher.layers, student.layers, hardened):
             init, _ = curvature_init(t_layer.weight, x, layer.params)
@@ -413,7 +412,7 @@ class TestCurvatureSeedBase:
             assert got.tobytes() == w_qs[-1].tobytes()
             x = np.maximum(t_layer.weight @ x, 0.0)
         want = forward_logits(TinyNet([Layer(weight=w) for w in w_qs]), calib)
-        assert forward_logits(student, calib, SPEC, "hard").tobytes() == want.tobytes()
+        assert forward_logits(student, calib, mode="hard").tobytes() == want.tobytes()
 
     def test_optimize_blockwise_takes_the_base(self):
         W, p, cb = clipped_layer(5, (16, 24), 8, 12)
@@ -422,7 +421,7 @@ class TestCurvatureSeedBase:
         cfg = FinetuneConfig(steps=3, lam=0.0)
         _, with_base = optimize_blockwise(W, X, p, cb, cfg, base=base)
         _, without = optimize_blockwise(W, X, p, cb, cfg)
-        want = ref_objective(W, X @ X.T, base, p, cb, SPEC, 0.0, cfg.beta_high)[0]
+        want = ref_objective(W, X @ X.T, base, p, cb, 0.0, cfg.beta_high)[0]
         assert with_base[0] == want != without[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
@@ -470,7 +469,7 @@ class TestStepMemory:
 
         def step():
             nonlocal centroids
-            _, grad = optim._blockwise_objective(quant, G, centroids, SPEC, 0.01, 10.0)
+            _, grad = optim._blockwise_objective(quant, G, centroids, 0.01, 10.0)
             centroids = adam_step(state, centroids, grad, 1e-2)
 
         assert step_peak(step) <= 1.5 * W.nbytes
@@ -488,7 +487,7 @@ class TestStepMemory:
 
         def step():
             nonlocal centroids
-            grad = distill._e2e_step(quant, centroids, x, log_pt, 0.01, 10.0, 1.0, SPEC)[3]
+            grad = distill._e2e_step(quant, centroids, x, log_pt, 0.01, 10.0, 1.0)[3]
             centroids = adam_step(state, centroids, grad, 1e-2)
 
         assert step_peak(step) <= 1.5 * sum(l.weight.nbytes for l in layers)
