@@ -43,15 +43,16 @@ class QuantParams:
     """Per-row scale/zero-point for an asymmetric b-bit integer grid."""
 
     bits: int
-    scale: np.ndarray  # (rows,), strictly positive
+    scale: np.ndarray  # (rows,), positive and finite
     zero: np.ndarray  # (rows,), integers in [0, q_max]
 
     def __post_init__(self):
         _check_bits(self.bits)
         self.scale = np.asarray(self.scale, dtype=np.float64)
         self.zero = np.asarray(self.zero, dtype=np.int64)
-        if self.scale.ndim != 1 or np.any(self.scale <= 0.0):
-            raise DomainError("per-row scales must be a 1-d positive vector")
+        # NaN fails both comparisons, so it is refused with inf.
+        if self.scale.ndim != 1 or not np.all((self.scale > 0.0) & (self.scale < np.inf)):
+            raise DomainError("per-row scales must be a 1-d vector of positive finite values")
         if self.zero.shape != self.scale.shape or np.any(
             (self.zero < 0) | (self.zero > self.q_max)
         ):
@@ -86,7 +87,9 @@ def compute_quant_params(W, bits: int) -> QuantParams:
 
     The row range is widened to include 0 so the zero-point always lies
     on the grid. Constant rows degenerate to scale 1 / zero 0, where
-    quantization is lossless.
+    quantization is lossless. A row whose widened range is not finite (a
+    NaN or infinite entry, or extremes whose difference overflows) raises
+    ``OutOfRange``.
     """
     _check_bits(bits)
     W = np.asarray(W)
@@ -96,7 +99,12 @@ def compute_quant_params(W, bits: int) -> QuantParams:
     # Row extremes are exact in W's own dtype: only they widen to float64.
     lo = np.minimum(0.0, W.min(axis=1).astype(np.float64))
     hi = np.maximum(0.0, W.max(axis=1).astype(np.float64))
-    span = hi - lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    bad = np.flatnonzero(~np.isfinite(span))
+    if bad.size:
+        r = int(bad[0])
+        raise OutOfRange(f"row {r}'s range widened to 0, [{lo[r]:g}, {hi[r]:g}], is not finite")
     scale = span / q_max
     # Constant rows and subnormal spans (where the division underflows)
     # degenerate to a unit scale; quantization is lossless there.
@@ -129,6 +137,26 @@ def rectified_sigmoid(A) -> np.ndarray:
 
 # The latents of the rounding values 0 and 1 (about -2.3979 and 2.3979).
 _END_LATENTS = logit((np.array([0.0, 1.0]) - GAMMA) / (ZETA - GAMMA))
+# Entries per block of a saturated H's walk: 256 KB of float64.
+_BLOCK_ENTRIES = 2**15
+
+
+def _memory_blocks(X) -> list:
+    """Consecutive views of at most _BLOCK_ENTRIES entries of a C- or
+    Fortran-contiguous X, in its memory order: for a transposed view,
+    the rows of its transpose."""
+    flat = (X.T if X.flags.f_contiguous else X).reshape(-1)
+    return [flat[i:i + _BLOCK_ENTRIES] for i in range(0, flat.size, _BLOCK_ENTRIES)]
+# Entries per block of a saturated H's walk: 256 KB of float64.
+_BLOCK_ENTRIES = 2**15
+
+
+def _memory_blocks(X) -> list:
+    """Consecutive views of at most _BLOCK_ENTRIES entries of a C- or
+    Fortran-contiguous X, in its memory order: for a transposed view,
+    the rows of its transpose."""
+    flat = (X.T if X.flags.f_contiguous else X).reshape(-1)
+    return [flat[i:i + _BLOCK_ENTRIES] for i in range(0, flat.size, _BLOCK_ENTRIES)]
 
 
 def inverse_rectified_sigmoid(H) -> np.ndarray:
@@ -142,7 +170,10 @@ def inverse_rectified_sigmoid(H) -> np.ndarray:
     A saturated H, every entry 0 or 1 as in a curvature seed, skips the
     logit: each entry takes one of the two end latents, each the logit
     of the same value, as ``H * e1 - (H - 1) * e0``, which is exact at 0
-    and 1. Any other H takes the logit whole.
+    and 1. Any other H takes the logit whole. Both the test for a
+    saturated H and its latent walk H in blocks of its memory order (the
+    sweep's outputs are transposed views), through one bounded buffer,
+    so the result is the only array of H's size they allocate.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.size:
@@ -152,14 +183,18 @@ def inverse_rectified_sigmoid(H) -> np.ndarray:
         # A residual seed has no entry at 0 or 1, so only the extremes
         # are looked at before it takes the logit.
         if not (lo > 0.0 and hi < 1.0):
-            soft = H > 0.0
-            soft &= H < 1.0
-            if not soft.any():
+            if not (H.flags.c_contiguous or H.flags.f_contiguous):
+                H = np.ascontiguousarray(H)
+            blocks = _memory_blocks(H)
+            if not any(((h > 0.0) & (h < 1.0)).any() for h in blocks):
                 e0, e1 = _END_LATENTS
-                A = np.multiply(H, e1)
-                below = np.subtract(H, 1.0)
-                below *= e0
-                A -= below
+                A = np.empty_like(H)
+                below = np.empty(len(blocks[0]))
+                for h, a in zip(blocks, _memory_blocks(A)):
+                    np.multiply(h, e1, out=a)
+                    b = np.subtract(h, 1.0, out=below[:len(h)])
+                    b *= e0
+                    a -= b
                 return A
     return logit((H - GAMMA) / (ZETA - GAMMA))
 

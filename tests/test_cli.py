@@ -227,6 +227,14 @@ INIT_OUTPUTS = {
         "_h": "15ad6d04d0ed2933a306f99c739565d6fd9644914a735e7548697f42f20018f9",
         "_a": "8a42d9afc7e8e0b48ffce829aa3979f36e9766f748881bfd0a2f98dd09e7dc3c",
     }),
+    # Above the gates with 640 rows, which is no power of two times
+    # recon_err's row chunk, so its sum tree meets halves of 320 and 160 rows.
+    (640, 768, 1024, 13): ("recon_err=2181.19478\n", {
+        "_wq": "2088d824f68309b7709de0c50df2e608f884b97639a255530d6fffb25a5cc1fa",
+        "_b": "63a7606ac41603b3408f5ca3fdf8bec1e61fe6a2b9e0224053ae88c943b5aa66",
+        "_h": "c93fade888b12dd2ec56c378d218ce5add7fc29ac6ca8d02cea5961167838aaa",
+        "_a": "c3cee86cce9f0f0000d02a0fd5f94dd91e839aa4218b689b3fd8f403ac5278ee",
+    }),
     (200, 300, 400, 12): ("recon_err=428.553376\n", {
         "_wq": "dee7bfb928094743a3d04fcafdf881fab953509cde84266fb1de5e22bea8b26d",
         "_b": "c5d29827e7d9f6ff4d976c24a3b05d2f1e626239be797489fb593a0005534088",

@@ -158,6 +158,17 @@ class TestCurvatureInit:
         with pytest.raises(errors.DomainError, match="percdamp"):
             curvature_init(W, X, p, percdamp=percdamp)
 
+    def test_recon_err_that_is_not_finite_is_refused(self):
+        # The outputs are finite, but <E H, E> is not: max(nan, 0.0) was nan.
+        W, X, p = layer(8, 16, 32, seed=7)
+        W = 1e200 * W
+        p = compute_quant_params(W, 3)
+        result = hessian_aware_init(W, p, damped_inverse_factor(
+            accumulate_hessian(X).astype(np.float32)))
+        assert all(np.isfinite(getattr(result, name)).all() for name in ("w_q", "base", "h_tilde"))
+        with pytest.raises(errors.OutOfRange, match="not finite"):
+            curvature_init(W, X, p)
+
     def test_calibration_rows_must_match_weight_columns(self):
         W, X, p = layer(4, 8, 16, seed=4)
         with pytest.raises(errors.ShapeMismatch):
@@ -245,6 +256,26 @@ class TestHessianAwareInit:
         p = compute_quant_params(W, 4)
         with pytest.raises(errors.ShapeMismatch):
             hessian_aware_init(W, p, np.eye(2))
+
+    @pytest.mark.parametrize("n, bad", [(16, "zeros"), (16, "nan"), (16, "negative-diagonal"),
+                                        (300, "inf-in-last-block-row"), (300, "zero-on-diagonal")])
+    def test_bad_factor_is_refused_before_the_first_column(self, monkeypatch, n, bad):
+        # All-zero and all-NaN factors gave all-NaN w_q and h_tilde.
+        W, _, p = layer(4, n, 1, seed=n)
+        factor = {
+            "zeros": np.zeros((n, n)),
+            "nan": np.full((n, n), np.nan),
+            "negative-diagonal": -np.eye(n),
+            "inf-in-last-block-row": np.eye(n) + np.triu(np.full((n, n), np.inf), n - 3),
+            "zero-on-diagonal": np.diag(np.arange(n) != 200).astype(np.float64),
+        }[bad]
+
+        def no_column(x):
+            raise AssertionError("a column was swept")
+
+        monkeypatch.setattr(hessian, "round_half_away", no_column)
+        with pytest.raises(errors.NotPositiveDefinite, match="finite with a positive diagonal"):
+            hessian_aware_init(W, p, factor)
 
 
 def sweep_with_blocksize(monkeypatch, blocksize, W, p, upper):
@@ -380,6 +411,161 @@ class TestResidualInit:
         assert np.array_equal(
             hard_round(res.h_tilde), hard_round(plain)
         )
+
+
+def pairwise_pieces_sum(a):
+    """The sum over a row-major 2-d array as _error_form combines it:
+    its two halves, each by the pieces of its tree."""
+    m, n = a.shape
+    halves = hessian._sum_halves(m, n)
+    sums = [hessian._tree_sum(tree, lambda r0, r1: np.sum(a[r0:r1])) for tree in halves]
+    return halves, sums[0] + sums[1]
+
+
+# Shapes whose pairwise splits fall between rows down to the chunk
+# (640x768, 512x2048, 256x256, 64x385), only at the top (1000x24), or
+# inside a row from the top on (517x700, 2049x128, 1x4096, 3x129, 7x8).
+SUM_SHAPES = [(640, 768), (512, 2048), (256, 256), (64, 385), (1000, 24), (517, 700),
+              (2049, 128), (1, 4096), (3, 129), (7, 8)]
+
+
+class TestErrorForm:
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 128, 10**6])
+    @pytest.mark.parametrize("shape", SUM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_chunk_sums_equal_numpys_pairwise_sum(self, monkeypatch, shape, chunk):
+        monkeypatch.setattr(hessian, "_CHUNK_ROWS", chunk)
+        for seed in range(4):
+            rng = np.random.default_rng([*shape, seed])
+            # Magnitudes spread over 12 decades, so any other order of
+            # additions rounds apart.
+            a = rng.normal(size=shape) * np.exp(6 * rng.normal(size=shape))
+            halves, got = pairwise_pieces_sum(a)
+            assert got.hex() == np.sum(a).hex()
+            rows = [leaf for tree in halves for leaf in hessian._leaves(tree)]
+            assert [r0 for r0, _ in rows[1:]] == [r1 for _, r1 in rows[:-1]]
+            assert (rows[0][0], rows[-1][1]) == (0, shape[0])
+
+    def test_pieces_of_a_640_row_layer(self):
+        # 640 is no power of two times the 128-row chunk: the halves of
+        # 320 rows split at 160, and those at 80.
+        halves = hessian._sum_halves(640, 768)
+        leaves = [leaf for tree in halves for leaf in hessian._leaves(tree)]
+        assert leaves == [(r, r + 80) for r in range(0, 640, 80)]
+        # Where numpy halves within a row, one task takes every row.
+        assert hessian._sum_halves(517, 700) == [(0, 517), (517, 517)]
+
+    @pytest.mark.parametrize("chunk", [2, 16, 128, 10**6])
+    @pytest.mark.parametrize("m, n, N", [(640, 768, 256), (512, 768, 256)])
+    def test_recon_err_equals_the_whole_product_sum(self, monkeypatch, m, n, N, chunk):
+        # Above the gates, rows of E @ H taken 2 or more at a time are the
+        # whole product's rows, so any chunk gives the single product's sum.
+        monkeypatch.setattr(hessian, "_CHUNK_ROWS", chunk)
+        W, X, p = layer(m, n, N, seed=m + n)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        result, err = curvature_init(W, X, p)
+        assert len(calls) == 2 + lookahead_tasks(n) + 2
+        E = W - result.w_q
+        total = np.sum((E @ accumulate_hessian(X)) * E)
+        assert err == float(np.sqrt(max(total / 2, 0.0)))
+
+    def test_pieces_under_rapid_thread_switches(self, monkeypatch):
+        # Each task writes its own buffers and its own sum; with 16-row
+        # pieces and a 1 us switch interval, a mixed-up buffer or sum
+        # would show in the bytes.
+        monkeypatch.setattr(hessian, "_CHUNK_ROWS", 16)
+        W, X, p = layer(640, 768, 256, seed=63)
+        result, _ = curvature_init(W, X, p)
+        H = accumulate_hessian(X)
+        want = inline(monkeypatch, hessian._error_form, W, result.w_q, H)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [hessian._error_form(W, result.w_q, H) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 6
+        assert [g.hex() for g in got] == [want.hex()] * 3
+
+    @pytest.mark.parametrize("m, n, N, err_hex", [
+        (512, 768, 256, "0x1.0f1b96a4e5ec8p+10"),
+        (640, 768, 1024, "0x1.216f9dc103ac8p+12"),
+    ])
+    def test_recon_err_bytes_are_pinned(self, m, n, N, err_hex):
+        # Recorded before recon_err was taken by chunks.
+        rng = np.random.default_rng([m, n, N])
+        W = rng.normal(size=(m, n))
+        X = rng.normal(size=(n, N))
+        assert curvature_init(W, X, compute_quant_params(W, 3))[1].hex() == err_hex
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes one call of ``fn`` holds above what is in use
+    when it starts, measured after one warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def block_rows_bytes(n):
+    return sum(8 * (min(i1 + 128, n) - i1) * (n - i1) for i1 in range(0, n, 128))
+
+
+class TestInitMemory:
+    """The init holds its outputs, H, the sweep's block rows of the factor
+    and O(_BLOCKSIZE (m + n)) buffers: no fourth m x n array in the sweep,
+    no n x n factor beside the block rows, no m x n array in recon_err."""
+
+    M, N = 512, 768
+
+    def buffers(self, m, n):
+        return 2 * hessian._BLOCKSIZE * (m + n) * 8
+
+    def test_sweep_holds_three_layer_arrays(self):
+        W, X, p = layer(self.M, self.N, 2 * self.N, seed=60)
+        factor = damped_inverse_factor(accumulate_hessian(X))
+        peak = traced_peak(hessian_aware_init, W, p, factor)
+        assert peak <= 3 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+
+    def test_curvature_init_holds_no_factor_beside_its_block_rows(self):
+        W, X, p = layer(self.M, self.N, 64, seed=61)
+        peak = traced_peak(curvature_init, W, X, p)
+        H_bytes = self.N * self.N * 8
+        assert peak <= H_bytes + 3 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+
+    def test_recon_err_adds_only_its_chunk_buffers(self, monkeypatch):
+        # 1024 rows: two tasks of 512 rows, each by pieces of 128.
+        m, n = 1024, self.N
+        W, X, p = layer(m, n, 64, seed=62)
+        marks = []
+        sweep = hessian.hessian_aware_init
+
+        def traced_sweep(W, p, upper):
+            result = sweep(W, p, upper)
+            # Nothing else holds the factor now, so it goes here.
+            del upper
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(hessian, "hessian_aware_init", traced_sweep)
+        tracemalloc.start()
+        try:
+            curvature_init(W, X, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two tasks, each with E and E @ H buffers; _tiled_copy's ufunc
+        # buffers add about 100 KB per task.
+        chunks = 2 * 2 * hessian._CHUNK_ROWS * n * 8
+        assert peak - marks[0] <= chunks + 2**19
 
 
 class Boom(Exception):

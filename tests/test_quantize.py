@@ -55,6 +55,25 @@ class TestQuantParams:
         assert p.scale[0] == 1.0
         assert p.zero[0] == 0
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scale_that_is_not_positive_and_finite_is_refused(self, scale):
+        # NaN passed a `scale <= 0` test, and every quantizer downstream
+        # then computed NaN.
+        with pytest.raises(errors.DomainError, match="positive finite"):
+            QuantParams(3, [scale], [0])
+        with pytest.raises(errors.DomainError, match="positive finite"):
+            QuantParams(3, [0.5, scale], [0, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", [[np.inf, 1.0], [-1e308, 1e308], [np.nan, 0.5], [2.0, -np.inf]])
+    def test_row_whose_range_is_not_finite_is_refused(self, row):
+        # An infinite entry gave scale inf; extremes of +-1e308 overflowed
+        # their difference with only a RuntimeWarning, which is not raised.
+        with pytest.raises(errors.OutOfRange, match="row 0"):
+            compute_quant_params(np.array([row]), 3)
+        with pytest.raises(errors.OutOfRange, match="row 1.s range"):
+            compute_quant_params(np.array([[0.5, -0.25], row]), 3)
+
     @pytest.mark.parametrize("bits", [1, 9, 0, -2])
     def test_bits_out_of_range(self, bits):
         with pytest.raises(errors.BitsOutOfRange):
@@ -241,6 +260,38 @@ class TestInverseRectifiedSigmoidBytes:
         assert A.flat[:len(values)].tobytes() == elementwise_latent(values).tobytes()
         assert not np.isin(A.flat[2:5], ends).any()
         assert set(np.unique(A.flat[len(values):])) == set(ends)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("soft_at", [None, 0, -1])
+    def test_several_blocks_match_elementwise_logit(self, layout, soft_at):
+        # 75000 entries span three blocks of the saturated walk; one soft
+        # entry in the first or the last block sends all of H to the logit.
+        H = (np.random.default_rng(7).random((300, 250)) < 0.5).astype(np.float64)
+        if soft_at is not None:
+            H.flat[soft_at] = 0.5
+        if layout == "F":
+            H = np.asfortranarray(H)
+        A = inverse_rectified_sigmoid(H)
+        assert A.tobytes() == elementwise_latent(H).tobytes()
+        assert A.flags.f_contiguous == (layout == "F")
+
+    def test_saturated_transposed_latent_allocates_only_its_result(self):
+        # The sweep's seed is a transposed view. Two masks and a temporary
+        # of its size took the peak to 2.1 times its bytes; walking it in
+        # blocks of its memory order leaves the result, one 256 KB buffer
+        # and the blocks' masks.
+        H = (np.random.default_rng(6).random((768, 512)) < 0.4).astype(np.float64).T
+        inverse_rectified_sigmoid(H)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            A = inverse_rectified_sigmoid(H)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert A.tobytes() == elementwise_latent(H).tobytes()
+        assert A.flags.f_contiguous
+        assert peak <= 1.2 * H.nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 255), st.floats(0.0, 1.0)), max_size=40),
