@@ -15,7 +15,8 @@ On large layers the Hessian product, the sweep's trailing updates and
 pool, with the bytes of the single-product path.
 
 The init holds little beyond its outputs, H and W. The sweep writes the
-dequantized weights into its working copy of W. It reads the factor as
+dequantized weights into its working copy of W and keeps the integer
+base in float32, the dtype of its file. It reads the factor as
 one block row per block, and frees each once that block's trailing
 update is done, so ``curvature_init`` holds no n x n factor while it
 sweeps. ``recon_err`` takes ``E @ H`` by chunks of rows.
@@ -69,6 +70,11 @@ def _splits(work: int, *dims: int) -> bool:
 
 @dataclass
 class InitResult:
+    """The sweep's outputs, m x n transposed views. ``w_q`` and
+    ``h_tilde`` are float64. ``base`` is float32, the dtype of its file:
+    it equals the sweep's float64 floor wherever ``|base| < 2^24``, and
+    beyond that the floor rounded to float32, the value its file holds."""
+
     w_q: np.ndarray  # dequantized, error-compensated weights
     base: np.ndarray  # integer floor matrix
     h_tilde: np.ndarray  # soft rounding seed in [0, 1]
@@ -298,6 +304,8 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     later blocks take the whole block's errors in one product after it.
     A block's grid values wait in a buffer until its base and h_tilde
     are taken, then replace its rows of the copy, which becomes w_q.
+    The floor and the fraction are taken in float64; base keeps the
+    floor in float32, so it takes half the memory of a float64 base.
     The outputs are transposed views. The result is independent of the
     block size up to float accumulation.
 
@@ -322,7 +330,7 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     q_max = float(p.q_max)
 
     Wt = _tiled_copy(np.empty((n, m)), W.T)
-    base = np.empty((n, m))
+    base = np.empty((n, m), dtype=np.float32)
     h_tilde = np.empty((n, m))
     grid = np.empty((min(_BLOCKSIZE, n), m))
 
@@ -355,12 +363,14 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
                 err[j] = (w - q) / U1t[j, j]
 
             # W1's rows become the grid values, so the seed is taken in
-            # them; err / s waits in h_tilde's rows until the clip.
+            # them. h_tilde's rows hold the float64 floor, which base
+            # takes in float32, then err / s until the clip.
             u = np.divide(W1, s, out=W1)
-            scaled_err = np.divide(err, s, out=h_tilde[i1:i2])
-            u -= np.floor(u, out=base[i1:i2])
-            u -= scaled_err
-            np.clip(u, 0.0, 1.0, out=h_tilde[i1:i2])
+            h1 = np.floor(u, out=h_tilde[i1:i2])
+            base[i1:i2] = h1
+            u -= h1
+            u -= np.divide(err, s, out=h1)
+            np.clip(u, 0.0, 1.0, out=h1)
             W1[...] = grid[:k]
 
             if i2 == n:

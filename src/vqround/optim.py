@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -195,7 +196,8 @@ class LayerQuantizer:
     that uses centroid c, with the blocks in ascending order; its
     product with the per-block gradients therefore sums each centroid's
     blocks one after another in block order, from zero, exactly as
-    ``np.bincount`` does.
+    ``np.bincount`` does. It and the block counts are built on the first
+    backward, once per quantizer, so a hard evaluation builds neither.
     """
 
     def __init__(self, layers):
@@ -232,12 +234,6 @@ class LayerQuantizer:
             scale[...] = p.scale[:, None]
             np.add(cb.indices, k0, out=self.indices[a // self.d:b // self.d])
             self.centroids[k0:k1] = cb.centroids
-        counts = np.bincount(self.indices, minlength=k_ends[-1])
-        self.counts = counts.astype(np.float64)[:, None]
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.scatter = csr_array((np.ones(order.size), order, indptr),
-                                 shape=(k_ends[-1], order.size))
         # Step buffers. The gathered rounding matrix becomes the clipped
         # grid values in place; dwhat takes dloss/dWhat, which the backward
         # consumes, each layer's part written through ``dwhats``.
@@ -246,6 +242,17 @@ class LayerQuantizer:
         self._below = np.empty(size, dtype=bool)
         self.dwhat = np.empty(size)
         self.dwhats = self.layer_weights(self.dwhat)
+
+    @cached_property
+    def _counts_and_scatter(self) -> tuple[np.ndarray, csr_array]:
+        """The block counts, a float64 column, and the scatter, built on
+        the first backward: a hard evaluation reads neither."""
+        k = self._k_spans[-1][1]
+        counts = np.bincount(self.indices, minlength=k)
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        scatter = csr_array((np.ones(order.size), order, indptr), shape=(k, order.size))
+        return counts.astype(np.float64)[:, None], scatter
 
     def layer_weights(self, a) -> list[np.ndarray]:
         """Each layer's part of ``a``, an array over all entries, as a view
@@ -301,14 +308,15 @@ class LayerQuantizer:
         regularizer is summed over its own centroids, and the layers'
         sums are added in layer order.
         """
-        terms = self.counts * _regularizer_terms(fwd.h, beta)
+        counts, scatter = self._counts_and_scatter
+        terms = counts * _regularizer_terms(fwd.h, beta)
         reg = sum(float(np.sum(terms[i:j])) for i, j in self._k_spans)
         dl_dh = self.dwhat
         dl_dh *= self.scale
         dl_dh *= fwd.clip_active
-        grad = self.scatter @ dl_dh.reshape(-1, self.d)
+        grad = scatter @ dl_dh.reshape(-1, self.d)
         if lam != 0.0:
-            grad += lam * self.counts * regularizer_grad(fwd.h, beta)
+            grad += lam * counts * regularizer_grad(fwd.h, beta)
         grad *= fwd.slope
         return reg, grad
 

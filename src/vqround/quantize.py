@@ -147,16 +147,6 @@ def _memory_blocks(X) -> list:
     the rows of its transpose."""
     flat = (X.T if X.flags.f_contiguous else X).reshape(-1)
     return [flat[i:i + _BLOCK_ENTRIES] for i in range(0, flat.size, _BLOCK_ENTRIES)]
-# Entries per block of a saturated H's walk: 256 KB of float64.
-_BLOCK_ENTRIES = 2**15
-
-
-def _memory_blocks(X) -> list:
-    """Consecutive views of at most _BLOCK_ENTRIES entries of a C- or
-    Fortran-contiguous X, in its memory order: for a transposed view,
-    the rows of its transpose."""
-    flat = (X.T if X.flags.f_contiguous else X).reshape(-1)
-    return [flat[i:i + _BLOCK_ENTRIES] for i in range(0, flat.size, _BLOCK_ENTRIES)]
 
 
 def inverse_rectified_sigmoid(H) -> np.ndarray:

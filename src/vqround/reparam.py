@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import parallel, tensor_io
 from .errors import (
@@ -102,6 +101,25 @@ _CHUNK_ROWS = 512
 # 16384, and up to 1.42x in earlier runs to L = 65536.
 _SPLIT_K = 1024
 _SPLIT_WORK = 2**20
+
+
+def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``cdist(x, centroids, "sqeuclidean")`` byte for byte: each distance
+    is the squared differences summed column by column, from the first,
+    as cdist sums them. Besides the result it allocates one scratch array
+    of the result's size and a transposed copy of the centroids, whose
+    columns it reads."""
+    ct = np.ascontiguousarray(centroids.T)
+    out = np.subtract(x[:, :1], ct[0])
+    np.multiply(out, out, out=out)
+    tmp = np.empty_like(out)
+    for j in range(1, x.shape[1]):
+        np.subtract(x[:, j:j + 1], ct[j], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return out
+
+
 def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid of every block and its squared distance.
 
@@ -116,17 +134,21 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     cdist's float64 rounding and the gap's own stay under ``(d + 5)``
     such units; the slack doubles that and adds the subnormal terms
     ``d 2^-145`` of float32 and ``d 2^-1074`` (unscaled) of cdist. A row
-    whose runner-up lies within the slack is re-ranked by cdist itself,
-    so ties still go to the lowest index; on any other row the float32
-    winner is cdist's strict minimum. The distance is summed column by
-    column, in cdist's order.
+    whose runner-up lies within the slack is re-ranked by its float64
+    distances to every centroid, summed as cdist sums them
+    (:func:`_sq_distances`), so ties still go to the lowest index; on
+    any other row the float32 winner is cdist's strict minimum. The
+    distance is summed column by column, in cdist's order.
 
     Every row's result is exact whatever chunk it falls in, so from
     ``k >= _SPLIT_K`` and ``L * k >= _SPLIT_WORK`` on the rows are split
     into two contiguous ranges, one per thread of the package's pool
     (:func:`parallel.workers`; inline on one usable core). The calling
-    thread allocates all scratch, so the workers share the
-    ``_CHUNK_SCORES`` budget of 4 MB rather than taking one each: extra
+    thread allocates the chunks' scratch, so the workers share the
+    ``_CHUNK_SCORES`` budget of 4 MB rather than taking one each. A
+    worker re-ranks a quarter of its chunk's rows at a time, so the
+    re-rank's two float64 arrays take no more than its share of the
+    scores, and only a chunk with rows to re-rank allocates them. Extra
     memory is O(_CHUNK_SCORES) over all workers, plus the two length-L
     results.
     """
@@ -151,6 +173,7 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     x = np.empty((workers, chunk, d))
     aug = np.ones((workers, chunk, d + 1), dtype=np.float32)
     scores = np.empty((workers, chunk, k), dtype=np.float32)
+    rerank = max(1, chunk // 4)
     assign = np.empty(L, dtype=np.int64)
     own = np.empty(L)
 
@@ -170,8 +193,9 @@ def _nearest(blocks: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
             second = G[at, np.argmin(G, axis=1)]
             slack = tol * (np.sqrt(np.einsum("ij,ij->i", xs, xs)) + c_max) ** 2 + floor
             near = np.flatnonzero(second - best <= slack)
-            if near.size:
-                a[near] = np.argmin(cdist(b[near], centroids, "sqeuclidean"), axis=1)
+            for i in range(0, near.size, rerank):
+                rows = near[i:i + rerank]
+                a[rows] = np.argmin(_sq_distances(b[rows], centroids), axis=1)
             c = centroids[a]
             dist = (b[:, 0] - c[:, 0]) ** 2
             for j in range(1, d):

@@ -16,9 +16,11 @@ but nothing other than float32 is ever serialized.
 A load makes one copy of the payload: the header's sizes are checked
 against the file's before anything is allocated, and the payload is
 read straight into the array it returns. (A pipe, which has no size,
-is read whole first, then checked and copied.) A save writes the float32
-array itself, without a bytes copy; an input laid out column-major, as
-a transposed view is, is cast in cache-sized tiles.
+is read whole first, then checked and copied.) A save writes a row-major
+float32 array itself, without a bytes copy. Any other input is cast and
+written by blocks of rows through one buffer of at most 1 MB, so a save
+makes no whole float32 copy; an input laid out column-major, as a
+transposed view is, is cast in cache-sized tiles.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import os
 import stat
 import struct
@@ -56,6 +59,8 @@ _HEADER = struct.Struct("<4sIIQQB")
 # took 32 ms whole and 11-13 ms in 64x64 tiles, against 16 ms in 32x32 or
 # 128x128 ones.
 _TILE = 64
+# Bytes of the float32 buffer a save casts its blocks of rows into.
+_SAVE_BYTES = 2**20
 
 
 def _tiled_copy(out, src, minus=None):
@@ -86,27 +91,45 @@ def _all_finite(arr) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def _as_f32(t) -> np.ndarray:
-    """``t`` as a row-major little-endian float32 matrix, checked finite.
+def _f32_blocks(arr):
+    """The row-major little-endian float32 bytes of ``arr``, in pieces,
+    each checked finite.
 
-    The check runs on the cast array, so a float64 beyond float32's range,
-    which the cast turns into inf, is refused with NaN and inf.
+    A row-major float32 array is its own one piece. Any other is cast by
+    blocks of rows into one buffer of at most ``_SAVE_BYTES`` (or one
+    row), each block a piece that the next overwrites; a block that is
+    not row-major is cast tile by tile. The check runs on the cast
+    values, so a float64 beyond float32's range, which the cast turns
+    into inf, is refused with NaN and inf.
     """
-    arr = np.asarray(t)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"expected a non-empty 2-d array, got shape {arr.shape}")
-    with np.errstate(over="ignore"):
-        if arr.flags.c_contiguous:
-            out = arr.astype("<f4", copy=False)
-        else:
-            out = _tiled_copy(np.empty(arr.shape, dtype="<f4"), arr)
+    if arr.flags.c_contiguous and arr.dtype == np.dtype("<f4"):
+        yield _checked_bytes(arr)
+        return
+    rows, cols = arr.shape
+    step = max(1, _SAVE_BYTES // (4 * cols))
+    if step > _TILE:
+        step -= step % _TILE
+    buf = np.empty((min(step, rows), cols), dtype="<f4")
+    for r in range(0, rows, step):
+        block = arr[r:r + step]
+        out = buf[:len(block)]
+        with np.errstate(over="ignore"):
+            if block.flags.c_contiguous:
+                out[...] = block
+            else:
+                _tiled_copy(out, block)
+        yield _checked_bytes(out)
+
+
+def _checked_bytes(out) -> memoryview:
     if not _all_finite(out):
         raise NonFiniteValue("tensor contains NaN or Inf, or a value beyond float32's range")
-    return out
+    return memoryview(out).cast("B")
 
 
-def _write_atomic(path, *chunks) -> None:
-    """Write ``chunks`` as the whole of ``path``, or leave it untouched.
+def _write_atomic(path, chunks) -> None:
+    """Write the byte ``chunks`` in order as the whole of ``path``, or
+    leave it untouched.
 
     The bytes go to a fresh temp file in the same directory, which then
     replaces ``path`` in one ``os.replace``. A write that fails leaves an
@@ -130,14 +153,16 @@ def _write_atomic(path, *chunks) -> None:
 def save_tensor(t, path) -> None:
     """Write ``t`` so that :func:`load_tensor` restores it bit-exactly.
 
-    Input of any float dtype is cast to float32 first; the round-trip
+    Input of any float dtype is cast to float32; the round-trip
     guarantee applies to the cast value, which must be finite. The file
     is replaced whole or not at all.
     """
-    arr = _as_f32(t)
+    arr = np.asarray(t)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeMismatch(f"expected a non-empty 2-d array, got shape {arr.shape}")
     rows, cols = arr.shape
     header = _HEADER.pack(MAGIC, VERSION, 2, rows, cols, _DTYPE_F32)
-    _write_atomic(path, header, memoryview(arr).cast("B"))
+    _write_atomic(path, itertools.chain([header], _f32_blocks(arr)))
 
 
 def _check_payload(path, have, need) -> None:
@@ -199,7 +224,7 @@ def save_indices_u32(indices, path) -> None:
     arr = np.ascontiguousarray(indices, dtype="<u4")
     if arr.ndim != 1:
         raise ShapeMismatch(f"expected a 1-d index list, got shape {arr.shape}")
-    _write_atomic(path, memoryview(arr).cast("B"))
+    _write_atomic(path, [memoryview(arr).cast("B")])
 
 
 def load_indices_u32(path) -> np.ndarray:
@@ -239,4 +264,4 @@ def write_csv(headers, rows, path) -> None:
         if len(row) != len(headers):
             raise RaggedRows(f"row {i} has {len(row)} values, expected {len(headers)}")
         writer.writerow([_format_value(v) for v in row])
-    _write_atomic(path, text.getvalue().encode())
+    _write_atomic(path, [text.getvalue().encode()])

@@ -260,6 +260,32 @@ def test_init_outputs_are_pinned(tmp_path, capsys, layer):
     assert got == files
 
 
+def test_init_outputs_beyond_float32_integers_are_pinned(tmp_path, capsys):
+    # Calibration rows ten times smaller each, all near one direction, and
+    # damping 1e-16 push 12 entries of the base past 2^24, 5 of them to
+    # floors that float32 cannot hold. The base is written as the float64
+    # floor rounded to float32; figures recorded with a float64 base.
+    rng = np.random.default_rng(31)
+    n, N = 16, 64
+    save_tensor(rng.normal(size=(8, n)), tmp_path / "w.vqt")
+    X = 0.1 ** np.arange(n)[:, None] * (rng.normal(size=N) + 0.1 * rng.normal(size=(n, N)))
+    save_tensor(X, tmp_path / "x.vqt")
+    capsys.readouterr()
+    code, _ = run_init(tmp_path, str(tmp_path / "w.vqt"), str(tmp_path / "x.vqt"),
+                       "--percdamp", "1e-16")
+    assert code == 0
+    assert capsys.readouterr().out == "recon_err=0.910255969\n"
+    assert np.sum(np.abs(load_tensor(tmp_path / "init_b.vqt")) >= 2**24) == 12
+    got = {suffix: hashlib.sha256((tmp_path / f"init{suffix}.vqt").read_bytes()).hexdigest()
+           for suffix in ("_wq", "_b", "_h", "_a")}
+    assert got == {
+        "_wq": "e58df4e84444b667b266b35849eba0c83b46eb43d5e27b1f005fd2384ab89eff",
+        "_b": "95f7b14b1071573d88e65f79ff207a4da8a184fca9a9ca22f47ba4ec96dc77ad",
+        "_h": "000cc0d0ff25eaadfe1937e4bd354427658c68ce83d1ce01966ffd7f449248b3",
+        "_a": "8e4fdfec61c4e8df6f7e2668502b190fbfde12f4fe18e1114c33e3019438a568",
+    }
+
+
 def _printed(*argv) -> str:
     """Run the CLI, which must succeed, and return what it printed."""
     out = io.StringIO()

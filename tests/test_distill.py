@@ -422,6 +422,44 @@ def count_quantizers(monkeypatch):
     return built
 
 
+def count_scatters(monkeypatch):
+    """Record the shape of every centroid scatter a quantizer builds."""
+    csr, built = optim.csr_array, []
+
+    def counted(*args, shape):
+        built.append(shape)
+        return csr(*args, shape=shape)
+
+    monkeypatch.setattr(optim, "csr_array", counted)
+    return built
+
+
+class TestLazyScatter:
+    """The scatter and the block counts serve the backward alone."""
+
+    def student(self):
+        teacher = random_net((6, 8, 3), seed=2)
+        return build_student(teacher, bits=3, k=4, d=4, kmeans_iters=20, seed=0)
+
+    def test_hard_forward_builds_no_scatter(self, monkeypatch):
+        student = self.student()
+        built = count_scatters(monkeypatch)
+        forward_logits(student, np.ones((6, 2)), mode="hard")
+        assert built == []
+
+    def test_backward_builds_the_scatter_once(self, monkeypatch):
+        student = self.student()
+        built = count_scatters(monkeypatch)
+        quant = optim.LayerQuantizer([(l.weight, l.params, l.codebook, l.base)
+                                      for l in student.layers])
+        assert built == []
+        for _ in range(3):
+            fwd = quant.forward(quant.centroids)
+            quant.dwhat[...] = 1.0
+            quant.backward(fwd, 0.01, 2.0)
+        assert built == [(8, 18)]
+
+
 def mean_hard_kl(teacher, student, data, temperature):
     """The hard KL that ``e2e_finetune`` reports, at the student's
     codebooks: a run of no steps takes it there."""

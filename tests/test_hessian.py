@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import time
@@ -168,6 +169,30 @@ class TestCurvatureInit:
         assert all(np.isfinite(getattr(result, name)).all() for name in ("w_q", "base", "h_tilde"))
         with pytest.raises(errors.OutOfRange, match="not finite"):
             curvature_init(W, X, p)
+
+    def test_base_beyond_float32_integers_keeps_its_bytes(self):
+        # Calibration rows ten times smaller each, all near one direction,
+        # with damping 1e-16: the sweep pushes some compensated weights
+        # past 2^24 grid steps, where float32 no longer holds every
+        # integer. The floor and the fraction are taken in float64, so
+        # h_tilde keeps its bytes and base is the float64 floor rounded
+        # to float32, as its file always held it. Figures recorded with a
+        # float64 base.
+        rng = np.random.default_rng(31)
+        m, n, N = 8, 16, 64
+        W = rng.normal(size=(m, n)).astype(np.float32)
+        X = 0.1 ** np.arange(n)[:, None] * (rng.normal(size=N) + 0.1 * rng.normal(size=(n, N)))
+        got, err = curvature_init(W, X.astype(np.float32), compute_quant_params(W, 4), 1e-16)
+        assert got.base.dtype == np.float32
+        assert np.sum(np.abs(got.base) >= 2**24) == 12
+        digest = {name: hashlib.sha256(getattr(got, name).tobytes()).hexdigest()
+                  for name in ("w_q", "base", "h_tilde")}
+        assert digest == {
+            "w_q": "03a19da724bb4d10b315ab687d398f10826c9d38359656062135f596ffb0fbe0",
+            "base": "a6dbb3c05da4da70d14104ac71c31950406c70c5b738be8c1557ec0fae77915a",
+            "h_tilde": "1575826eef50e2ed5c4c2feb799200e4d75151dc813d52b845c9430431cb1967",
+        }
+        assert err.hex() == "0x1.d20d12012b700p-1"
 
     def test_calibration_rows_must_match_weight_columns(self):
         W, X, p = layer(4, 8, 16, seed=4)
@@ -368,6 +393,15 @@ class TestSweepOracle:
         assert np.array_equal(got.h_tilde, want[2])
         assert set(np.unique(got.h_tilde)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_base_is_the_float64_floor_in_float32(self, case):
+        # The oracle floors its compensated weights in float64.
+        W, p, H = sweep_inputs(case, 4)
+        base = oracle_sweep(W, p, oracle_factor(H, 0.01), 128)[1]
+        got = hessian_aware_init(W, p, damped_inverse_factor(H)).base
+        assert got.dtype == np.float32 and got.shape == W.shape
+        assert np.array_equal(got.astype(np.float64), base)
+
     @pytest.mark.parametrize("blocksize", [1, 7, 128])
     @pytest.mark.parametrize("bits", [3, 8])
     def test_soft_seed_within_rounding_of_oracle(self, monkeypatch, bits, blocksize):
@@ -529,10 +563,11 @@ class TestInitMemory:
         return 2 * hessian._BLOCKSIZE * (m + n) * 8
 
     def test_sweep_holds_three_layer_arrays(self):
+        # Two float64 arrays and the float32 base: 2.5 float64 arrays.
         W, X, p = layer(self.M, self.N, 2 * self.N, seed=60)
         factor = damped_inverse_factor(accumulate_hessian(X))
         peak = traced_peak(hessian_aware_init, W, p, factor)
-        assert peak <= 3 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+        assert peak <= 2.5 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
 
     def test_curvature_init_holds_no_factor_beside_its_block_rows(self):
         W, X, p = layer(self.M, self.N, 64, seed=61)

@@ -201,6 +201,22 @@ def test_benchmark_imports_this_checkout(tmp_path):
     assert names.split() == ["layer-256", "vq-512", "e2e-toy", "init-2048"]
 
 
+SCIPY_MODULES = """
+import sys
+import vqround.cli
+print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy."))))
+"""
+
+
+def test_cli_imports_no_scipy_spatial(tmp_path):
+    # scipy.spatial costs every process ~35 ms and ~4 MB to import; the
+    # nearest-centroid re-rank sums its distances as cdist does instead.
+    # Tests may still import it as an oracle.
+    modules = run_python(SCIPY_MODULES, tmp_path).split()
+    assert any(name.startswith("scipy.sparse") for name in modules)
+    assert [name for name in modules if name.split(".")[1] == "spatial"] == []
+
+
 HELP_THREADS = """
 import argparse, contextlib, io, threading
 import vqround

@@ -568,6 +568,72 @@ class TestVqAssign:
             assert got[i] == int(np.argmin(dists))
 
 
+def near_tie_blocks():
+    """The blocks and centroids of ``test_near_ties_resolve_as_cdist``:
+    blocks within a few ulps of the bisector of centroids 0 and 1."""
+    rng = np.random.default_rng(17)
+    centroids = rng.normal(size=(6, 8))
+    centroids[2:] += 50.0
+    normal = centroids[1] - centroids[0]
+    normal /= np.linalg.norm(normal)
+    side = rng.normal(size=(4000, 8))
+    side -= np.outer(side @ normal, normal)
+    offset = rng.integers(-4, 5, size=4000) * 1e-16
+    return (centroids[0] + centroids[1]) / 2 + side + offset[:, None] * normal, centroids
+
+
+class TestSqDistances:
+    """The re-rank's distances are cdist's, byte for byte, without scipy.spatial."""
+
+    @pytest.mark.parametrize("case", ["near-ties", "residual-latent-split", "dense-lattice"])
+    def test_equals_cdist(self, case):
+        # The split latent's blocks lie in two copies 2e3 apart (b ± 1e3);
+        # the dense lattice's distances tie often.
+        if case == "near-ties":
+            blocks, centroids = near_tie_blocks()
+        else:
+            blocks = ORACLE_CASES[case][0]
+            rng = np.random.default_rng(40)
+            centroids = blocks[rng.choice(len(blocks), 300, replace=False)]
+            centroids = np.concatenate([centroids, centroids[:50] + 1.0])
+        want = cdist(blocks, centroids, "sqeuclidean")
+        got = reparam._sq_distances(blocks, centroids)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.argmin(got, axis=1), np.argmin(want, axis=1))
+
+    def test_split_latent_re_ranks_every_row_within_the_chunk_budget(self, monkeypatch):
+        # On the residual latent split into two copies 2e3 apart the float32
+        # screen passes every row of every chunk to the re-rank. Inline at
+        # k = 2048 a chunk's scores fill the budget; the re-rank's buffers
+        # take as much again, where a distance matrix of the whole chunk,
+        # as cdist returns, would take twice that.
+        monkeypatch.setattr(reparam, "_SPLIT_K", np.inf)
+        blocks = ORACLE_CASES["residual-latent-split"][0]
+        centroids = blocks[np.random.default_rng(41).permutation(len(blocks))]
+        assert len(centroids) * reparam._CHUNK_ROWS == reparam._CHUNK_SCORES
+        rows = []
+        sq = reparam._sq_distances
+
+        def counted(x, *args):
+            rows.append(len(x))
+            return sq(x, *args)
+
+        monkeypatch.setattr(reparam, "_sq_distances", counted)
+        _nearest(blocks, centroids)
+        assert sum(rows) == len(blocks)
+        tracemalloc.start()
+        try:
+            assign, own = _nearest(blocks, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scores = 4 * reparam._CHUNK_SCORES
+        assert peak <= assign.nbytes + own.nbytes + 2 * scores + 2**20
+        dists = cdist(blocks, centroids, "sqeuclidean")
+        assert np.array_equal(assign, np.argmin(dists, axis=1))
+        assert own.tobytes() == np.min(dists, axis=1).tobytes()
+
+
 def inline_nearest(monkeypatch, blocks, centroids):
     with monkeypatch.context() as m:
         m.setattr(reparam, "_SPLIT_K", np.inf)
@@ -644,12 +710,12 @@ class TestSplitPass:
         assert own.tobytes() == np.min(dists, axis=1).tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # Duplicated centroids tie every row, so both workers call cdist.
+        # Duplicated centroids tie every row, so both workers re-rank.
         class Boom(Exception):
             pass
 
         def boom(*args, **kwargs):
-            raise Boom("cdist failed")
+            raise Boom("re-rank failed")
 
         rng = np.random.default_rng(29)
         blocks = rng.normal(size=(8192, 8))
@@ -657,8 +723,8 @@ class TestSplitPass:
         two_cores(monkeypatch)
         calls = counted_submits(monkeypatch)
         with monkeypatch.context() as m:
-            m.setattr(reparam, "cdist", boom)
-            with pytest.raises(Boom, match="cdist failed"):
+            m.setattr(reparam, "_sq_distances", boom)
+            with pytest.raises(Boom, match="re-rank failed"):
                 _nearest(blocks, centroids)
         assert len(calls) == 2
         assign, own = _nearest(blocks, centroids)

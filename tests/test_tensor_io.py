@@ -278,6 +278,32 @@ class TestSaveBytes:
             assert got.tobytes() == want.tobytes(), name
 
 
+class TestBlockedSave:
+    """A save casts and writes by blocks of rows through one buffer."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64, ">f4"])
+    @pytest.mark.parametrize("block_rows", [1, 3, 64, 130])
+    def test_bytes_match_whole_array_cast_across_blocks(self, tmp_path, monkeypatch,
+                                                       dtype, block_rows):
+        # Blocks of 1, 3, 64 and 128 rows (a budget of 130 rows rounds
+        # down to whole 64-row tiles) over views of 65 to 200 rows: most
+        # span several blocks, the last one short.
+        a = np.random.default_rng(2).normal(scale=100.0, size=(130, 200)).astype(dtype)
+        path = tmp_path / "t.vqt"
+        for name, view in layouts(a).items():
+            monkeypatch.setattr(tensor_io, "_SAVE_BYTES", 4 * view.shape[1] * block_rows)
+            tensor_io.save_tensor(view, path)
+            assert path.read_bytes() == whole_cast_bytes(view), (name, block_rows)
+
+    def test_transposed_save_holds_one_block(self, tmp_path):
+        # A whole float32 copy of the 1024 x 1024 view would take 4 MB.
+        t = np.random.default_rng(3).normal(size=(1024, 1024)).T
+        path = tmp_path / "t.vqt"
+        block = 4 * t.shape[1] * (tensor_io._SAVE_BYTES // (4 * t.shape[1]))
+        assert peak_alloc(lambda: tensor_io.save_tensor(t, path)) <= block + 2**20
+        assert path.read_bytes() == whole_cast_bytes(t)
+
+
 class TestIndicesSidecar:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "i.u32"
