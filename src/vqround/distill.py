@@ -55,6 +55,8 @@ class TinyNet:
     layers: list[Layer]
 
     def __post_init__(self):
+        if not self.layers:
+            raise ArchitectureMismatch("a net needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weight.shape[1] != prev.weight.shape[0]:
                 raise ArchitectureMismatch(
@@ -130,6 +132,8 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
     t = np.asarray(teacher_logits, dtype=np.float64)
     if s.shape != t.shape:
         raise ShapeMismatch(f"logit shapes differ: {s.shape} vs {t.shape}")
+    if s.ndim not in (1, 2):
+        raise ShapeMismatch(f"logits must be 1-D or 2-D, got shape {s.shape}")
     if s.ndim == 1:
         s = s[None, :]
         t = t[None, :]

@@ -3,7 +3,8 @@
 Builds the calibration Hessian ``2 X X^T`` from layer inputs and takes
 the upper Cholesky factor of its damped inverse: one Cholesky of the
 damped matrix in reversed order, ``Hd = R R^T`` with R upper
-triangular, then one triangular inverse, ``R^{-1}``. A
+triangular, then one triangular inverse, ``R^{-1}``, both in place in
+one float64 buffer, of which the factor is a reversed view. A
 column-sequential quantization sweep (GPTQ's lazy-batch sweep) then
 pushes each column's quantization error into the not-yet-processed
 columns through that factor. The curvature-normalized residual of every
@@ -24,6 +25,7 @@ sweeps. ``recon_err`` takes ``E @ H`` by chunks of rows.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import partial
@@ -55,7 +57,7 @@ _SPLIT_ALIGN = 128
 _LOOKAHEAD_ROWS = 512
 _LOOKAHEAD_COLUMNS = 768
 # Above the split gate recon_err takes E, E @ H and their product by
-# pieces of at most _CHUNK_ROWS rows where the sum allows (_sum_tree),
+# pieces of at most _CHUNK_ROWS rows where the sum allows (_pairwise),
 # into buffers of that many rows: 2 MB each at n = 2048.
 _CHUNK_ROWS = 128
 # numpy's pairwise sum adds ranges of up to _PAIRWISE_BLOCK entries in
@@ -129,14 +131,18 @@ def damped_inverse_factor(Hmat, percdamp: float = 0.01) -> np.ndarray:
     ``P Hd P`` gives ``Hd = R R^T`` with ``R = P L P`` upper triangular,
     so ``Hd^{-1} = R^{-T} R^{-1}`` and the factor is the triangular
     inverse ``R^{-1} = P L^{-1} P``: one ``dpotrf`` and one ``dtrtri``.
-    A non-finite matrix, or failure after damping, signals degenerate
-    calibration and raises instead of silently re-damping; so does a
-    damping term that overflows.
+    The factor is returned as the reversed view of the buffer LAPACK
+    factored and inverted in place, with no copy: it is neither row- nor
+    column-major. A non-finite or empty matrix, or failure after
+    damping, signals degenerate calibration and raises instead of
+    silently re-damping; so does a damping term that overflows.
     """
     _check_percdamp(percdamp)
     H = np.asarray(Hmat)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {H.shape}")
+    if not H.size:
+        raise ShapeMismatch("expected a matrix with at least one row, got shape (0, 0)")
     # One reversed float64 copy, from the input in its own dtype.
     rev = np.array(H[::-1, ::-1], dtype=np.float64, order="C")
     if not _all_finite(rev):
@@ -155,8 +161,9 @@ def damped_inverse_factor(Hmat, percdamp: float = 0.01) -> np.ndarray:
         raise NotPositiveDefinite(
             "matrix not positive definite after damping; calibration too degenerate"
         )
-    # The factor reversed is a column-major view; tiles copy it row-major.
-    return _tiled_copy(np.empty((n, n)), chol[::-1, ::-1])
+    # LAPACK factored and inverted rev in place; reversed, its
+    # column-major buffer is the factor.
+    return chol[::-1, ::-1]
 
 
 def _float32_factor(H, percdamp: float) -> np.ndarray:
@@ -187,6 +194,8 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
     _check_percdamp(percdamp)
     if np.shape(X)[:1] != np.shape(W)[1:]:
         raise ShapeMismatch(f"calibration {np.shape(X)} does not feed weights {np.shape(W)}")
+    if np.shape(W)[1:] == (0,):
+        raise ShapeMismatch(f"weights of shape {np.shape(W)} have no columns")
     H = accumulate_hessian(X)
     del X
     result = hessian_aware_init(W, p, _float32_factor(H, percdamp))
@@ -203,17 +212,22 @@ def _error_form(W, w_q, H) -> float:
 
     Below the split gate one product over all rows. Above it the two
     halves of numpy's pairwise sum run one per core, each by the pieces
-    of :func:`_sum_tree`. A piece takes E, ``E @ H`` and their product
-    into buffers the calling thread allocates, and its sum is numpy's
-    over those rows. w_q is a transposed view; the tiles read it, and W
-    in its own dtype, without a float64 copy of W.
+    :func:`_pairwise` cuts it into. A piece takes E, ``E @ H`` and their
+    product into buffers the calling thread allocates, and its sum is
+    numpy's over those rows. w_q is a transposed view; the tiles read
+    it, and W in its own dtype, without a float64 copy of W.
     """
     m, n = W.shape
-    trees = _sum_halves(m, n) if _splits(m * n * n, m, n) else [(0, m)]
-    rows = max(r1 - r0 for tree in trees for r0, r1 in _leaves(tree))
-    E = np.empty((len(trees), rows, n))
+    if _splits(m * n * n, m, n):
+        # Where numpy halves within a row, one task takes every row.
+        mid = _split_row(0, m, n) or m
+        halves, walk = [(0, mid), (mid, m)], partial(_pairwise, n=n)
+    else:
+        halves, walk = [(0, m)], lambda r0, r1, leaf, join: leaf(r0, r1)
+    rows = max(walk(r0, r1, leaf=lambda a, b: b - a, join=max) for r0, r1 in halves)
+    E = np.empty((len(halves), rows, n))
     EH = np.empty_like(E)
-    sums = [0.0] * len(trees)
+    sums = [0.0] * len(halves)
 
     def task(t):
         def piece(r0, r1):
@@ -225,9 +239,9 @@ def _error_form(W, w_q, H) -> float:
         # The caller refuses a sum that is not finite; numpy's error
         # state is per thread, so each task sets its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            sums[t] = _tree_sum(trees[t], piece)
+            sums[t] = walk(*halves[t], leaf=piece, join=operator.add)
 
-    parallel.run([partial(task, t) for t in range(len(trees))])
+    parallel.run([partial(task, t) for t in range(len(halves))])
     return sums[0] if len(sums) == 1 else sums[0] + sums[1]
 
 
@@ -248,37 +262,18 @@ def _split_row(r0: int, r1: int, n: int):
     return r0 + mid if not within and mid >= 2 else None
 
 
-def _sum_tree(r0: int, r1: int, n: int):
-    """numpy's pairwise-sum tree over rows r0:r1, cut at row boundaries:
-    a leaf ``(r0, r1)`` that sums whole, or a pair of subtrees whose
-    sums add. Ranges of more than ``_CHUNK_ROWS`` rows split where
-    :func:`_split_row` allows; any other range is a leaf."""
+def _pairwise(r0: int, r1: int, n: int, leaf, join):
+    """numpy's pairwise sum over rows r0:r1 of n columns, cut at row
+    boundaries: ``leaf(r0, r1)`` for a range that sums whole, else
+    ``join`` of the walks over its two sides. A range of more than
+    ``_CHUNK_ROWS`` rows splits where :func:`_split_row` allows; any
+    other range is a leaf. With ``operator.add`` and leaves that sum
+    their rows this is numpy's sum; with ``max`` and leaves that count
+    them, the largest leaf."""
     mid = _split_row(r0, r1, n) if r1 - r0 > _CHUNK_ROWS else None
     if mid is None:
-        return (r0, r1)
-    return (_sum_tree(r0, mid, n), _sum_tree(mid, r1, n))
-
-
-def _sum_halves(m: int, n: int) -> list:
-    """The two subtrees of the sum over an m x n row-major array, one per
-    task: its pairwise halves, or the whole and an empty range where the
-    top split is not between two rows."""
-    mid = _split_row(0, m, n)
-    mid = m if mid is None else mid
-    return [_sum_tree(0, mid, n), _sum_tree(mid, m, n)]
-
-
-def _leaves(tree) -> list:
-    if isinstance(tree[0], tuple):
-        return _leaves(tree[0]) + _leaves(tree[1])
-    return [tree]
-
-
-def _tree_sum(tree, piece) -> float:
-    """The sum over ``tree`` from ``piece(r0, r1)``, each leaf's sum."""
-    if isinstance(tree[0], tuple):
-        return _tree_sum(tree[0], piece) + _tree_sum(tree[1], piece)
-    return piece(*tree)
+        return leaf(r0, r1)
+    return join(_pairwise(r0, mid, n, leaf, join), _pairwise(mid, r1, n, leaf, join))
 
 
 def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:

@@ -89,12 +89,14 @@ def compute_quant_params(W, bits: int) -> QuantParams:
     on the grid. Constant rows degenerate to scale 1 / zero 0, where
     quantization is lossless. A row whose widened range is not finite (a
     NaN or infinite entry, or extremes whose difference overflows) raises
-    ``OutOfRange``.
+    ``OutOfRange``; weights with no columns raise ``ShapeMismatch``.
     """
     _check_bits(bits)
     W = np.asarray(W)
     if W.ndim != 2:
         raise ShapeMismatch(f"expected 2-d weights, got shape {W.shape}")
+    if W.shape[1] == 0:
+        raise ShapeMismatch(f"weights of shape {W.shape} have no columns")
     q_max = 2 ** int(bits) - 1
     # Row extremes are exact in W's own dtype: only they widen to float64.
     lo = np.minimum(0.0, W.min(axis=1).astype(np.float64))
@@ -221,7 +223,8 @@ def adaptive_quantize(W, p: QuantParams, H, base=None) -> tuple[np.ndarray, np.n
     _check_rows(W, p)
     if H.shape != W.shape:
         raise ShapeMismatch(f"H shape {H.shape} != W shape {W.shape}")
-    if H.size and (H.min() < 0.0 or H.max() > 1.0):
+    # NaN fails both comparisons, so it is refused with values off [0, 1].
+    if H.size and not (H.min() >= 0.0 and H.max() <= 1.0):
         raise OutOfRange("rounding values must lie in [0, 1]")
     return _quantize_grid(_base(W, p, base), H, p.zero[:, None], p.scale[:, None], p.q_min, p.q_max)
 

@@ -36,6 +36,14 @@ class TestTinyNet:
         with pytest.raises(errors.ArchitectureMismatch):
             TinyNet(layers=[Layer(weight=np.zeros((3, 2))), Layer(weight=np.zeros((4, 5)))])
 
+    @pytest.mark.parametrize("make", [lambda: TinyNet(layers=[]), lambda: random_net((4,))],
+                             ids=["no-layers", "one-dim"])
+    def test_net_without_layers_is_refused(self, make):
+        # .dims, forward_logits and e2e_finetune each reached a bare
+        # IndexError on an empty layer list.
+        with pytest.raises(errors.ArchitectureMismatch, match="at least one layer"):
+            make()
+
     def test_forward_shapes(self):
         net = random_net((6, 8, 3), seed=1)
         y = forward_logits(net, np.zeros((6, 5)))
@@ -79,6 +87,12 @@ class TestKlLoss:
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
             kl_loss(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_logits_that_are_not_1d_or_2d_are_refused(self, shape):
+        # 0-d logits raised a bare TypeError and 3-d ones returned a float.
+        with pytest.raises(errors.ShapeMismatch, match="1-D or 2-D"):
+            kl_loss(np.zeros(shape), np.zeros(shape))
 
     @pytest.mark.parametrize("shape, scale, temperature", [
         ((16, 1), 1.0, 1.0), ((16, 1), 1.0, 1.5), ((16, 256), 3.0, 1.0), ((3, 5), 1000.0, 1.0),

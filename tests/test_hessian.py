@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import sys
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from vqround.hessian import (
     residual_init,
 )
 from vqround.quantize import (
+    QuantParams,
     adaptive_quantize,
     compute_quant_params,
     hard_round,
@@ -117,6 +119,12 @@ class TestDampedInverseFactor:
         with pytest.raises(errors.DomainError, match="not finite"):
             damped_inverse_factor(random_spd(4, seed=14), percdamp=1e308)
 
+    def test_empty_matrix_is_refused(self):
+        # The finiteness check took the extremes of an empty array, which
+        # raised numpy's ValueError.
+        with pytest.raises(errors.ShapeMismatch, match="at least one row"):
+            damped_inverse_factor(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("percdamp", [0.0, -0.01, np.nan, np.inf])
     def test_percdamp_outside_positive_finite_raises(self, percdamp):
         with pytest.raises(errors.DomainError, match="percdamp"):
@@ -198,6 +206,13 @@ class TestCurvatureInit:
         W, X, p = layer(4, 8, 16, seed=4)
         with pytest.raises(errors.ShapeMismatch):
             curvature_init(W, X[:5], p)
+
+    def test_layer_with_no_columns_is_refused(self):
+        # The float32 factor's finiteness check took the extremes of an
+        # empty Hessian, which raised numpy's ValueError.
+        p = QuantParams(bits=3, scale=np.ones(4), zero=np.zeros(4))
+        with pytest.raises(errors.ShapeMismatch, match="no columns"):
+            curvature_init(np.zeros((4, 0)), np.zeros((0, 16)), p)
 
     def test_calibration_is_not_held_past_the_hessian(self, monkeypatch):
         # A 12.8 MB calibration against a 32x32 Hessian: once the Hessian
@@ -448,12 +463,34 @@ class TestResidualInit:
 
 
 def pairwise_pieces_sum(a):
-    """The sum over a row-major 2-d array as _error_form combines it:
-    its two halves, each by the pieces of its tree."""
+    """The sum over a row-major 2-d array as _error_form combines it, and
+    its leaves: its two halves, each walked by _pairwise."""
     m, n = a.shape
-    halves = hessian._sum_halves(m, n)
-    sums = [hessian._tree_sum(tree, lambda r0, r1: np.sum(a[r0:r1])) for tree in halves]
-    return halves, sums[0] + sums[1]
+    mid = hessian._split_row(0, m, n) or m
+    halves = [(0, mid), (mid, m)]
+    sums = [hessian._pairwise(r0, r1, n, lambda r0, r1: np.sum(a[r0:r1]), operator.add)
+            for r0, r1 in halves]
+    leaves = [hessian._pairwise(r0, r1, n, lambda r0, r1: [(r0, r1)], operator.add)
+              for r0, r1 in halves]
+    return leaves[0] + leaves[1], sums[0] + sums[1]
+
+
+def task_pieces(monkeypatch, m, n):
+    """The rows of each piece recon_err's tasks take on an m x n layer
+    with every gate lowered, task by task on one usable core."""
+    rows = []
+    copy = hessian._tiled_copy
+
+    def counted(out, src, minus=None):
+        rows.append(len(src))
+        return copy(out, src, minus)
+
+    W = np.random.default_rng([m, n]).normal(size=(m, n))
+    with monkeypatch.context() as mp:
+        lower_gates(mp)
+        mp.setattr(hessian, "_tiled_copy", counted)
+        inline(mp, hessian._error_form, W, np.zeros((n, m)).T, np.eye(n))
+    return rows
 
 
 # Shapes whose pairwise splits fall between rows down to the chunk
@@ -473,20 +510,21 @@ class TestErrorForm:
             # Magnitudes spread over 12 decades, so any other order of
             # additions rounds apart.
             a = rng.normal(size=shape) * np.exp(6 * rng.normal(size=shape))
-            halves, got = pairwise_pieces_sum(a)
+            rows, got = pairwise_pieces_sum(a)
             assert got.hex() == np.sum(a).hex()
-            rows = [leaf for tree in halves for leaf in hessian._leaves(tree)]
             assert [r0 for r0, _ in rows[1:]] == [r1 for _, r1 in rows[:-1]]
             assert (rows[0][0], rows[-1][1]) == (0, shape[0])
 
-    def test_pieces_of_a_640_row_layer(self):
+    def test_pieces_of_a_640_row_layer(self, monkeypatch):
         # 640 is no power of two times the 128-row chunk: the halves of
         # 320 rows split at 160, and those at 80.
-        halves = hessian._sum_halves(640, 768)
-        leaves = [leaf for tree in halves for leaf in hessian._leaves(tree)]
+        leaves, _ = pairwise_pieces_sum(np.ones((640, 768)))
         assert leaves == [(r, r + 80) for r in range(0, 640, 80)]
-        # Where numpy halves within a row, one task takes every row.
-        assert hessian._sum_halves(517, 700) == [(0, 517), (517, 517)]
+        assert task_pieces(monkeypatch, 640, 768) == [80] * 8
+        # Where numpy halves within a row, one task takes every row and
+        # the other none.
+        assert hessian._split_row(0, 517, 700) is None
+        assert task_pieces(monkeypatch, 517, 700) == [517, 0]
 
     @pytest.mark.parametrize("chunk", [2, 16, 128, 10**6])
     @pytest.mark.parametrize("m, n, N", [(640, 768, 256), (512, 768, 256)])
@@ -574,6 +612,15 @@ class TestInitMemory:
         peak = traced_peak(curvature_init, W, X, p)
         H_bytes = self.N * self.N * 8
         assert peak <= H_bytes + 3 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+
+    def test_factor_is_lapacks_buffer(self):
+        # One n x n float64 buffer, factored and inverted in place and
+        # returned as a view: no row-major copy beside it.
+        n = 768
+        X = np.random.default_rng(64).normal(size=(n, 2 * n))
+        H32 = accumulate_hessian(X).astype(np.float32)
+        peak = traced_peak(damped_inverse_factor, H32)
+        assert peak <= 1.1 * n * n * 8
 
     def test_recon_err_adds_only_its_chunk_buffers(self, monkeypatch):
         # 1024 rows: two tasks of 512 rows, each by pieces of 128.
@@ -717,6 +764,25 @@ class TestSplit:
         assert len(calls) == 2 + lookahead_tasks(n) + 2
         assert_same_init(got, want)
         assert err == want_err
+
+    @pytest.mark.parametrize("shape, cores", [((64, 385, 770), "one"), (ABOVE_GATES, "one"),
+                                              (ABOVE_GATES, "two")])
+    def test_sweep_reads_the_factor_in_any_layout(self, monkeypatch, shape, cores):
+        # The factor is a reversed view of LAPACK's buffer; its row-major
+        # copy gives the sweep the same bytes.
+        W, X, p = soft_layer(*shape, seed=sum(shape))
+        factor = damped_inverse_factor(accumulate_hessian(X))
+        assert not (factor.flags.c_contiguous or factor.flags.f_contiguous)
+        if cores == "one":
+            want = inline(monkeypatch, hessian_aware_init, W, p, np.ascontiguousarray(factor))
+            got = inline(monkeypatch, hessian_aware_init, W, p, factor)
+        else:
+            two_cores(monkeypatch)
+            calls = counted_submits(monkeypatch)
+            want = hessian_aware_init(W, p, np.ascontiguousarray(factor))
+            got = hessian_aware_init(W, p, factor)
+            assert len(calls) == 2 * lookahead_tasks(shape[1])
+        assert_same_init(got, want)
 
     @pytest.mark.parametrize("n, N, tasks", [(512, 512, 2), (384, 1024, 2), (384, 768, 0),
                                              (512, 511, 0), (520, 1024, 0)])

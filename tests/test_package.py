@@ -138,7 +138,9 @@ UNCALLED_PUBLIC_NAMES = {
     "cli.entry",  # the console script in pyproject.toml
     "distill.e2e_step",  # acceptance test 08's finite-difference check goes through it
     "quantize.rounding_regularizer",  # the reference the backward's tests compare against
-    "reparam.rearrange_inverse",  # kept for the trained low-rank comparison (ROADMAP item 7)
+    # test_reparam's TestKroneckerApprox::test_two_orthogonal_terms_error
+    # builds its input with it
+    "reparam.rearrange_inverse",
 }
 
 

@@ -74,6 +74,11 @@ class TestQuantParams:
         with pytest.raises(errors.OutOfRange, match="row 1.s range"):
             compute_quant_params(np.array([[0.5, -0.25], row]), 3)
 
+    def test_weights_with_no_columns_are_refused(self):
+        # The row extremes of a zero-width layer raised numpy's ValueError.
+        with pytest.raises(errors.ShapeMismatch, match="no columns"):
+            compute_quant_params(np.zeros((3, 0)), 4)
+
     @pytest.mark.parametrize("bits", [1, 9, 0, -2])
     def test_bits_out_of_range(self, bits):
         with pytest.raises(errors.BitsOutOfRange):
@@ -320,6 +325,18 @@ class TestAdaptiveQuantize:
     def test_out_of_range_h(self):
         with pytest.raises(errors.OutOfRange):
             adaptive_quantize(np.eye(1), params_for([1.0], [0]), np.array([[1.5]]))
+
+    @pytest.mark.parametrize("nan_at", [[(1, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)]],
+                             ids=["one-nan", "all-nan"])
+    def test_nan_h_is_refused(self, nan_at):
+        # NaN fails both `min < 0` and `max > 1`, so it passed the range
+        # check and came out as NaN weights.
+        W = np.ones((2, 2))
+        H = np.full((2, 2), 0.5)
+        for index in nan_at:
+            H[index] = np.nan
+        with pytest.raises(errors.OutOfRange, match=r"\[0, 1\]"):
+            adaptive_quantize(W, compute_quant_params(W, 4), H)
 
     @settings(max_examples=100, deadline=None)
     @given(finite_matrices)
