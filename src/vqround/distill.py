@@ -134,6 +134,8 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> float:
         raise ShapeMismatch(f"logit shapes differ: {s.shape} vs {t.shape}")
     if s.ndim not in (1, 2):
         raise ShapeMismatch(f"logits must be 1-D or 2-D, got shape {s.shape}")
+    if not s.size:
+        raise ShapeMismatch(f"logits need at least one row and one class, got shape {s.shape}")
     if s.ndim == 1:
         s = s[None, :]
         t = t[None, :]

@@ -15,16 +15,22 @@ On large layers the Hessian product, the sweep's trailing updates and
 ``recon_err``'s ``E @ H`` use both cores through the package's thread
 pool, with the bytes of the single-product path.
 
-The init holds little beyond its outputs, H and W. The sweep writes the
-dequantized weights into its working copy of W and keeps the integer
-base in float32, the dtype of its file. It reads the factor as
-one block row per block, and frees each once that block's trailing
-update is done, so ``curvature_init`` holds no n x n factor while it
-sweeps. ``recon_err`` takes ``E @ H`` by chunks of rows.
+The init holds little beyond its outputs, H and W. ``curvature_init``
+casts the calibration to float64 before the Hessian products, so a
+float32 calibration passed straight in is freed there, not kept beside
+its copy. The sweep writes the dequantized weights into its working
+copy of W and keeps the integer base in float32, the dtype of its file.
+It reads the factor as one block row per block, each in an anonymous
+mapping of its own, and unmaps each once that block's trailing update
+is done: ``curvature_init`` holds no n x n factor while it sweeps, and
+the OS gets the block rows' pages back as the sweep passes, where
+freed heap memory would stay resident. ``recon_err`` takes ``E @ H``
+by chunks of rows.
 """
 
 from __future__ import annotations
 
+import mmap
 import operator
 from concurrent.futures import wait
 from dataclasses import dataclass
@@ -182,11 +188,14 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
 
     Returns the sweep's result and ``recon_err = ||(W - w_q) X||_F``,
     taken in the Hessian form ``sqrt(<E H, E> / 2)``. The calibration is
-    released as soon as the Hessian exists, so a caller that passes it
-    without keeping a reference of its own frees it there. The factor
+    cast to float64 before the Hessian products and released once the
+    Hessian exists. A caller that passes it without keeping a reference
+    of its own thus frees a float32 calibration before the products and
+    the float64 one after them. The factor
     is taken from the Hessian rounded to float32, which must be finite.
     It goes to the sweep with no reference kept here, so the sweep frees
-    it once it has copied its block rows. Above the split gate
+    it once it has copied its block rows, and each block row is unmapped
+    as the sweep passes it. Above the split gate
     ``<E H, E>`` is taken by chunks of rows, in two halves, one per
     core, and summed in numpy's pairwise order, so it equals
     ``np.sum((E @ H) * E)`` byte for byte. It must be finite.
@@ -196,6 +205,7 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
         raise ShapeMismatch(f"calibration {np.shape(X)} does not feed weights {np.shape(W)}")
     if np.shape(W)[1:] == (0,):
         raise ShapeMismatch(f"weights of shape {np.shape(W)} have no columns")
+    X = np.asarray(X, dtype=np.float64)
     H = accumulate_hessian(X)
     del X
     result = hessian_aware_init(W, p, _float32_factor(H, percdamp))
@@ -290,8 +300,10 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
     on, ``upper[i1:i2, i1:]``. It copies them before the first column,
     and refuses a factor with an entry that is not finite or a diagonal
     entry that is not positive (``NotPositiveDefinite``). A factor passed
-    straight in, with no reference kept by the caller, is freed then,
-    and each block row once that block's trailing update is done.
+    straight in, with no reference kept by the caller, is freed then.
+    Each block row lives in an anonymous mapping of its own and is
+    unmapped once that block's trailing update is done, so its pages go
+    back to the OS during the sweep.
 
     The sweep runs on a transposed copy of W, so each column is a
     contiguous row. Within a block a column catches up on the earlier
@@ -398,12 +410,19 @@ def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:
 
 def _block_rows(U) -> list:
     """The sweep's block rows ``U[i1:i2, i1:]``, copied row-major, each
-    checked as it is copied: finite, with a positive diagonal."""
+    checked as it is copied: finite, with a positive diagonal.
+
+    Each block row is an array over an anonymous mapping of its own
+    (:func:`_mapped`), which is unmapped once nothing views it. From the
+    heap, a dropped block row would stay resident: glibc serves blocks
+    below its mmap threshold there, and the frees of larger arrays
+    before the sweep raise that threshold above every block row.
+    """
     n = len(U)
     panels = []
     for i1 in range(0, n, _BLOCKSIZE):
         i2 = min(i1 + _BLOCKSIZE, n)
-        P = _tiled_copy(np.empty((i2 - i1, n - i1)), U[i1:i2, i1:])
+        P = _tiled_copy(_mapped(i2 - i1, n - i1), U[i1:i2, i1:])
         if not (_all_finite(P) and P[:, :i2 - i1].diagonal().min() > 0.0):
             raise NotPositiveDefinite(
                 "factor must be finite with a positive diagonal; got a non-finite "
@@ -411,6 +430,12 @@ def _block_rows(U) -> list:
             )
         panels.append(P)
     return panels
+
+
+def _mapped(rows: int, cols: int) -> np.ndarray:
+    """A zero-filled row-major float64 array in an anonymous mapping of
+    its own, which is unmapped when its last view is dropped."""
+    return np.frombuffer(mmap.mmap(-1, rows * cols * 8)).reshape(rows, cols)
 
 
 def _subtract_product(target, A, B, out) -> None:

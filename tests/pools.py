@@ -1,5 +1,7 @@
 """Patches that steer the package's thread pool in tests."""
 
+import threading
+
 from vqround import parallel
 
 
@@ -25,3 +27,15 @@ def refuse_pool(monkeypatch):
         raise AssertionError("a task reached the pool")
 
     monkeypatch.setattr(parallel, "submit", refused)
+
+
+def drain_pool():
+    """Return once both pool threads have let go of their last tasks.
+
+    A pool thread can hold a task for a moment after its future is done.
+    Two tasks that meet at a barrier take one thread each, and a thread
+    drops its last task before it takes the next.
+    """
+    barrier = threading.Barrier(2, timeout=30)
+    for f in [parallel.submit(barrier.wait) for _ in range(2)]:
+        f.result()

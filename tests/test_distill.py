@@ -94,6 +94,14 @@ class TestKlLoss:
         with pytest.raises(errors.ShapeMismatch, match="1-D or 2-D"):
             kl_loss(np.zeros(shape), np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0,), (0, 3)],
+                             ids=["no-classes", "no-classes-1d", "empty-batch"])
+    def test_empty_logits_are_refused(self, shape):
+        # No classes raised numpy's bare ValueError from the log-softmax's
+        # max; an empty batch returned NaN with RuntimeWarnings.
+        with pytest.raises(errors.ShapeMismatch, match="at least one row and one class"):
+            kl_loss(np.zeros(shape), np.zeros(shape))
+
     @pytest.mark.parametrize("shape, scale, temperature", [
         ((16, 1), 1.0, 1.0), ((16, 1), 1.0, 1.5), ((16, 256), 3.0, 1.0), ((3, 5), 1000.0, 1.0),
         ((3, 5), 1000.0, 2.5), ((1, 4), 1.0, 1.0), ((7, 2), 1e-300, 1.0),

@@ -1,15 +1,20 @@
 import hashlib
 import math
+import mmap
 import operator
+import os
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pools import counted_submits, refuse_pool, two_cores
+from pools import counted_submits, drain_pool, refuse_pool, two_cores
 from vqround import distill, errors, hessian, parallel
 from vqround.hessian import (
     accumulate_hessian,
@@ -234,6 +239,32 @@ class TestCurvatureInit:
         finally:
             tracemalloc.stop()
         assert in_use[0] - before < 32 * N * 8 / 10
+
+    def test_float32_calibration_is_freed_before_the_hessian(self, monkeypatch):
+        # A 6.4 MB float32 calibration passed straight in: the Hessian
+        # products run beside its float64 copy only.
+        W, _, p = layer(8, 32, 1, seed=5)
+        N = 50_000
+        at_entry, peaks = [], []
+        accumulate = hessian.accumulate_hessian
+
+        def traced_accumulate(X):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            H = accumulate(X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return H
+
+        monkeypatch.setattr(hessian, "accumulate_hessian", traced_accumulate)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curvature_init(W, np.random.default_rng(6).normal(size=(32, N)).astype(np.float32), p)
+        finally:
+            tracemalloc.stop()
+        copy = 32 * N * 8
+        assert copy <= at_entry[0] - before <= copy + 2**20
+        assert peaks[0] - before <= copy + 2**20
 
 
 class TestHessianAwareInit:
@@ -590,10 +621,44 @@ def block_rows_bytes(n):
     return sum(8 * (min(i1 + 128, n) - i1) * (n - i1) for i1 in range(0, n, 128))
 
 
+def mapping(block_row):
+    """The anonymous mapping a block row of the sweep lives in."""
+    base = block_row.base
+    while not isinstance(base, mmap.mmap):
+        base = base.obj if isinstance(base, memoryview) else base.base
+    return base
+
+
+# A sweep in a fresh interpreter: the rise of its resident set across
+# hessian_aware_init, which keeps its outputs and frees the rest. The
+# caller keeps the factor, so its release does not offset the rise.
+SWEEP_RSS = """
+import os
+import numpy as np
+from vqround.hessian import accumulate_hessian, damped_inverse_factor, hessian_aware_init
+from vqround.quantize import compute_quant_params
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+rng = np.random.default_rng(0)
+W = rng.normal(size=({m}, {n}))
+p = compute_quant_params(W, 3)
+factor = damped_inverse_factor(accumulate_hessian(rng.normal(size=({n}, {N}))))
+before = rss()
+result = hessian_aware_init(W, p, factor)
+print(rss() - before)
+"""
+
+
 class TestInitMemory:
-    """The init holds its outputs, H, the sweep's block rows of the factor
-    and O(_BLOCKSIZE (m + n)) buffers: no fourth m x n array in the sweep,
-    no n x n factor beside the block rows, no m x n array in recon_err."""
+    """The init holds its outputs, H and O(_BLOCKSIZE (m + n)) buffers: no
+    fourth m x n array in the sweep, no n x n factor beside the block
+    rows, no m x n array in recon_err. tracemalloc cannot see the block
+    rows, which live in mappings of their own, so its bounds leave them
+    out; the tests after those check that the block rows go back to the
+    OS as the sweep passes them."""
 
     M, N = 512, 768
 
@@ -605,13 +670,56 @@ class TestInitMemory:
         W, X, p = layer(self.M, self.N, 2 * self.N, seed=60)
         factor = damped_inverse_factor(accumulate_hessian(X))
         peak = traced_peak(hessian_aware_init, W, p, factor)
-        assert peak <= 2.5 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+        assert peak <= 2.5 * W.nbytes + self.buffers(self.M, self.N)
 
     def test_curvature_init_holds_no_factor_beside_its_block_rows(self):
         W, X, p = layer(self.M, self.N, 64, seed=61)
         peak = traced_peak(curvature_init, W, X, p)
         H_bytes = self.N * self.N * 8
-        assert peak <= H_bytes + 3 * W.nbytes + block_rows_bytes(self.N) + self.buffers(self.M, self.N)
+        assert peak <= H_bytes + 3 * W.nbytes + self.buffers(self.M, self.N)
+
+    def test_block_rows_are_unmapped_as_the_sweep_passes(self, monkeypatch):
+        # Two cores, above every gate: four block updates on the pool.
+        W, X, p = layer(*ABOVE_GATES, seed=65)
+        refs, first_alive = [], []
+        block_rows, subtract = hessian._block_rows, hessian._subtract_product
+
+        def traced_block_rows(U):
+            panels = block_rows(U)
+            refs.extend(weakref.ref(mapping(P)) for P in panels)
+            return panels
+
+        def traced_subtract(*args):
+            # The calling thread's update of the next block's rows, when
+            # no earlier update is left on the pool.
+            if threading.current_thread() is threading.main_thread():
+                drain_pool()
+                first_alive.append(refs[0]() is not None)
+            subtract(*args)
+
+        two_cores(monkeypatch)
+        monkeypatch.setattr(hessian, "_block_rows", traced_block_rows)
+        monkeypatch.setattr(hessian, "_subtract_product", traced_subtract)
+        hessian_aware_init(W, p, damped_inverse_factor(accumulate_hessian(X)))
+        drain_pool()
+        blocks = ABOVE_GATES[1] // hessian._BLOCKSIZE
+        assert len(refs) == blocks
+        # Block 0's mapping goes once its update is done, before block 1's.
+        assert first_alive == [True] + [False] * (blocks - 2)
+        assert [r() for r in refs] == [None] * blocks
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_sweep_gives_its_block_rows_back_to_the_os(self, tmp_path):
+        m = n = 1536
+        assert block_rows_bytes(n) >= 8 * 2**20
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(hessian.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SWEEP_RSS.format(m=m, n=n, N=2 * n)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs = m * n * (8 + 8 + 4)
+        assert int(proc.stdout) <= outputs + self.buffers(m, n) + 2 * 2**20
 
     def test_factor_is_lapacks_buffer(self):
         # One n x n float64 buffer, factored and inverted in place and

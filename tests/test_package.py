@@ -107,6 +107,24 @@ def _imported_names(tree):
     return names
 
 
+def test_package_imports_no_ctypes():
+    # Memory goes back to the OS through what numpy and the standard
+    # library free, not through calls into the C allocator. numpy loads
+    # ctypes itself, so only the package's own import statements tell.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in modules
+                      if name.split(".")[0] == "ctypes"]
+    assert found == []
+
+
 def test_no_unused_imports():
     unused = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
