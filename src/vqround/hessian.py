@@ -11,9 +11,10 @@ columns through that factor. The curvature-normalized residual of every
 column seeds the soft rounding matrix. ``curvature_init`` runs the whole
 chain for one layer.
 
-On large layers the Hessian product, the sweep's trailing updates and
-``recon_err``'s ``E @ H`` use both cores through the package's thread
-pool, with the bytes of the single-product path.
+On large layers the Hessian product and the sweep's trailing updates
+use both cores through the package's thread pool, with the bytes of the
+single-product path; ``recon_err``'s two halves do too, with the bytes
+of one core.
 
 The init holds little beyond its outputs, H and W. ``curvature_init``
 casts the calibration to float64 before the Hessian products, so a
@@ -31,7 +32,6 @@ by chunks of rows.
 from __future__ import annotations
 
 import mmap
-import operator
 from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import partial
@@ -47,13 +47,15 @@ from .tensor_io import _all_finite, _tiled_copy
 # Columns per block of the sweep. Only speed depends on it; the outputs
 # do not, beyond float accumulation.
 _BLOCKSIZE = 128
-# A product splits into pieces for the two cores from _SPLIT_WORK
-# multiply-adds on, and only when every dimension is a multiple of
-# _SPLIT_ALIGN: on every such shape tried, OpenBLAS's pieces reproduced
-# the single product bit for bit, while on others (n = 517, 700, 2049;
-# N = 1031) its edge kernels rounded some entries apart. The pieces
-# depend on the shape alone, never on the core count, so one usable
-# core runs the same pieces inline and gets the same bytes.
+# The Hessian product and the sweep's updates split into pieces for the
+# two cores from _SPLIT_WORK multiply-adds on, and only when every
+# dimension is a multiple of _SPLIT_ALIGN: on every such shape tried,
+# OpenBLAS's pieces reproduced the single product bit for bit, while on
+# others (n = 517, 700, 2049; N = 1031) its edge kernels rounded some
+# entries apart. The pieces depend on the shape alone, never on the
+# core count, so one usable core runs the same pieces inline and gets
+# the same bytes. recon_err takes the same chunks on either side of the
+# gate, so its gate is the work alone.
 _SPLIT_WORK = 2**27
 _SPLIT_ALIGN = 128
 # The sweep looks ahead from _LOOKAHEAD_ROWS rows and _LOOKAHEAD_COLUMNS
@@ -62,13 +64,9 @@ _SPLIT_ALIGN = 128
 # pool thread; below 768 columns too few blocks have a trailing update.
 _LOOKAHEAD_ROWS = 512
 _LOOKAHEAD_COLUMNS = 768
-# Above the split gate recon_err takes E, E @ H and their product by
-# pieces of at most _CHUNK_ROWS rows where the sum allows (_pairwise),
-# into buffers of that many rows: 2 MB each at n = 2048.
+# recon_err takes E, E @ H and their product by chunks of _CHUNK_ROWS
+# rows, into buffers of that many rows: 2 MB each at n = 2048.
 _CHUNK_ROWS = 128
-# numpy's pairwise sum adds ranges of up to _PAIRWISE_BLOCK entries in
-# one unrolled loop and halves longer ones.
-_PAIRWISE_BLOCK = 128
 
 
 def _splits(work: int, *dims: int) -> bool:
@@ -191,14 +189,13 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
     cast to float64 before the Hessian products and released once the
     Hessian exists. A caller that passes it without keeping a reference
     of its own thus frees a float32 calibration before the products and
-    the float64 one after them. The factor
-    is taken from the Hessian rounded to float32, which must be finite.
-    It goes to the sweep with no reference kept here, so the sweep frees
-    it once it has copied its block rows, and each block row is unmapped
-    as the sweep passes it. Above the split gate
-    ``<E H, E>`` is taken by chunks of rows, in two halves, one per
-    core, and summed in numpy's pairwise order, so it equals
-    ``np.sum((E @ H) * E)`` byte for byte. It must be finite.
+    the float64 one after them. The factor is taken from the Hessian
+    rounded to float32, which must be finite. It goes to the sweep with
+    no reference kept here, so the sweep frees it once it has copied its
+    block rows, and each block row is unmapped as the sweep passes it.
+    ``<E H, E>`` equals ``np.sum((E @ H) * E)`` up to the order of its
+    additions, with the same bytes on one core and on two, and must be
+    finite.
     """
     _check_percdamp(percdamp)
     if np.shape(X)[:1] != np.shape(W)[1:]:
@@ -218,72 +215,40 @@ def curvature_init(W, X, p: QuantParams, percdamp: float = 0.01) -> tuple[InitRe
 
 
 def _error_form(W, w_q, H) -> float:
-    """``np.sum((E @ H) * E)`` for ``E = W - w_q``, byte for byte.
+    """``<E H, E>`` for ``E = W - w_q``, by chunks of ``_CHUNK_ROWS`` rows.
 
-    Below the split gate one product over all rows. Above it the two
-    halves of numpy's pairwise sum run one per core, each by the pieces
-    :func:`_pairwise` cuts it into. A piece takes E, ``E @ H`` and their
-    product into buffers the calling thread allocates, and its sum is
-    numpy's over those rows. w_q is a transposed view; the tiles read
-    it, and W in its own dtype, without a float64 copy of W.
+    The chunks fall into two halves at the middle chunk boundary. Each
+    half takes E, ``E @ H`` and their product into buffers of its own
+    and adds the chunk sums in row order; the result is the first half's
+    sum plus the second's. From ``_SPLIT_WORK`` multiply-adds on the
+    halves run one per core. The chunks depend on the shape alone, so
+    the bytes do not. w_q is a transposed view; the tiles read it, and W
+    in its own dtype, without a float64 copy of W.
     """
     m, n = W.shape
-    if _splits(m * n * n, m, n):
-        # Where numpy halves within a row, one task takes every row.
-        mid = _split_row(0, m, n) or m
-        halves, walk = [(0, mid), (mid, m)], partial(_pairwise, n=n)
-    else:
-        halves, walk = [(0, m)], lambda r0, r1, leaf, join: leaf(r0, r1)
-    rows = max(walk(r0, r1, leaf=lambda a, b: b - a, join=max) for r0, r1 in halves)
-    E = np.empty((len(halves), rows, n))
+    mid = min(m, -(-m // _CHUNK_ROWS) // 2 * _CHUNK_ROWS)
+    E = np.empty((2, min(_CHUNK_ROWS, m), n))
     EH = np.empty_like(E)
-    sums = [0.0] * len(halves)
+    sums = [0.0, 0.0]
 
-    def task(t):
-        def piece(r0, r1):
-            e = _tiled_copy(E[t, :r1 - r0], W[r0:r1], minus=w_q[r0:r1])
-            eh = np.matmul(e, H, out=EH[t, :r1 - r0])
-            # In place, as numpy's temporary elision does for (E @ H) * E.
-            return np.sum(np.multiply(eh, e, out=eh))
-
+    def half(t, r0, r1):
         # The caller refuses a sum that is not finite; numpy's error
-        # state is per thread, so each task sets its own.
+        # state is per thread, so each half sets its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            sums[t] = walk(*halves[t], leaf=piece, join=operator.add)
+            for r in range(r0, r1, _CHUNK_ROWS):
+                r2 = min(r + _CHUNK_ROWS, r1)
+                e = _tiled_copy(E[t, :r2 - r], W[r:r2], minus=w_q[r:r2])
+                eh = np.matmul(e, H, out=EH[t, :r2 - r])
+                # In place, as numpy's temporary elision does for (E @ H) * E.
+                sums[t] += np.sum(np.multiply(eh, e, out=eh))
 
-    parallel.run([partial(task, t) for t in range(len(halves))])
-    return sums[0] if len(sums) == 1 else sums[0] + sums[1]
-
-
-def _split_row(r0: int, r1: int, n: int):
-    """Where numpy's pairwise sum halves rows r0:r1 of a row-major array
-    of n columns, or None where that is not between two rows.
-
-    The sum splits a range of more than ``_PAIRWISE_BLOCK`` entries at
-    half of them, rounded down to a multiple of 8. None too where a side
-    would keep one row: a one-row product with H is a matrix-vector
-    product, whose bytes differ from a row of the matrix product.
-    """
-    size = (r1 - r0) * n
-    half = size // 2 - size // 2 % 8
-    if size <= _PAIRWISE_BLOCK:
-        return None
-    mid, within = divmod(half, n)
-    return r0 + mid if not within and mid >= 2 else None
-
-
-def _pairwise(r0: int, r1: int, n: int, leaf, join):
-    """numpy's pairwise sum over rows r0:r1 of n columns, cut at row
-    boundaries: ``leaf(r0, r1)`` for a range that sums whole, else
-    ``join`` of the walks over its two sides. A range of more than
-    ``_CHUNK_ROWS`` rows splits where :func:`_split_row` allows; any
-    other range is a leaf. With ``operator.add`` and leaves that sum
-    their rows this is numpy's sum; with ``max`` and leaves that count
-    them, the largest leaf."""
-    mid = _split_row(r0, r1, n) if r1 - r0 > _CHUNK_ROWS else None
-    if mid is None:
-        return leaf(r0, r1)
-    return join(_pairwise(r0, mid, n, leaf, join), _pairwise(mid, r1, n, leaf, join))
+    halves = [partial(half, 0, 0, mid), partial(half, 1, mid, m)]
+    if m * n * n >= _SPLIT_WORK:
+        parallel.run(halves)
+    else:
+        for task in halves:
+            task()
+    return sums[0] + sums[1]
 
 
 def hessian_aware_init(W, p: QuantParams, upper) -> InitResult:

@@ -524,16 +524,6 @@ def rearrange(A, a: int, b: int, c: int, d2: int) -> np.ndarray:
     return A.reshape(a, b, c, d2).transpose(2, 0, 3, 1).reshape(a * c, b * d2)
 
 
-def rearrange_inverse(R, a: int, b: int, c: int, d2: int) -> np.ndarray:
-    """Undo :func:`rearrange`."""
-    R = np.asarray(R, dtype=np.float64)
-    if R.ndim != 2 or R.shape != (a * c, b * d2):
-        raise ShapeFactorizationMismatch(
-            f"shape {R.shape} does not factor as ({a}*{c}, {b}*{d2})"
-        )
-    return R.reshape(c, a, d2, b).transpose(1, 3, 0, 2).reshape(a * b, c * d2)
-
-
 @dataclass
 class KroneckerApprox:
     factor_a: np.ndarray  # (a, c)

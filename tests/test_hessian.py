@@ -1,7 +1,6 @@
 import hashlib
 import math
 import mmap
-import operator
 import os
 import subprocess
 import sys
@@ -218,6 +217,13 @@ class TestCurvatureInit:
         p = QuantParams(bits=3, scale=np.ones(4), zero=np.zeros(4))
         with pytest.raises(errors.ShapeMismatch, match="no columns"):
             curvature_init(np.zeros((4, 0)), np.zeros((0, 16)), p)
+
+    def test_layer_with_no_rows_has_no_error(self):
+        p = QuantParams(bits=3, scale=np.ones(0), zero=np.zeros(0))
+        X = np.random.default_rng(8).normal(size=(16, 32))
+        result, err = curvature_init(np.zeros((0, 16)), X, p)
+        assert result.w_q.shape == result.base.shape == result.h_tilde.shape == (0, 16)
+        assert err == 0.0
 
     def test_calibration_is_not_held_past_the_hessian(self, monkeypatch):
         # A 12.8 MB calibration against a 32x32 Hessian: once the Hessian
@@ -493,84 +499,67 @@ class TestResidualInit:
         )
 
 
-def pairwise_pieces_sum(a):
-    """The sum over a row-major 2-d array as _error_form combines it, and
-    its leaves: its two halves, each walked by _pairwise."""
-    m, n = a.shape
-    mid = hessian._split_row(0, m, n) or m
-    halves = [(0, mid), (mid, m)]
-    sums = [hessian._pairwise(r0, r1, n, lambda r0, r1: np.sum(a[r0:r1]), operator.add)
-            for r0, r1 in halves]
-    leaves = [hessian._pairwise(r0, r1, n, lambda r0, r1: [(r0, r1)], operator.add)
-              for r0, r1 in halves]
-    return leaves[0] + leaves[1], sums[0] + sums[1]
+def assert_within_sum_bound(got, E, H):
+    """``got`` lies within m·n·eps·Σ|(E H) ∘ E| of ``np.sum((E @ H) * E)``.
+
+    Any order of adding m·n terms lies within half that of the exact
+    sum, so any two orders lie within it of each other."""
+    P = (E @ H) * E
+    assert abs(got - np.sum(P)) <= P.size * np.finfo(np.float64).eps * np.sum(np.abs(P))
 
 
-def task_pieces(monkeypatch, m, n):
-    """The rows of each piece recon_err's tasks take on an m x n layer
-    with every gate lowered, task by task on one usable core."""
-    rows = []
-    copy = hessian._tiled_copy
-
-    def counted(out, src, minus=None):
-        rows.append(len(src))
-        return copy(out, src, minus)
-
-    W = np.random.default_rng([m, n]).normal(size=(m, n))
-    with monkeypatch.context() as mp:
-        lower_gates(mp)
-        mp.setattr(hessian, "_tiled_copy", counted)
-        inline(mp, hessian._error_form, W, np.zeros((n, m)).T, np.eye(n))
-    return rows
-
-
-# Shapes whose pairwise splits fall between rows down to the chunk
-# (640x768, 512x2048, 256x256, 64x385), only at the top (1000x24), or
-# inside a row from the top on (517x700, 2049x128, 1x4096, 3x129, 7x8).
+# Row counts that are and are not multiples of the chunk, one chunk or
+# many; at 128 rows a chunk, 2049x128 and 1x4096 end in a one-row chunk.
 SUM_SHAPES = [(640, 768), (512, 2048), (256, 256), (64, 385), (1000, 24), (517, 700),
               (2049, 128), (1, 4096), (3, 129), (7, 8)]
 
 
 class TestErrorForm:
-    @pytest.mark.parametrize("chunk", [1, 3, 16, 128, 10**6])
     @pytest.mark.parametrize("shape", SUM_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_chunk_sums_equal_numpys_pairwise_sum(self, monkeypatch, shape, chunk):
-        monkeypatch.setattr(hessian, "_CHUNK_ROWS", chunk)
-        for seed in range(4):
-            rng = np.random.default_rng([*shape, seed])
-            # Magnitudes spread over 12 decades, so any other order of
-            # additions rounds apart.
-            a = rng.normal(size=shape) * np.exp(6 * rng.normal(size=shape))
-            rows, got = pairwise_pieces_sum(a)
-            assert got.hex() == np.sum(a).hex()
-            assert [r0 for r0, _ in rows[1:]] == [r1 for _, r1 in rows[:-1]]
-            assert (rows[0][0], rows[-1][1]) == (0, shape[0])
+    def test_chunk_sums_are_the_product_sum_in_some_order(self, monkeypatch, shape):
+        W, X, p = layer(*shape, 64, seed=sum(shape))
+        result, _ = curvature_init(W, X, p)
+        H = accumulate_hessian(X)
+        for chunk in (1, 3, 16, 128):
+            monkeypatch.setattr(hessian, "_CHUNK_ROWS", chunk)
+            assert_within_sum_bound(hessian._error_form(W, result.w_q, H), W - result.w_q, H)
 
-    def test_pieces_of_a_640_row_layer(self, monkeypatch):
-        # 640 is no power of two times the 128-row chunk: the halves of
-        # 320 rows split at 160, and those at 80.
-        leaves, _ = pairwise_pieces_sum(np.ones((640, 768)))
-        assert leaves == [(r, r + 80) for r in range(0, 640, 80)]
-        assert task_pieces(monkeypatch, 640, 768) == [80] * 8
-        # Where numpy halves within a row, one task takes every row and
-        # the other none.
-        assert hessian._split_row(0, 517, 700) is None
-        assert task_pieces(monkeypatch, 517, 700) == [517, 0]
+    @pytest.mark.parametrize("m, n", [(517, 700), (2049, 128)])
+    def test_unaligned_layers_split_with_the_bytes_of_one_core(self, monkeypatch, m, n):
+        # Neither is a multiple of 128 in every dimension, and 2049 rows
+        # end in a one-row chunk; the halves take the same chunks on one
+        # core and on two. The gate comes down to 2049x128's work.
+        W, X, p = layer(m, n, 256, seed=m + n)
+        result, _ = curvature_init(W, X, p)
+        H = accumulate_hessian(X)
+        monkeypatch.setattr(hessian, "_SPLIT_WORK", min(hessian._SPLIT_WORK, m * n * n))
+        want = inline(monkeypatch, hessian._error_form, W, result.w_q, H)
+        two_cores(monkeypatch)
+        calls = counted_submits(monkeypatch)
+        got = hessian._error_form(W, result.w_q, H)
+        assert len(calls) == 2
+        assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("chunk", [2, 16, 128, 10**6])
     @pytest.mark.parametrize("m, n, N", [(640, 768, 256), (512, 768, 256)])
     def test_recon_err_equals_the_whole_product_sum(self, monkeypatch, m, n, N, chunk):
         # Above the gates, rows of E @ H taken 2 or more at a time are the
-        # whole product's rows, so any chunk gives the single product's sum.
+        # whole product's rows. At 128 rows a chunk these layers' sums
+        # come out as the single product's, and one chunk of every row is
+        # that product; other chunks add in other orders.
         monkeypatch.setattr(hessian, "_CHUNK_ROWS", chunk)
         W, X, p = layer(m, n, N, seed=m + n)
         two_cores(monkeypatch)
         calls = counted_submits(monkeypatch)
         result, err = curvature_init(W, X, p)
         assert len(calls) == 2 + lookahead_tasks(n) + 2
-        E = W - result.w_q
-        total = np.sum((E @ accumulate_hessian(X)) * E)
+        E, H = W - result.w_q, accumulate_hessian(X)
+        total = hessian._error_form(W, result.w_q, H)
         assert err == float(np.sqrt(max(total / 2, 0.0)))
+        if chunk in (128, 10**6):
+            assert total == np.sum((E @ H) * E)
+        else:
+            assert_within_sum_bound(total, E, H)
 
     def test_pieces_under_rapid_thread_switches(self, monkeypatch):
         # Each task writes its own buffers and its own sum; with 16-row
@@ -913,10 +902,10 @@ class TestSplit:
         assert len(calls) == tasks
 
     @pytest.mark.parametrize("m, n, tasks", [(512, 512, 2), (640, 512, 2), (256, 512, 0),
-                                             (640, 520, 0)])
+                                             (640, 520, 2)])
     def test_recon_err_gate(self, monkeypatch, m, n, tasks):
-        # From m * n * n = 2^27 on, with m and n multiples of 128. One
-        # calibration column keeps the Hessian and the sweep unsplit.
+        # From m * n * n = 2^27 on, whatever the shape. One calibration
+        # column keeps the Hessian and the sweep unsplit.
         W, X, p = layer(m, n, 1, seed=42)
         two_cores(monkeypatch)
         calls = counted_submits(monkeypatch)

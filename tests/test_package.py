@@ -156,9 +156,6 @@ UNCALLED_PUBLIC_NAMES = {
     "cli.entry",  # the console script in pyproject.toml
     "distill.e2e_step",  # acceptance test 08's finite-difference check goes through it
     "quantize.rounding_regularizer",  # the reference the backward's tests compare against
-    # test_reparam's TestKroneckerApprox::test_two_orthogonal_terms_error
-    # builds its input with it
-    "reparam.rearrange_inverse",
 }
 
 
@@ -185,6 +182,31 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled - UNCALLED_PUBLIC_NAMES) == []
     assert sorted(UNCALLED_PUBLIC_NAMES - uncalled) == []
 
+
+
+def _defined(stmt):
+    """The names a module-level statement defines: its function or
+    class, or the variables it assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def test_every_private_name_has_a_caller():
+    # A module-level private function, class or constant that no other
+    # statement of the package names is a leftover of code that went.
+    private, named = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            defined = _defined(stmt)
+            private |= {(path.stem, name) for name in defined
+                        if name.startswith("_") and not name.startswith("__")}
+            named |= _named(stmt) - defined
+    assert {("hessian", "_CHUNK_ROWS"), ("hessian", "_error_form")} <= private
+    assert sorted(f"{module}.{name}" for module, name in private if name not in named) == []
 
 def run_python(code, cwd):
     """Run ``code`` in a fresh interpreter that imports this checkout's

@@ -25,7 +25,6 @@ from vqround.reparam import (
     load_codebook,
     param_count,
     rearrange,
-    rearrange_inverse,
     save_codebook,
     svd_lowrank,
     vq_assign,
@@ -809,6 +808,12 @@ class TestSvdLowRank:
                     np.sqrt(np.sum(S[r:] ** 2)), rel=1e-5
                 )
                 assert np.linalg.norm(err, 2) == pytest.approx(S[r], rel=1e-5)
+
+
+def rearrange_inverse(R, a, b, c, d2):
+    """Undo ``rearrange``: row j*a + i, laid out column-major, becomes
+    block (i, j) of an a-by-c grid of b-by-d2 blocks."""
+    return np.asarray(R).reshape(c, a, d2, b).transpose(1, 3, 0, 2).reshape(a * b, c * d2)
 
 
 class TestRearrange:
